@@ -4,9 +4,12 @@ Everything the backbone and the losses need, nothing more: dense tensors,
 a replay tape, and a central finite-difference checker that serves as the
 independent gradient oracle for the whole project.
 
-Gradients accumulate into ``Tensor.grad`` buffers during ``backward``.
-A tape may be walked backward exactly once; a second call raises
-``GraphError`` rather than silently accumulating.
+Graphs are recorded only inside ``with Tape():``. Outside one, every op
+just computes its value, so inference needs no switch of its own.
+Gradients accumulate into ``Tensor.grad`` buffers during ``backward``,
+which frees the graph as it walks it. A tape may be walked backward
+exactly once; a second call raises ``GraphError`` rather than silently
+accumulating.
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ import numpy as np
 from .errors import DegenerateEmbeddingError, DimensionError, GraphError
 
 _ACTIVE_TAPES: list["Tape"] = []
-_GRAD_ENABLED: bool = True
 
 
 class Tensor:
     """Dense float64 tensor participating in a computation graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "tape", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -42,9 +44,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -54,55 +53,20 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    def backward(self):
-        backward(self)
-
-    # convenience arithmetic
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
 
-class _TapeEntry:
-    __slots__ = ("output", "inputs", "backward_fn")
-
-    def __init__(self, output: Tensor, inputs: Sequence[Tensor], backward_fn):
-        self.output = output
-        self.inputs = inputs
-        self.backward_fn = backward_fn
-
-
 class Tape:
-    """Ordered record of executed differentiable operations.
+    """Ordered record of the differentiable ops run inside ``with Tape():``.
 
-    Usable as a context manager; while active, every recorded op lands
-    here, which is how multi-forward training steps share one graph.
+    Each entry is an (output, backward_fn) pair; ``backward`` replaces it
+    with ``None`` once walked, so ``len(tape)`` still counts the ops.
     """
 
     def __init__(self):
-        self.entries: list[_TapeEntry] = []
+        self.entries: list[Optional[tuple[Tensor, Callable]]] = []
         self.consumed = False
-
-    def record(self, entry: _TapeEntry):
-        self.entries.append(entry)
 
     def __enter__(self):
         _ACTIVE_TAPES.append(self)
@@ -116,41 +80,11 @@ class Tape:
         return len(self.entries)
 
 
-class no_grad:
-    """Context manager disabling tape recording (used by oracles)."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-        return False
-
-
-def _resolve_tape(inputs: Sequence[Tensor]) -> Tape:
-    if _ACTIVE_TAPES:
-        return _ACTIVE_TAPES[-1]
-    tapes = {id(t.tape): t.tape for t in inputs if t.tape is not None}
-    if len(tapes) > 1:
-        raise GraphError(
-            "operands come from different tapes; wrap the computation in a "
-            "single `with Tape():` block"
-        )
-    if tapes:
-        return next(iter(tapes.values()))
-    return Tape()
-
-
 def _record(output: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
+    if _ACTIVE_TAPES and any(t.requires_grad for t in inputs):
         output.requires_grad = True
-        tape = _resolve_tape(inputs)
-        output.tape = tape
-        tape.record(_TapeEntry(output, list(inputs), backward_fn))
+        output.tape = _ACTIVE_TAPES[-1]
+        output.tape.entries.append((output, backward_fn))
     return output
 
 
@@ -160,7 +94,9 @@ def backward(loss: Tensor):
         raise GraphError(f"backward root must be scalar, got shape {loss.data.shape}")
     tape = loss.tape
     if tape is None:
-        raise GraphError("loss is not attached to a tape (no recorded operations)")
+        raise GraphError(
+            "loss is not attached to a tape; build it inside `with Tape():`"
+        )
     if tape.consumed:
         raise GraphError(
             "tape already walked backward once; build a fresh graph instead "
@@ -168,10 +104,14 @@ def backward(loss: Tensor):
         )
     tape.consumed = True
     loss.grad = np.asarray(1.0)
-    for entry in reversed(tape.entries):
-        if entry.output.grad is None:
-            continue
-        entry.backward_fn(entry.output.grad)
+    entries = tape.entries
+    for i in range(len(entries) - 1, -1, -1):
+        output, backward_fn = entries[i]
+        # every recorded tensor points at the tape: dropping the entry breaks
+        # that cycle, so the graph is freed without waiting for the collector
+        entries[i] = None
+        if output.grad is not None:
+            backward_fn(output.grad)
 
 
 def _as_tensor(x) -> Tensor:
@@ -327,29 +267,6 @@ def silu(a: Tensor) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def tlog(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.log(a.data))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g / a.data)
-
-    return _record(out, (a,), bwd)
-
-
-def texp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    e = np.exp(a.data)
-    out = Tensor(e)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * e)
-
-    return _record(out, (a,), bwd)
-
-
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with max-subtraction; -inf entries become exact 0."""
     x = _as_tensor(x)
@@ -470,7 +387,8 @@ def logsumexp(v: Tensor) -> Tensor:
 
 
 def cosine(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine similarity of two vectors; raises on zero-norm operands."""
+    """Cosine similarity of two vectors; raises on zero-norm or non-finite
+    operands."""
     u, v = _as_tensor(u), _as_tensor(v)
     if u.data.shape != v.data.shape or u.ndim != 1:
         raise DimensionError(
@@ -480,6 +398,8 @@ def cosine(u: Tensor, v: Tensor) -> Tensor:
     nv = float(np.linalg.norm(v.data))
     if nu == 0.0 or nv == 0.0:
         raise DegenerateEmbeddingError("cosine of a zero-norm embedding is undefined")
+    if not (math.isfinite(nu) and math.isfinite(nv)):
+        raise DegenerateEmbeddingError("cosine of a non-finite embedding is undefined")
     c = float(u.data @ v.data) / (nu * nv)
     c = min(1.0, max(-1.0, c))  # trim roundoff outside [-1, 1]
     out = Tensor(np.asarray(c))
@@ -556,15 +476,14 @@ def finite_diff_check(
     flat = x.data.reshape(-1)
     idx = range(flat.size) if coords is None else list(coords)
     worst = 0.0
-    with no_grad():
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(f(x).data)
-            flat[i] = orig - h
-            fm = float(f(x).data)
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic[i] - numeric) / denom)
+    for i in idx:
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = float(f(x).data)
+        flat[i] = orig - h
+        fm = float(f(x).data)
+        flat[i] = orig
+        numeric = (fp - fm) / (2.0 * h)
+        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst

@@ -6,7 +6,7 @@ pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -134,11 +134,6 @@ def causal_attention(
     return ad.concat_cols(outs)
 
 
-def rope_apply(x: Tensor, positions: Sequence[int], rope_base: float) -> Tensor:
-    """Rotary transform on per-head rows (thin wrapper, kept for clarity)."""
-    return ad.rope(x, positions, rope_base)
-
-
 def forward(
     tokens: Sequence[int],
     config: BackboneConfig,
@@ -171,11 +166,11 @@ def forward(
         k = ad.matmul(h, weights[f"{p}.attn.wk"])
         v = ad.matmul(h, weights[f"{p}.attn.wv"])
         q_heads = [
-            rope_apply(ad.slice_cols(q, j * hd, (j + 1) * hd), positions, config.rope_base)
+            ad.rope(ad.slice_cols(q, j * hd, (j + 1) * hd), positions, config.rope_base)
             for j in range(config.n_q_heads)
         ]
         k_heads = [
-            rope_apply(ad.slice_cols(k, j * hd, (j + 1) * hd), positions, config.rope_base)
+            ad.rope(ad.slice_cols(k, j * hd, (j + 1) * hd), positions, config.rope_base)
             for j in range(config.n_kv_heads)
         ]
         v_heads = [ad.slice_cols(v, j * hd, (j + 1) * hd) for j in range(config.n_kv_heads)]

@@ -51,6 +51,9 @@ def load_checkpoint(path):
     if len(raw) < 8:
         raise ParseError(f"{path}: truncated checkpoint")
     (hlen,) = struct.unpack(">Q", raw[:8])
+    if 8 + hlen > len(raw):
+        raise ParseError(f"{path}: truncated checkpoint header "
+                         f"({hlen} bytes declared, {len(raw) - 8} present)")
     try:
         header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -63,6 +66,10 @@ def load_checkpoint(path):
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start < 0 or start + 8 * count > len(blob):
+            raise ParseError(f"{path}: truncated checkpoint: tensor {entry['name']!r} "
+                             f"at bytes {start}..{start + 8 * count} overruns the "
+                             f"{len(blob)}-byte data blob")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
     return tensors, header.get("meta", {})

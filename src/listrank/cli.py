@@ -27,19 +27,19 @@ from .errors import (
     DegenerateEmbeddingError,
     ListrankError,
     NonFiniteLossError,
-    ParseError,
     ValidationError,
 )
 from .evaluation import (
+    SyntheticCorpus,
     evaluate_run,
     generate_synthetic_corpus,
-    load_qrels,
+    load_corpus_files,
     ndcg_at_k,
     write_corpus_files,
 )
 from .losses import LossWeights, QueryGroup, TrainingBatch, total_loss
 from .model import RerankModel
-from .prompt import Vocabulary
+from .prompt import Document, RerankRequest, Vocabulary
 from .reranker import read_requests, rerank, write_run
 from .trainer import (
     MergeSpec,
@@ -49,22 +49,25 @@ from .trainer import (
     create_adapters,
     merge_models,
     train_stage,
+    write_loss_trace,
 )
 
 GRADCHECK_THRESHOLD = 1e-4
 
 
 def _env_default(flag: str, fallback):
-    value = os.environ.get(f"LISTRANK_{flag.upper().replace('-', '_')}")
+    name = f"LISTRANK_{flag.upper().replace('-', '_')}"
+    value = os.environ.get(name)
     if value is None:
         return fallback
     if isinstance(fallback, bool):
         return value.lower() in ("1", "true", "yes")
-    if isinstance(fallback, int):
-        return int(value)
-    if isinstance(fallback, float):
-        return float(value)
-    return value
+    try:
+        return type(fallback)(value)
+    except ValueError:
+        raise ConfigError(
+            f"{name}={value!r} is not a valid {type(fallback).__name__}"
+        ) from None
 
 
 def _print_config(name: str, args: argparse.Namespace):
@@ -104,10 +107,7 @@ def cmd_rerank(args) -> int:
     return 0
 
 
-def _dataset_from_dir(data_dir: str) -> tuple[list[TrainingExample], Vocabulary]:
-    from .evaluation import load_corpus_files
-
-    corpus = load_corpus_files(data_dir)
+def _training_examples(corpus: SyntheticCorpus, data_dir: str) -> list[TrainingExample]:
     examples = []
     for qid, qtext in corpus.queries:
         rels = corpus.qrels.get(qid, {})
@@ -122,8 +122,7 @@ def _dataset_from_dir(data_dir: str) -> tuple[list[TrainingExample], Vocabulary]
         ))
     if not examples:
         raise DataError(f"no trainable queries in {data_dir}")
-    vocab = Vocabulary(corpus.words())
-    return examples, vocab
+    return examples
 
 
 def cmd_train(args) -> int:
@@ -132,23 +131,18 @@ def cmd_train(args) -> int:
     stage = StageConfig.load(args.stage_config)
     if args.seed is not None:
         stage.seed = args.seed
-    dataset, vocab = _dataset_from_dir(args.data)
+    corpus = load_corpus_files(args.data)
+    dataset = _training_examples(corpus, args.data)
     if args.init_checkpoint:
         _require_file(args.init_checkpoint, "initial checkpoint")
         model = RerankModel.load(args.init_checkpoint)
     else:
-        model = RerankModel.create(vocab, seed=stage.seed)
+        model = RerankModel.create(Vocabulary(corpus.words()), seed=stage.seed)
     trace = train_stage(model, dataset, stage)
     model.save(args.out_checkpoint)
     if args.trace_out:
-        from .trainer import write_loss_trace
-
         write_loss_trace(args.trace_out, trace)
     # training-set ranking report
-    from .evaluation import load_corpus_files
-    from .prompt import Document, RerankRequest
-
-    corpus = load_corpus_files(args.data)
     values = []
     for qid, qtext in corpus.queries:
         docs = [Document(d, corpus.docs[d]) for d in corpus.candidates[qid]]
@@ -377,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # the parser reads LISTRANK_* defaults, so a bad value fails here
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -386,7 +381,7 @@ def main(argv=None) -> int:
     except DegenerateEmbeddingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ConfigError, ParseError, DataError, ListrankError) as exc:
+    except ListrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

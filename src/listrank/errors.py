@@ -16,7 +16,8 @@ class DimensionError(ListrankError):
 
 
 class GraphError(ListrankError):
-    """Autodiff misuse: non-scalar backward root, reused tape, mixed tapes."""
+    """Autodiff misuse: non-scalar backward root, reused tape, loss built
+    outside a tape."""
 
 
 class ConfigError(ListrankError):

@@ -8,7 +8,7 @@ lowest training temperature (0.05) with cosine scores in [-1, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import autodiff as ad

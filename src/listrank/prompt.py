@@ -9,8 +9,7 @@ adversarial document content cannot forge an embedding marker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import (
     ChunkingError,
     ContextLengthError,
-    ParseError,
     ValidationError,
     VocabularyError,
 )
@@ -135,33 +133,6 @@ class Vocabulary:
                 parts.append(surface)
         flush()
         return "".join(parts)
-
-    def save(self, path) -> None:
-        lines = []
-        for tid, surface in enumerate(self._surfaces):
-            flag = "\tS" if tid < len(SPECIALS) else ""
-            lines.append(f"{surface}\t{tid}{flag}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        vocab = cls.__new__(cls)
-        vocab._surfaces = []
-        vocab._word_ids = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise ParseError(f"vocabulary line {lineno}: expected 2-3 tab fields", lineno)
-            surface, tid = fields[0], int(fields[1])
-            if tid != len(vocab._surfaces):
-                raise ParseError(f"vocabulary line {lineno}: non-contiguous id {tid}", lineno)
-            vocab._surfaces.append(surface)
-            if tid >= len(SPECIALS) + _N_BYTE:
-                vocab._word_ids[surface] = tid
-        vocab._special_ids = {s: i for i, s in enumerate(SPECIALS)}
-        return vocab
 
     def entries(self) -> list[list]:
         """Serializable (surface, id, special) triples, e.g. for model meta."""

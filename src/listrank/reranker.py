@@ -11,14 +11,15 @@ comparison studies.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import backbone as bb
-from .autodiff import no_grad
 from .embedding import extract, project, score
-from .errors import DegenerateEmbeddingError, ParseError, ValidationError
+from .errors import DegenerateEmbeddingError, ParseError
 from .model import RerankModel
 from .prompt import Document, RerankRequest, apply_ordering, build_prompt, chunk_into_batches
 
@@ -51,7 +52,8 @@ def rerank(
     """Score every candidate and return the globally sorted ranking.
 
     Scores are non-increasing with rank; ties break by ascending doc_id;
-    degenerate-embedding documents sink to the bottom with a diagnostic.
+    zero-norm-embedding documents sink to the bottom with a diagnostic. A
+    non-finite embedding raises ``DegenerateEmbeddingError``.
     """
     ordered_docs, _ = apply_ordering(
         request.documents, request.ordering, request.ordering_seed
@@ -67,25 +69,29 @@ def rerank(
 
     scored: list[tuple[str, Optional[float], int, Optional[str]]] = []
     pinned_query = None
-    with no_grad():
-        for batch_idx, batch in enumerate(batches):
-            layout = build_prompt(
-                batch, model.vocab, max_doc_tokens,
-                max_context=model.backbone_config.max_context,
-            )
-            hidden = bb.forward(layout.token_ids, model.backbone_config, model.weights)
-            emb = extract(hidden, layout)
-            q = project(emb.query, model.weights)
-            if pin_first_query_embedding:
-                if pinned_query is None:
-                    pinned_query = q
-                q = pinned_query
-            for doc, raw in zip(batch.documents, emb.docs):
-                try:
-                    s = float(score(q, project(raw, model.weights)).data)
-                    scored.append((doc.doc_id, s, batch_idx, None))
-                except DegenerateEmbeddingError as exc:
-                    scored.append((doc.doc_id, None, batch_idx, str(exc)))
+    for batch_idx, batch in enumerate(batches):
+        layout = build_prompt(
+            batch, model.vocab, max_doc_tokens,
+            max_context=model.backbone_config.max_context,
+        )
+        hidden = bb.forward(layout.token_ids, model.backbone_config, model.weights)
+        emb = extract(hidden, layout)
+        q = project(emb.query, model.weights)
+        if pin_first_query_embedding:
+            if pinned_query is None:
+                pinned_query = q
+            q = pinned_query
+        for doc, raw in zip(batch.documents, emb.docs):
+            d = project(raw, model.weights)
+            try:
+                s = float(score(q, d).data)
+                scored.append((doc.doc_id, s, batch_idx, None))
+            except DegenerateEmbeddingError as exc:
+                # a non-finite embedding means broken weights, not one bad
+                # document, so it fails the whole request
+                if not (np.isfinite(q.data).all() and np.isfinite(d.data).all()):
+                    raise
+                scored.append((doc.doc_id, None, batch_idx, str(exc)))
 
     valid = sorted(
         (t for t in scored if t[1] is not None), key=lambda t: (-t[1], t[0])
@@ -145,18 +151,26 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
             continue
         try:
             rec = json.loads(line)
-            docs = [
-                Document(
-                    doc_id=str(d["doc_id"]),
-                    text=d["text"],
-                    first_stage_score=d.get("first_stage_score"),
-                )
-                for d in rec["documents"]
-            ]
+            _require(isinstance(rec["query_text"], str), "query_text must be a string")
+            _require(isinstance(rec["documents"], list), "documents must be a list")
+            docs = []
+            for d in rec["documents"]:
+                _require(isinstance(d["text"], str), "document text must be a string")
+                first_stage = d.get("first_stage_score")
+                # bool is an int subclass, but JSON true/false is not a score
+                _require(first_stage is None or (isinstance(first_stage, (int, float))
+                                                 and not isinstance(first_stage, bool)),
+                         "first_stage_score must be a number or null")
+                docs.append(Document(str(d["doc_id"]), d["text"], first_stage))
             out.append((str(rec["query_id"]), RerankRequest(rec["query_text"], docs)))
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
     return out
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise TypeError(message)
 
 
 def write_run(path, results: dict[str, RankedResult], tag: str = "listrank") -> None:

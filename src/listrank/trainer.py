@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, backward
 from .backbone import ATTN_MATS, FFN_MATS
@@ -131,8 +132,6 @@ def apply_lora(
                 f"adapter shapes {tuple(b.shape)}x{tuple(a.shape)} incompatible "
                 f"with {name} of shape {tuple(w.shape)}"
             )
-        from . import autodiff as ad
-
         eff[name] = ad.add(w, ad.scale(ad.matmul(b, a), scale_factor))
     return eff
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from listrank import autodiff as ad
-from listrank.autodiff import Tensor, no_grad
+from listrank.autodiff import Tensor
 from listrank.backbone import forward as backbone_forward
 from listrank.checkpoint import load_checkpoint, save_checkpoint
 from listrank.cli import _GRADCHECKS, GRADCHECK_THRESHOLD
@@ -71,16 +71,14 @@ class TestAcceptance:
                 positive=Tensor(eye[0]),
                 negatives=[Tensor(eye[1 + i]) for i in range(k)],
             )
-            with no_grad():
-                got = float(rank_loss(TrainingBatch([g], temperature=0.25)).data)
+            got = float(rank_loss(TrainingBatch([g], temperature=0.25)).data)
             assert abs(got - math.log(k + 1)) < 1e-9, (k, got)
         eye = np.eye(5)
         g = QueryGroup(
             query=Tensor(eye[0]), positive=Tensor(eye[1]),
             negatives=[Tensor(eye[2]), Tensor(eye[3])],
         )
-        with no_grad():
-            got = float(disperse_loss(TrainingBatch([g], temperature=0.25)).data)
+        got = float(disperse_loss(TrainingBatch([g], temperature=0.25)).data)
         assert abs(got - math.log(1.5)) < 1e-9
         _report(2, "closed-form losses", "ln(K+1) for K in {1,9,15,25}; ln(3/2)")
 
@@ -97,8 +95,7 @@ class TestAcceptance:
                     negatives=[mk() for _ in range(4)],
                 ))
             batch = TrainingBatch(groups, temperature=0.25)
-            with no_grad():
-                total, parts = all_losses(batch, LossWeights(0.45, 0.85, 0.85))
+            total, parts = all_losses(batch, LossWeights(0.45, 0.85, 0.85))
             expected = (
                 float(parts["rank"].data)
                 + 0.45 * float(parts["disperse"].data)
@@ -133,19 +130,18 @@ class TestAcceptance:
 
         weights = init_weights(cfg, seed=0)
         rng = np.random.default_rng(123)
-        with no_grad():
-            for trial in range(1000):
-                n = int(rng.integers(2, 16))
-                tokens = rng.integers(0, cfg.vocab_size, size=n).tolist()
-                p = int(rng.integers(n))
-                mutated = list(tokens)
-                mutated[p] = int((mutated[p] + 1 + rng.integers(cfg.vocab_size - 1))
-                                 % cfg.vocab_size)
-                if mutated[p] == tokens[p]:
-                    mutated[p] = (tokens[p] + 1) % cfg.vocab_size
-                base = backbone_forward(tokens, cfg, weights).data
-                changed = backbone_forward(mutated, cfg, weights).data
-                assert (base[:p] == changed[:p]).all(), f"trial {trial}"
+        for trial in range(1000):
+            n = int(rng.integers(2, 16))
+            tokens = rng.integers(0, cfg.vocab_size, size=n).tolist()
+            p = int(rng.integers(n))
+            mutated = list(tokens)
+            mutated[p] = int((mutated[p] + 1 + rng.integers(cfg.vocab_size - 1))
+                             % cfg.vocab_size)
+            if mutated[p] == tokens[p]:
+                mutated[p] = (tokens[p] + 1) % cfg.vocab_size
+            base = backbone_forward(tokens, cfg, weights).data
+            changed = backbone_forward(mutated, cfg, weights).data
+            assert (base[:p] == changed[:p]).all(), f"trial {trial}"
         _report(5, "causality", "1000 trials, zero pre-position drift")
 
     def test_criterion_06_overfit_separation(self, trained_model, untrained_model,
@@ -314,16 +310,15 @@ class TestAcceptance:
         from listrank.backbone import forward
         from listrank.embedding import extract, project, score
 
-        with no_grad():
-            hidden = forward(layout.token_ids, cfg, model.weights)
-            emb = extract(hidden, layout)
-            q = project(emb.query, model.weights)
-            manual = sorted(
-                (
-                    (-float(score(q, project(raw, model.weights)).data), d.doc_id)
-                    for d, raw in zip(small.documents, emb.docs)
-                ),
-            )
+        hidden = forward(layout.token_ids, cfg, model.weights)
+        emb = extract(hidden, layout)
+        q = project(emb.query, model.weights)
+        manual = sorted(
+            (
+                (-float(score(q, project(raw, model.weights)).data), d.doc_id)
+                for d, raw in zip(small.documents, emb.docs)
+            ),
+        )
         assert [(e.doc_id, e.score) for e in chunked.entries] == [
             (doc_id, -neg) for neg, doc_id in manual
         ]

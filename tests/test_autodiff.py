@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -113,6 +114,12 @@ class TestCosine:
         with pytest.raises(DegenerateEmbeddingError):
             ad.cosine(Tensor(np.zeros(3)), Tensor([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_norm_raises(self, bad):
+        # a clamp would turn NaN into a plausible -1.0 score
+        with pytest.raises(DegenerateEmbeddingError, match="non-finite"):
+            ad.cosine(Tensor([1.0, 0.0, 0.0]), Tensor([bad, 1.0, 0.0]))
+
     @settings(max_examples=50, deadline=None)
     @given(
         arrays(np.float64, 4, elements=st.floats(-10, 10)),
@@ -139,7 +146,8 @@ class TestCosine:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        backward(ad.tsum(x))
+        with Tape():
+            backward(ad.tsum(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_non_scalar_root(self):
@@ -150,18 +158,32 @@ class TestBackward:
 
     def test_double_backward_is_error(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = ad.tsum(ad.mul(x, x))
-        backward(loss)
-        with pytest.raises(GraphError, match="already walked"):
+        with Tape():
+            loss = ad.tsum(ad.mul(x, x))
             backward(loss)
+            with pytest.raises(GraphError, match="already walked"):
+                backward(loss)
 
-    def test_mixed_tapes_require_context(self):
+    def test_ops_outside_a_tape_record_nothing(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        y = Tensor(np.ones(3), requires_grad=True)
-        a = ad.mul(x, x)  # tape 1
-        b = ad.mul(y, y)  # tape 2
-        with pytest.raises(GraphError, match="different tapes"):
-            ad.add(a, b)
+        loss = ad.tsum(ad.mul(x, x))
+        assert loss.tape is None and not loss.requires_grad
+        with pytest.raises(GraphError, match="not attached to a tape"):
+            backward(loss)
+        assert x.grad is None
+
+    def test_backward_frees_the_graph(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            hidden = ad.mul(x, x)
+            loss = ad.tsum(ad.scale(hidden, 2.0))
+            backward(loss)
+        ref = weakref.ref(hidden)
+        del hidden
+        # no gc.collect(): the tape must not keep the intermediate alive
+        assert ref() is None
+        assert len(tape) == 3
+        np.testing.assert_array_equal(x.grad, 4 * np.ones(3))
 
     def test_shared_tape_context(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -182,7 +204,8 @@ class TestFiniteDiffCheck:
 
         assert finite_diff_check(f, x) < 1e-8
         x.zero_grad()
-        backward(f(x))  # fresh graph; grads are 2x
+        with Tape():
+            backward(f(x))  # fresh graph; grads are 2x
         np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])
 
     def test_step_size_contract(self):

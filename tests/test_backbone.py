@@ -3,7 +3,7 @@ import pytest
 
 from listrank import autodiff as ad
 from listrank import backbone as bb
-from listrank.autodiff import Tensor, finite_diff_check, no_grad
+from listrank.autodiff import Tensor, finite_diff_check
 from listrank.errors import ConfigError, ContextLengthError, VocabularyError
 
 from conftest import tiny_backbone_config
@@ -52,22 +52,19 @@ class TestInitWeights:
     def test_forward_finite_on_random_input(self, cfg, weights):
         rng = np.random.default_rng(3)
         tokens = rng.integers(0, cfg.vocab_size, size=20).tolist()
-        with no_grad():
-            h = bb.forward(tokens, cfg, weights)
+        h = bb.forward(tokens, cfg, weights)
         assert np.isfinite(h.data).all()
 
 
 class TestForward:
     def test_row_count(self, cfg, weights):
-        with no_grad():
-            h = bb.forward([1, 2, 3, 4, 5, 6, 7], cfg, weights)
+        h = bb.forward([1, 2, 3, 4, 5, 6, 7], cfg, weights)
         assert h.shape == (7, cfg.d_hidden)
 
     def test_determinism(self, cfg, weights):
         tokens = [3, 1, 4, 1, 5]
-        with no_grad():
-            a = bb.forward(tokens, cfg, weights).data
-            b = bb.forward(tokens, cfg, weights).data
+        a = bb.forward(tokens, cfg, weights).data
+        b = bb.forward(tokens, cfg, weights).data
         assert (a == b).all()
 
     def test_context_overflow(self, cfg, weights):
@@ -81,16 +78,15 @@ class TestForward:
 
     def test_causality_random_perturbations(self, cfg, weights):
         rng = np.random.default_rng(9)
-        with no_grad():
-            for _ in range(10):
-                tokens = rng.integers(0, cfg.vocab_size, size=12).tolist()
-                base = bb.forward(tokens, cfg, weights).data
-                p = int(rng.integers(len(tokens)))
-                mutated = list(tokens)
-                mutated[p] = int((mutated[p] + 1) % cfg.vocab_size)
-                changed = bb.forward(mutated, cfg, weights).data
-                assert (base[:p] == changed[:p]).all()
-                assert (base[p:] != changed[p:]).any()
+        for _ in range(10):
+            tokens = rng.integers(0, cfg.vocab_size, size=12).tolist()
+            base = bb.forward(tokens, cfg, weights).data
+            p = int(rng.integers(len(tokens)))
+            mutated = list(tokens)
+            mutated[p] = int((mutated[p] + 1) % cfg.vocab_size)
+            changed = bb.forward(mutated, cfg, weights).data
+            assert (base[:p] == changed[:p]).all()
+            assert (base[p:] != changed[p:]).any()
 
 
 def _reference_mha(q, k, v, n_heads):
@@ -152,7 +148,7 @@ class TestRope:
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 8))
-        out = bb.rope_apply(Tensor(x), [0], 10000.0)
+        out = ad.rope(Tensor(x), [0], 10000.0)
         np.testing.assert_allclose(out.data, x, atol=1e-15)
 
     def test_relative_position_dependence(self):
@@ -161,8 +157,8 @@ class TestRope:
         k = rng.normal(size=(1, 8))
         dots = []
         for m, n in [(0, 3), (2, 5), (7, 10), (11, 14)]:  # constant m - n
-            qr = bb.rope_apply(Tensor(q), [m], 10000.0).data
-            kr = bb.rope_apply(Tensor(k), [n], 10000.0).data
+            qr = ad.rope(Tensor(q), [m], 10000.0).data
+            kr = ad.rope(Tensor(k), [n], 10000.0).data
             dots.append(float((qr @ kr.T)[0, 0]))
         assert np.var(dots) < 1e-10
 

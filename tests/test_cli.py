@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -76,6 +77,68 @@ class TestExitCodes:
         rc = main(["merge", "--spec", str(spec), "--out", str(tmp_path / "m.ckpt")])
         assert rc == 2
         assert "outside" in capsys.readouterr().err
+
+    def test_bad_env_value_names_the_variable(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("LISTRANK_K", "ten")
+        rc = main(["eval", "--run", str(tmp_path / "run.txt"),
+                   "--qrels", str(tmp_path / "qrels.txt")])
+        assert rc == 2
+        assert "LISTRANK_K='ten'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["length", "header", "blob", "last byte"])
+    def test_truncated_checkpoint(self, model_path, data_dir, tmp_path, capsys, where):
+        raw = model_path.read_bytes()
+        header_end = 8 + struct.unpack(">Q", raw[:8])[0]
+        keep = {"length": 5, "header": header_end // 2,
+                "blob": (header_end + len(raw)) // 2, "last byte": len(raw) - 1}[where]
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(raw[:keep])
+        rc = main(["rerank", "--model", str(cut),
+                   "--input", str(data_dir / "requests.jsonl"),
+                   "--output", str(tmp_path / "run.txt")])
+        assert rc == 2
+        assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_non_string_document_text(self, model_path, tmp_path, capsys):
+        req = tmp_path / "req.jsonl"
+        req.write_text(json.dumps({"query_id": "q1", "query_text": "a b",
+                                   "documents": [{"doc_id": "d1", "text": 5}]}) + "\n")
+        rc = main(["rerank", "--model", str(model_path), "--input", str(req),
+                   "--output", str(tmp_path / "run.txt")])
+        assert rc == 2
+        assert "line 1" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def nan_model_path(model_path, tmp_path):
+    tensors, meta = load_checkpoint(model_path)
+    tensors["projector.w1"][0, 0] = np.nan
+    p = tmp_path / "nan.ckpt"
+    save_checkpoint(p, tensors, meta)
+    return p
+
+
+class TestNonFiniteWeights:
+    def test_rerank_exits_3(self, nan_model_path, data_dir, tmp_path, capsys):
+        run_path = tmp_path / "run.txt"
+        rc = main(["rerank", "--model", str(nan_model_path),
+                   "--input", str(data_dir / "requests.jsonl"),
+                   "--output", str(run_path), "--max-doc-tokens", "16"])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not run_path.exists()
+
+    def test_train_exits_3_without_a_checkpoint(self, nan_model_path, data_dir, tmp_path, capsys):
+        stage_path = tmp_path / "stage.json"
+        StageConfig(steps=2, batch_size=4, n_negatives=7, max_doc_tokens=16,
+                    lora_rank=4, seed=1).save(stage_path)
+        out_ckpt = tmp_path / "trained.ckpt"
+        rc = main(["train", "--stage-config", str(stage_path), "--data", str(data_dir),
+                   "--init-checkpoint", str(nan_model_path),
+                   "--out-checkpoint", str(out_ckpt)])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out_ckpt.exists()
 
 
 class TestGradcheck:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from listrank import autodiff as ad
-from listrank.autodiff import Tensor, backward, finite_diff_check, no_grad
+from listrank.autodiff import Tensor, backward, finite_diff_check
 from listrank.embedding import (
     ExtractedEmbeddings,
     ProjectorConfig,
@@ -32,8 +32,7 @@ class TestExtract:
         rng = np.random.default_rng(0)
         hidden = Tensor(rng.normal(size=(10, 4)))
         layout = _layout([2, 5, 7], 9)
-        with no_grad():
-            emb = extract(hidden, layout)
+        emb = extract(hidden, layout)
         for i, pos in enumerate([2, 5, 7]):
             np.testing.assert_array_equal(emb.docs[i].data, hidden.data[pos])
         np.testing.assert_array_equal(emb.query.data, hidden.data[9])
@@ -44,8 +43,7 @@ class TestExtract:
         hidden = Tensor(rng.normal(size=(10, 4)))
         # slot 0 shows original doc 2, slot 1 shows doc 0, slot 2 shows doc 1
         layout = _layout([2, 5, 7], 9, order=[2, 0, 1])
-        with no_grad():
-            emb = extract(hidden, layout)
+        emb = extract(hidden, layout)
         np.testing.assert_array_equal(emb.docs[2].data, hidden.data[2])
         np.testing.assert_array_equal(emb.docs[0].data, hidden.data[5])
         np.testing.assert_array_equal(emb.docs[1].data, hidden.data[7])
@@ -54,8 +52,7 @@ class TestExtract:
         rng = np.random.default_rng(2)
         hidden = Tensor(rng.normal(size=(8, 3)))
         layout = _layout([4], 6, dual=1)
-        with no_grad():
-            emb = extract(hidden, layout, include_dual=True)
+        emb = extract(hidden, layout, include_dual=True)
         np.testing.assert_array_equal(emb.dual_query.data, hidden.data[1])
 
     def test_missing_dual_raises(self):
@@ -97,8 +94,7 @@ class TestProjector:
         cfg = ProjectorConfig(d_in=6, d_mid=4, d_out=3)
         w = init_projector(cfg, seed=1)
         x = rng.normal(size=6)
-        with no_grad():
-            out = project(Tensor(x), w).data
+        out = project(Tensor(x), w).data
         mid = np.maximum(x @ w["projector.w1"].data + w["projector.b1"].data, 0.0)
         ref = mid @ w["projector.w2"].data + w["projector.b2"].data
         np.testing.assert_allclose(out, ref, atol=1e-14)
@@ -123,8 +119,7 @@ class TestScore:
     def test_is_cosine(self):
         rng = np.random.default_rng(6)
         q, d = rng.normal(size=5), rng.normal(size=5)
-        with no_grad():
-            s = float(score(Tensor(q), Tensor(d)).data)
+        s = float(score(Tensor(q), Tensor(d)).data)
         expected = q @ d / (np.linalg.norm(q) * np.linalg.norm(d))
         assert s == pytest.approx(expected, abs=1e-14)
         assert -1.0 <= s <= 1.0

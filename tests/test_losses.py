@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listrank import autodiff as ad
-from listrank.autodiff import Tensor, backward, no_grad
+from listrank.autodiff import Tensor, backward
 from listrank.errors import ConfigError, ValidationError
 from listrank.losses import (
     LossWeights,
@@ -80,8 +80,7 @@ class TestClosedForms:
             positive=_unit(eye[0]),
             negatives=[_unit(eye[1 + i]) for i in range(k)],
         )
-        with no_grad():
-            loss = rank_loss(TrainingBatch([g], temperature=0.25))
+        loss = rank_loss(TrainingBatch([g], temperature=0.25))
         assert float(loss.data) == pytest.approx(math.log(k + 1), abs=1e-12)
 
     def test_disperse_two_orthogonal_negatives(self):
@@ -92,8 +91,7 @@ class TestClosedForms:
             query=_unit(eye[0]), positive=_unit(eye[1]),
             negatives=[_unit(eye[2]), _unit(eye[3])],
         )
-        with no_grad():
-            loss = disperse_loss(TrainingBatch([g], temperature=0.05))
+        loss = disperse_loss(TrainingBatch([g], temperature=0.05))
         assert float(loss.data) == pytest.approx(math.log(3.0 / 2.0), abs=1e-12)
 
     def test_similar_hand_case(self):
@@ -107,8 +105,7 @@ class TestClosedForms:
             query=Tensor(p), positive=Tensor(p),
             negatives=[Tensor(neg)], augmented=Tensor(aug),
         )
-        with no_grad():
-            loss = similar_loss(TrainingBatch([g], temperature=0.25))
+        loss = similar_loss(TrainingBatch([g], temperature=0.25))
         expected = math.log(1.0 + math.exp((-0.2 - 0.9) / 0.25))
         assert float(loss.data) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(
@@ -121,8 +118,7 @@ class TestClosedForms:
             positive=Tensor(np.array([1.0, 0.0])),
             negatives=[Tensor(np.array([-1.0, 0.0]))],
         )
-        with no_grad():
-            tight = float(rank_loss(TrainingBatch([g], temperature=0.05)).data)
+        tight = float(rank_loss(TrainingBatch([g], temperature=0.05)).data)
         assert tight < 1e-15
 
 
@@ -130,10 +126,9 @@ class TestAgainstReference:
     def test_rank_and_dual_and_similar(self):
         rng = np.random.default_rng(0)
         batch, arrays = _random_batch(rng)
-        with no_grad():
-            got_rank = float(rank_loss(batch).data)
-            got_dual = float(dual_loss(batch).data)
-            got_sim = float(similar_loss(batch).data)
+        got_rank = float(rank_loss(batch).data)
+        got_dual = float(dual_loss(batch).data)
+        got_sim = float(similar_loss(batch).data)
         tau = batch.temperature
         exp_rank = np.mean([_reference_infonce(q, p, negs, tau) for q, p, negs, _, _ in arrays])
         exp_dual = np.mean([_reference_infonce(dq, p, negs, tau) for _, p, negs, dq, _ in arrays])
@@ -159,16 +154,14 @@ class TestAgainstReference:
             logits = np.array(terms)
             m = logits.max()
             expected.append(m + np.log(np.exp(logits - m).sum()) - np.log(len(negs)))
-        with no_grad():
-            got = float(disperse_loss(batch).data)
+        got = float(disperse_loss(batch).data)
         assert got == pytest.approx(np.mean(expected), abs=1e-12)
 
     def test_total_is_weighted_sum(self):
         rng = np.random.default_rng(2)
         batch, _ = _random_batch(rng)
         w = LossWeights(disperse=0.45, dual=0.85, similar=0.85)
-        with no_grad():
-            total, parts = all_losses(batch, w)
+        total, parts = all_losses(batch, w)
         expected = (
             float(parts["rank"].data)
             + 0.45 * float(parts["disperse"].data)
@@ -188,8 +181,7 @@ class TestProperties:
     def test_losses_finite_and_nonnegative_rank(self, tau, k, n_groups):
         rng = np.random.default_rng(k * 100 + n_groups)
         batch, _ = _random_batch(rng, n_groups=n_groups, k=k, tau=tau)
-        with no_grad():
-            total, parts = all_losses(batch)
+        total, parts = all_losses(batch)
         assert np.isfinite(total.data)
         # the contrastive losses are -log of a probability, hence >= 0
         for name in ("rank", "dual", "similar"):

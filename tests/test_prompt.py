@@ -66,10 +66,8 @@ class TestTokenizer:
         text = "alpha beta\ngamma zz9\n\n delta"
         assert vocab.detokenize(vocab.tokenize(text)) == text
 
-    def test_save_load_roundtrip(self, vocab, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        vocab.save(path)
-        loaded = Vocabulary.load(path)
+    def test_entries_roundtrip(self, vocab):
+        loaded = Vocabulary.from_entries(vocab.entries())
         assert len(loaded) == len(vocab)
         text = "alpha zz gamma"
         assert loaded.tokenize(text) == vocab.tokenize(text)

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from listrank.errors import ParseError, ValidationError
+from listrank.autodiff import Tensor
+from listrank.errors import DegenerateEmbeddingError, ParseError, ValidationError
 from listrank.evaluation import load_run
+from listrank.model import RerankModel
 from listrank.prompt import Document, RerankRequest
 from listrank.reranker import (
     RankedEntry,
@@ -19,6 +21,12 @@ from listrank.reranker import (
 def _request_from_corpus(corpus, qid, qtext, n=None):
     ids = corpus.candidates[qid][:n] if n else corpus.candidates[qid]
     return RerankRequest(qtext, [Document(d, corpus.docs[d]) for d in ids])
+
+
+def _with_weights(model, changes: dict):
+    """A copy of ``model`` whose named weights are set to the given arrays."""
+    weights = {k: Tensor(changes.get(k, v.data).copy()) for k, v in model.weights.items()}
+    return RerankModel(model.vocab, model.backbone_config, model.projector_config, weights)
 
 
 class TestRerank:
@@ -94,6 +102,24 @@ class TestRerank:
             assert 0.0 <= report[variant] <= 1.0
 
 
+class TestDegenerateEmbeddings:
+    def test_zero_norm_embeddings_sink_with_a_diagnostic(self, untrained_model, synth_corpus):
+        w2 = untrained_model.weights["projector.w2"].data
+        model = _with_weights(untrained_model, {"projector.w2": np.zeros_like(w2)})
+        qid, qtext = synth_corpus.queries[0]
+        res = rerank(model, _request_from_corpus(synth_corpus, qid, qtext), max_doc_tokens=16)
+        assert len(res.entries) == len(synth_corpus.candidates[qid])
+        assert all(e.score is None and "zero-norm" in e.error for e in res.entries)
+
+    def test_non_finite_weight_fails_the_request(self, untrained_model, synth_corpus):
+        w1 = untrained_model.weights["projector.w1"].data.copy()
+        w1[0, 0] = np.nan
+        model = _with_weights(untrained_model, {"projector.w1": w1})
+        qid, qtext = synth_corpus.queries[0]
+        with pytest.raises(DegenerateEmbeddingError, match="non-finite"):
+            rerank(model, _request_from_corpus(synth_corpus, qid, qtext), max_doc_tokens=16)
+
+
 class TestRequestFile:
     def test_read_requests(self, tmp_path):
         p = tmp_path / "req.jsonl"
@@ -125,6 +151,24 @@ class TestRequestFile:
         p.write_text('{"query_id": "q1", "documents": []}\n')
         with pytest.raises(ParseError):
             read_requests(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("query_text", 5),
+        ("documents", {"d1": {"doc_id": "d1", "text": "aaa"}}),
+        ("text", 5),
+        ("text", None),
+        ("first_stage_score", "high"),
+        ("first_stage_score", True),
+    ])
+    def test_read_requests_wrong_field_type(self, tmp_path, field, value):
+        doc = {"doc_id": "d1", "text": "aaa", "first_stage_score": 0.5}
+        rec = {"query_id": "q1", "query_text": "hello", "documents": [doc]}
+        (doc if field in doc else rec)[field] = value
+        p = tmp_path / "req.jsonl"
+        p.write_text("\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=field) as exc:
+            read_requests(p)
+        assert exc.value.line_number == 2
 
 
 class TestRunFile:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from listrank import autodiff as ad
-from listrank.autodiff import Tensor, no_grad
+from listrank.autodiff import Tensor
 from listrank.errors import ConfigError, DataError, MergeError
 from listrank.evaluation import lexical_overlap_scorer, ndcg_at_k
 from listrank.model import RerankModel
@@ -73,8 +73,7 @@ class TestLora:
     def test_zero_init_is_identity(self):
         cfg, base = self._base()
         adapters = create_adapters(base, lora_target_names(cfg.n_layers), rank=4, seed=1)
-        with no_grad():
-            eff = apply_lora(base, adapters, rank=4, alpha=8.0)
+        eff = apply_lora(base, adapters, rank=4, alpha=8.0)
         for name in lora_target_names(cfg.n_layers):
             np.testing.assert_array_equal(eff[name].data, base[name].data)
 
@@ -85,8 +84,7 @@ class TestLora:
         rng = np.random.default_rng(2)
         for a, b in adapters.values():
             b.data = rng.normal(0.0, 0.1, b.data.shape)
-        with no_grad():
-            eff = apply_lora(base, adapters, rank=4, alpha=8.0)
+        eff = apply_lora(base, adapters, rank=4, alpha=8.0)
         folded = fold_adapters(base, adapters, rank=4, alpha=8.0)
         for name in names:
             np.testing.assert_allclose(folded[name].data, eff[name].data, atol=1e-15)
@@ -96,8 +94,7 @@ class TestLora:
         w = {"m": Tensor(np.zeros((3, 3)))}
         a = Tensor(np.ones((2, 3)))
         b = Tensor(np.ones((3, 2)))
-        with no_grad():
-            eff = apply_lora(w, {"m": (a, b)}, rank=2, alpha=6.0)
+        eff = apply_lora(w, {"m": (a, b)}, rank=2, alpha=6.0)
         # B@A has every entry 2; scale alpha/rank = 3
         np.testing.assert_allclose(eff["m"].data, 6.0)
 
