@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateEmbeddingError, DimensionError, GraphError
+from .errors import ConfigError, DegenerateEmbeddingError, DimensionError, GraphError
 
 _ACTIVE_TAPES: list["Tape"] = []
 
@@ -80,8 +80,12 @@ class Tape:
         return len(self.entries)
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    return bool(_ACTIVE_TAPES) and any(t.requires_grad for t in inputs)
+
+
 def _record(output: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
-    if _ACTIVE_TAPES and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         output.requires_grad = True
         output.tape = _ACTIVE_TAPES[-1]
         output.tape.entries.append((output, backward_fn))
@@ -200,17 +204,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data.T)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.T)
-
-    return _record(out, (a,), bwd)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
@@ -267,24 +260,6 @@ def silu(a: Tensor) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction; -inf entries become exact 0."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise DimensionError(f"softmax_rows expects a matrix, got shape {tuple(x.shape)}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y)
-
-    def bwd(g):
-        if x.requires_grad:
-            dot = (g * y).sum(axis=1, keepdims=True)
-            x.accumulate_grad(y * (g - dot))
-
-    return _record(out, (x,), bwd)
-
-
 def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     """RMS normalization, row-wise for matrices: g * x / sqrt(mean(x^2)+eps)."""
     x, gain = _as_tensor(x), _as_tensor(gain)
@@ -328,34 +303,6 @@ def gather_rows(x: Tensor, indices) -> Tensor:
             x.accumulate_grad(gx)
 
     return _record(out, (x,), bwd)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data[:, start:stop])
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, start:stop] = g
-            x.accumulate_grad(gx)
-
-    return _record(out, (x,), bwd)
-
-
-def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    widths = [t.shape[1] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=1))
-
-    def bwd(g):
-        off = 0
-        for t, w in zip(tensors, widths):
-            if t.requires_grad:
-                t.accumulate_grad(g[:, off : off + w])
-            off += w
-
-    return _record(out, tuple(tensors), bwd)
 
 
 def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
@@ -414,19 +361,21 @@ def cosine(u: Tensor, v: Tensor) -> Tensor:
     return _record(out, (u, v), bwd)
 
 
-def rope(x: Tensor, positions: Sequence[int], base: float) -> Tensor:
-    """Rotary position transform over row vectors of even width.
-
-    Pair (x[2i], x[2i+1]) of row p rotates by angle p * base^(-2i/width).
+def rope(x: Tensor, positions: Sequence[int], base: float, head_dim: int | None = None) -> Tensor:
+    """Rotary position transform over rows split into heads of even width
+    ``head_dim`` (the whole row by default). Pair (h[2i], h[2i+1]) of each
+    head in row p rotates by angle p * base^(-2i/head_dim).
     """
     x = _as_tensor(x)
     length, width = x.shape
-    if width % 2 != 0:
-        raise DimensionError(f"rope requires even width, got {width}")
+    head_dim = width if head_dim is None else head_dim
+    if head_dim % 2 != 0 or width % head_dim != 0:
+        raise DimensionError(f"rope requires even heads dividing width {width}, got {head_dim}")
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (length,):
         raise DimensionError("rope positions must match row count")
-    freqs = base ** (-np.arange(0, width, 2, dtype=np.float64) / width)
+    freqs = np.tile(base ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim),
+                    width // head_dim)
     angles = pos[:, None] * freqs[None, :]
     cos, sin = np.cos(angles), np.sin(angles)
     even, odd = x.data[:, 0::2], x.data[:, 1::2]
@@ -445,6 +394,67 @@ def rope(x: Tensor, positions: Sequence[int], base: float) -> Tensor:
             x.accumulate_grad(gx)
 
     return _record(out, (x,), bwd)
+
+
+ATTENTION_BLOCK = 64  # query rows per block of causal_attention
+_ABOVE_DIAGONAL = np.triu(np.ones((ATTENTION_BLOCK, ATTENTION_BLOCK), dtype=bool), k=1)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_q_heads: int, n_kv_heads: int) -> Tensor:
+    """Causal scaled dot-product attention over all heads in one op.
+
+    ``q`` is (L, n_q_heads*hd) and ``k``, ``v`` are (L, n_kv_heads*hd);
+    query head i reads KV head i // (n_q_heads / n_kv_heads), and K and V
+    are never repeated. Query rows run in blocks of ``ATTENTION_BLOCK``:
+    block [r0, r1) scores only keys [0, r1) and masks only its diagonal
+    tile, so masked keys get weight exactly 0. Backward walks the same blocks.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if n_kv_heads < 1 or n_q_heads % n_kv_heads != 0:
+        raise ConfigError(f"incompatible head counts: {n_q_heads} query vs {n_kv_heads} kv heads")
+    length, width = q.shape
+    hd, group = width // n_q_heads, n_q_heads // n_kv_heads
+    if width != n_q_heads * hd or k.shape != (length, n_kv_heads * hd) or v.shape != k.shape:
+        raise DimensionError(f"attention shapes {q.shape}, {k.shape}, {v.shape} do not split "
+                             f"into {n_q_heads} query and {n_kv_heads} kv heads")
+    inv_sqrt = 1.0 / np.sqrt(hd)
+
+    def heads(x, n):  # (L, n_kv*n*hd) -> (n_kv, n, L, hd); K and V broadcast with n = 1
+        return np.ascontiguousarray(x.reshape(length, n_kv_heads, n, hd).transpose(1, 2, 0, 3))
+
+    qh, kh, vh = heads(q.data, group), heads(k.data, 1), heads(v.data, 1)
+    out = np.empty((length, n_kv_heads, group, hd))
+    blocks = [(r0, min(r0 + ATTENTION_BLOCK, length)) for r0 in range(0, length, ATTENTION_BLOCK)]
+    weights = [] if _recording((q, k, v)) else None  # kept for the backward only
+    for r0, r1 in blocks:
+        s = qh[:, :, r0:r1] @ kh[:, :, :r1].swapaxes(-1, -2)
+        s *= inv_sqrt
+        np.copyto(s[..., r0:], -np.inf, where=_ABOVE_DIAGONAL[: r1 - r0, : r1 - r0])
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        out[r0:r1] = (s @ vh[:, :, :r1]).transpose(2, 0, 1, 3)
+        if weights is not None:
+            weights.append(s)
+
+    def bwd(g):
+        gh, oh = heads(g, group), heads(out, group)
+        dq, dk, dv = np.empty_like(qh), np.zeros_like(kh), np.zeros_like(vh)
+        for (r0, r1), w in zip(blocks, weights):
+            go = gh[:, :, r0:r1]
+            dv[:, :, :r1] += (w.swapaxes(-1, -2) @ go).sum(axis=1, keepdims=True)
+            # softmax backward; the row sums of dP * P equal those of dO * O
+            ds = go @ vh[:, :, :r1].swapaxes(-1, -2)
+            ds -= (go * oh[:, :, r0:r1]).sum(axis=-1, keepdims=True)
+            ds *= w
+            ds *= inv_sqrt
+            dq[:, :, r0:r1] = ds @ kh[:, :, :r1]
+            dk[:, :, :r1] += (ds.swapaxes(-1, -2) @ qh[:, :, r0:r1]).sum(axis=1, keepdims=True)
+        for t, gt in ((q, dq), (k, dk), (v, dv)):
+            if t.requires_grad:
+                t.accumulate_grad(gt.transpose(2, 0, 1, 3).reshape(t.data.shape))
+
+    return _record(Tensor(out.reshape(length, width)), (q, k, v), bwd)
 
 
 # ----------------------------------------------------------------------

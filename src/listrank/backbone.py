@@ -1,7 +1,9 @@
 """Tiny causal transformer: GQA attention, rotary positions, RMS norm,
 SiLU-gated FFN. Final-layer hidden states are the only output; there is
 no LM head and no KV cache because reranking is a single full-sequence
-pass.
+pass. Attention is one fused, row-blocked op over all heads
+(``autodiff.causal_attention``) that masks only its diagonal tiles, so
+no mask tensor is ever built.
 """
 
 from __future__ import annotations
@@ -76,62 +78,30 @@ ATTN_MATS = ("wq", "wk", "wv", "wo")
 FFN_MATS = ("wg", "wu", "wd")
 
 
+def weight_shapes(config: BackboneConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every backbone tensor, in initialization order."""
+    d, kv, f = config.d_hidden, config.kv_dim, config.d_ffn
+    layer = {"attn_norm.gain": (d,), "attn.wq": (d, d), "attn.wk": (d, kv), "attn.wv": (d, kv),
+             "attn.wo": (d, d), "ffn_norm.gain": (d,), "ffn.wg": (d, f), "ffn.wu": (d, f),
+             "ffn.wd": (f, d)}
+    shapes = {"embed.weight": (config.vocab_size, d)}
+    for i in range(config.n_layers):
+        shapes.update({f"layers.{i}.{name}": shape for name, shape in layer.items()})
+    shapes["final_norm.gain"] = (d,)
+    return shapes
+
+
 def init_weights(config: BackboneConfig, seed: int) -> dict[str, Tensor]:
     """Deterministic scaled-normal initialization (std 0.02; output
-    projections scaled by 1/sqrt(2*n_layers))."""
+    projections scaled by 1/sqrt(2*n_layers)); norm gains start at 1."""
     rng = np.random.default_rng(seed)
     out_scale = 1.0 / np.sqrt(2.0 * config.n_layers)
-
-    def normal(*shape, scl=1.0):
-        return Tensor(rng.normal(0.0, 0.02, size=shape) * scl)
-
-    w: dict[str, Tensor] = {"embed.weight": normal(config.vocab_size, config.d_hidden)}
-    d, kv, f = config.d_hidden, config.kv_dim, config.d_ffn
-    for i in range(config.n_layers):
-        p = f"layers.{i}"
-        w[f"{p}.attn_norm.gain"] = Tensor(np.ones(d))
-        w[f"{p}.attn.wq"] = normal(d, d)
-        w[f"{p}.attn.wk"] = normal(d, kv)
-        w[f"{p}.attn.wv"] = normal(d, kv)
-        w[f"{p}.attn.wo"] = normal(d, d, scl=out_scale)
-        w[f"{p}.ffn_norm.gain"] = Tensor(np.ones(d))
-        w[f"{p}.ffn.wg"] = normal(d, f)
-        w[f"{p}.ffn.wu"] = normal(d, f)
-        w[f"{p}.ffn.wd"] = normal(f, d, scl=out_scale)
-    w["final_norm.gain"] = Tensor(np.ones(d))
+    w: dict[str, Tensor] = {}
+    for name, shape in weight_shapes(config).items():
+        scl = out_scale if name.endswith((".wo", ".wd")) else 1.0
+        w[name] = Tensor(np.ones(shape) if name.endswith(".gain")
+                         else rng.normal(0.0, 0.02, size=shape) * scl)
     return w
-
-
-def _causal_mask(length: int) -> Tensor:
-    mask = np.triu(np.full((length, length), -np.inf), k=1)
-    return Tensor(mask)
-
-
-def causal_attention(
-    q_heads: Sequence[Tensor],
-    k_heads: Sequence[Tensor],
-    v_heads: Sequence[Tensor],
-) -> Tensor:
-    """Masked scaled dot-product attention with grouped KV heads.
-
-    Query head i attends through KV head i // (n_q / n_kv). Inputs are
-    per-head (L, head_dim) matrices; output is the (L, n_q*head_dim)
-    concatenation of head outputs.
-    """
-    n_q, n_kv = len(q_heads), len(k_heads)
-    if n_kv == 0 or n_q % n_kv != 0 or len(v_heads) != n_kv:
-        raise ConfigError(f"incompatible head counts: {n_q} query vs {n_kv} kv heads")
-    group = n_q // n_kv
-    length, head_dim = q_heads[0].shape
-    mask = _causal_mask(length)
-    inv_sqrt = 1.0 / np.sqrt(head_dim)
-    outs = []
-    for i, q in enumerate(q_heads):
-        k = k_heads[i // group]
-        v = v_heads[i // group]
-        scores = ad.add(ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt), mask)
-        outs.append(ad.matmul(ad.softmax_rows(scores), v))
-    return ad.concat_cols(outs)
 
 
 def forward(
@@ -162,19 +132,10 @@ def forward(
     for i in range(config.n_layers):
         p = f"layers.{i}"
         h = ad.rms_norm(x, weights[f"{p}.attn_norm.gain"], config.rms_eps)
-        q = ad.matmul(h, weights[f"{p}.attn.wq"])
-        k = ad.matmul(h, weights[f"{p}.attn.wk"])
+        q = ad.rope(ad.matmul(h, weights[f"{p}.attn.wq"]), positions, config.rope_base, hd)
+        k = ad.rope(ad.matmul(h, weights[f"{p}.attn.wk"]), positions, config.rope_base, hd)
         v = ad.matmul(h, weights[f"{p}.attn.wv"])
-        q_heads = [
-            ad.rope(ad.slice_cols(q, j * hd, (j + 1) * hd), positions, config.rope_base)
-            for j in range(config.n_q_heads)
-        ]
-        k_heads = [
-            ad.rope(ad.slice_cols(k, j * hd, (j + 1) * hd), positions, config.rope_base)
-            for j in range(config.n_kv_heads)
-        ]
-        v_heads = [ad.slice_cols(v, j * hd, (j + 1) * hd) for j in range(config.n_kv_heads)]
-        attn = causal_attention(q_heads, k_heads, v_heads)
+        attn = ad.causal_attention(q, k, v, config.n_q_heads, config.n_kv_heads)
         x = ad.add(x, ad.matmul(attn, weights[f"{p}.attn.wo"]))
 
         h2 = ad.rms_norm(x, weights[f"{p}.ffn_norm.gain"], config.rms_eps)

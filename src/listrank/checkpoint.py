@@ -58,11 +58,18 @@ def load_checkpoint(path):
         header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: malformed checkpoint header: {exc}") from exc
-    if header.get("magic") != _MAGIC:
+    if not isinstance(header, dict) or header.get("magic") != _MAGIC:
         raise ParseError(f"{path}: not a checkpoint file (bad magic)")
+    entries = header.get("tensors")
+    # type() rather than isinstance: JSON true/false is not a size
+    if not (isinstance(entries, list) and isinstance(header.get("meta", {}), dict) and all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and type(e.get("offset")) is int and isinstance(e.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in e["shape"]) for e in entries)):
+        raise ParseError(f"{path}: malformed checkpoint header (tensors or meta)")
     blob = raw[8 + hlen :]
     tensors = {}
-    for entry in header["tensors"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
@@ -73,3 +80,4 @@ def load_checkpoint(path):
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
     return tensors, header.get("meta", {})
+

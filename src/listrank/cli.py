@@ -27,6 +27,7 @@ from .errors import (
     DegenerateEmbeddingError,
     ListrankError,
     NonFiniteLossError,
+    ParseError,
     ValidationError,
 )
 from .evaluation import (
@@ -160,12 +161,23 @@ def cmd_train(args) -> int:
 def cmd_merge(args) -> int:
     _print_config("merge", args)
     _require_file(args.spec, "merge spec")
-    spec_doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    try:
+        spec_doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"merge spec {args.spec} is not JSON: {exc}") from exc
+    # type() rather than isinstance: JSON true/false is not a weight
+    if not (isinstance(spec_doc, list) and all(
+            isinstance(e, dict) and isinstance(e.get("checkpoint"), str)
+            and type(e.get("weight")) in (int, float) for e in spec_doc)):
+        raise ValidationError(f"merge spec {args.spec} must be a JSON list of "
+                              '{"checkpoint": string, "weight": number} objects')
     entries = []
     meta = None
     for item in spec_doc:
         _require_file(item["checkpoint"], "checkpoint")
         tensors, m = load_checkpoint(item["checkpoint"])
+        if m.get("kind") != "rerank-model":
+            raise ConfigError(f"{item['checkpoint']} is not a rerank model bundle")
         meta = meta or m
         entries.append((tensors, float(item["weight"])))
     merged = merge_models(MergeSpec(entries))

@@ -36,13 +36,19 @@ class ProjectorConfig:
         return cls(**d)
 
 
+def projector_shapes(config: ProjectorConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every projector tensor, in initialization order."""
+    d_in, d_mid, d_out = config.d_in, config.d_mid, config.d_out
+    return {"projector.w1": (d_in, d_mid), "projector.b1": (d_mid,),
+            "projector.w2": (d_mid, d_out), "projector.b2": (d_out,)}
+
+
 def init_projector(config: ProjectorConfig, seed: int) -> dict[str, Tensor]:
+    """Weights normal with std 0.02, biases zero."""
     rng = np.random.default_rng(seed)
     return {
-        "projector.w1": Tensor(rng.normal(0.0, 0.02, (config.d_in, config.d_mid))),
-        "projector.b1": Tensor(np.zeros(config.d_mid)),
-        "projector.w2": Tensor(rng.normal(0.0, 0.02, (config.d_mid, config.d_out))),
-        "projector.b2": Tensor(np.zeros(config.d_out)),
+        name: Tensor(np.zeros(shape) if len(shape) == 1 else rng.normal(0.0, 0.02, shape))
+        for name, shape in projector_shapes(config).items()
     }
 
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autodiff import Tensor
-from .backbone import BackboneConfig, init_weights
+from .backbone import BackboneConfig, init_weights, weight_shapes
 from .checkpoint import load_checkpoint, save_checkpoint
-from .embedding import ProjectorConfig, init_projector
+from .embedding import ProjectorConfig, init_projector, projector_shapes
 from .errors import ConfigError
 from .prompt import Vocabulary
 
@@ -27,6 +27,12 @@ class RerankModel:
             )
         if self.projector_config.d_in != self.backbone_config.d_hidden:
             raise ConfigError("projector d_in must equal backbone d_hidden")
+        want = weight_shapes(self.backbone_config) | projector_shapes(self.projector_config)
+        have = {name: t.shape for name, t in self.weights.items()}
+        bad = sorted(n for n in want.keys() | have.keys() if have.get(n) != want.get(n))
+        if bad:
+            raise ConfigError("weights do not match the configs: " + ", ".join(
+                f"{n} {have.get(n, 'missing')} (expected {want.get(n, 'none')})" for n in bad[:3]))
 
     @classmethod
     def create(

@@ -88,9 +88,6 @@ class Vocabulary:
             raise VocabularyError(f"token id {token_id} outside vocabulary of {len(self)}")
         return self._surfaces[token_id]
 
-    def is_special(self, token_id: int) -> bool:
-        return token_id < len(SPECIALS)
-
     def _byte_ids(self, chunk: str) -> list[int]:
         return [5 + b for b in chunk.encode("utf-8", "surrogateescape")]
 

@@ -146,11 +146,11 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
     {"query_id", "query_text", "documents": [{"doc_id", "text",
     "first_stage_score"?}]}."""
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = json.loads(line.decode("utf-8"))
             _require(isinstance(rec["query_text"], str), "query_text must be a string")
             _require(isinstance(rec["documents"], list), "documents must be a list")
             docs = []
@@ -163,7 +163,7 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
                          "first_stage_score must be a number or null")
                 docs.append(Document(str(d["doc_id"]), d["text"], first_stage))
             out.append((str(rec["query_id"]), RerankRequest(rec["query_text"], docs)))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
     return out
 

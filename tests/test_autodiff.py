@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
+from hypothesis.extra.numpy import arrays
 
 from listrank import autodiff as ad
 from listrank.autodiff import Tape, Tensor, backward, finite_diff_check
 from listrank.errors import DegenerateEmbeddingError, DimensionError, GraphError
 
-finite_rows = arrays(
-    np.float64,
-    array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
-    elements=st.floats(-50, 50),
+square_scores = st.integers(1, 6).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=st.floats(-50, 50))
 )
 
 
@@ -40,33 +38,47 @@ class TestMatmul:
         assert finite_diff_check(lambda t: ad.tsum(ad.matmul(a, t)), b) < 1e-6
 
 
+def attention_weights(scores: np.ndarray) -> np.ndarray:
+    """The row softmax inside ``causal_attention``, read out through
+    identity keys and values: one head of width L whose queries are the
+    scores times sqrt(L), so row p holds softmax(scores[p, :p+1])."""
+    length = scores.shape[0]
+    eye = Tensor(np.eye(length))
+    return ad.causal_attention(Tensor(scores * np.sqrt(length)), eye, eye, 1, 1).data
+
+
 class TestSoftmaxRows:
+    """The masked row softmax of ``causal_attention``."""
+
     def test_equal_values(self):
-        out = ad.softmax_rows(Tensor(np.full((2, 4), 3.0)))
-        np.testing.assert_allclose(out.data, 0.25, atol=1e-15)
+        out = attention_weights(np.full((4, 4), 3.0))
+        expected = np.tril(np.ones((4, 4))) / np.arange(1, 5)[:, None]
+        np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_closed_form(self):
-        out = ad.softmax_rows(Tensor([[0.0, math.log(2.0)]]))
-        np.testing.assert_allclose(out.data, [[1 / 3, 2 / 3]], atol=1e-15)
+        out = attention_weights(np.array([[5.0, 0.0], [0.0, math.log(2.0)]]))
+        np.testing.assert_allclose(out[1], [1 / 3, 2 / 3], atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
-    @given(finite_rows, st.floats(-30, 30))
+    @given(square_scores, st.floats(-30, 30))
     def test_shift_invariance(self, x, c):
-        a = ad.softmax_rows(Tensor(x)).data
-        b = ad.softmax_rows(Tensor(x + c)).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        np.testing.assert_allclose(attention_weights(x), attention_weights(x + c), atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
-    @given(finite_rows)
+    @given(square_scores)
     def test_rows_sum_to_one(self, x):
-        out = ad.softmax_rows(Tensor(x))
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
+        out = attention_weights(x)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        assert (out[np.triu_indices(len(x), k=1)] == 0.0).all()
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 4)))
-        err = finite_diff_check(lambda t: ad.tsum(ad.mul(ad.softmax_rows(t), w)), x)
+        x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)))
+        eye = Tensor(np.eye(4))
+        err = finite_diff_check(
+            lambda t: ad.tsum(ad.mul(ad.causal_attention(t, eye, eye, 1, 1), w)), x
+        )
         assert err < 1e-5
 
 
@@ -234,6 +246,6 @@ class TestFiniteDiffCheck:
     def test_determinism(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(3, 3))
-        a = ad.softmax_rows(Tensor(data)).data
-        b = ad.softmax_rows(Tensor(data.copy())).data
+        a = ad.causal_attention(Tensor(data), Tensor(data), Tensor(data), 1, 1).data
+        b = ad.causal_attention(*(Tensor(data.copy()) for _ in range(3)), 1, 1).data
         assert (a == b).all()

@@ -4,7 +4,7 @@ import pytest
 from listrank import autodiff as ad
 from listrank import backbone as bb
 from listrank.autodiff import Tensor, finite_diff_check
-from listrank.errors import ConfigError, ContextLengthError, VocabularyError
+from listrank.errors import ConfigError, ContextLengthError, DimensionError, VocabularyError
 
 from conftest import tiny_backbone_config
 
@@ -89,15 +89,18 @@ class TestForward:
             assert (base[p:] != changed[p:]).any()
 
 
-def _reference_mha(q, k, v, n_heads):
-    """Independent ungrouped multi-head attention oracle (plain numpy)."""
+def _reference_mha(q, k, v, n_heads, n_kv_heads):
+    """Independent grouped-query attention oracle (plain numpy, row by row):
+    query head h reads KV head h // (n_heads / n_kv_heads)."""
     length, d = q.shape
     hd = d // n_heads
+    group = n_heads // n_kv_heads
     out = np.zeros((length, d))
     for h in range(n_heads):
+        j = h // group
         qi = q[:, h * hd : (h + 1) * hd]
-        ki = k[:, h * hd : (h + 1) * hd]
-        vi = v[:, h * hd : (h + 1) * hd]
+        ki = k[:, j * hd : (j + 1) * hd]
+        vi = v[:, j * hd : (j + 1) * hd]
         scores = qi @ ki.T / np.sqrt(hd)
         for p in range(length):
             row = scores[p, : p + 1]
@@ -107,41 +110,95 @@ def _reference_mha(q, k, v, n_heads):
     return out
 
 
+BLOCK = ad.ATTENTION_BLOCK
+
+
+def _qkv(rng, length, n_heads=4, n_kv_heads=2, hd=4, scl=1.0):
+    return (rng.normal(size=(length, n_heads * hd)) * scl,
+            rng.normal(size=(length, n_kv_heads * hd)) * scl,
+            rng.normal(size=(length, n_kv_heads * hd)))
+
+
+def _attend(q, k, v, n_heads=4, n_kv_heads=2):
+    return ad.causal_attention(Tensor(q), Tensor(k), Tensor(v), n_heads, n_kv_heads).data
+
+
 class TestCausalAttention:
     def test_single_token(self):
         rng = np.random.default_rng(0)
-        q = [Tensor(rng.normal(size=(1, 4)))]
-        k = [Tensor(rng.normal(size=(1, 4)))]
-        v = [Tensor(rng.normal(size=(1, 4)))]
-        out = bb.causal_attention(q, k, v)
-        np.testing.assert_array_equal(out.data, v[0].data)
+        q, k, v = _qkv(rng, 1)
+        out = _attend(q, k, v)
+        # query heads 0, 1 read KV head 0 and heads 2, 3 read KV head 1
+        np.testing.assert_array_equal(out, np.repeat(v.reshape(1, 2, 4), 2, axis=1).reshape(1, 16))
 
     def test_degenerate_gqa_equals_reference(self):
         rng = np.random.default_rng(1)
-        length, n_heads, hd = 6, 4, 4
-        q = rng.normal(size=(length, n_heads * hd))
-        k = rng.normal(size=(length, n_heads * hd))
-        v = rng.normal(size=(length, n_heads * hd))
-        heads = lambda m: [Tensor(m[:, i * hd : (i + 1) * hd]) for i in range(n_heads)]
-        ours = bb.causal_attention(heads(q), heads(k), heads(v)).data
-        ref = _reference_mha(q, k, v, n_heads)
-        np.testing.assert_allclose(ours, ref, atol=1e-12)
+        q, k, v = _qkv(rng, 6, n_heads=4, n_kv_heads=4)
+        np.testing.assert_allclose(_attend(q, k, v, 4, 4), _reference_mha(q, k, v, 4, 4),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("length", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 512])
+    def test_gqa_equals_reference(self, length):
+        rng = np.random.default_rng(length)
+        q, k, v = _qkv(rng, length, scl=3.0)
+        np.testing.assert_allclose(_attend(q, k, v), _reference_mha(q, k, v, 4, 2), atol=1e-12)
 
     def test_masked_weights_exactly_zero(self):
+        # identity values turn the output into the attention weights
+        length = 2 * BLOCK + 3
         rng = np.random.default_rng(2)
-        length = 5
-        scores = ad.add(
-            ad.scale(ad.matmul(Tensor(rng.normal(size=(length, 3))),
-                               ad.transpose(Tensor(rng.normal(size=(length, 3))))), 1.0),
-            bb._causal_mask(length),
-        )
-        w = ad.softmax_rows(scores).data
+        q, k = rng.normal(size=(2, length, length))
+        w = _attend(q, k, np.eye(length), 1, 1)
         assert (w[np.triu_indices(length, k=1)] == 0.0).all()
+        assert (w[np.tril_indices(length)] > 0.0).all()
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, BLOCK - 1, BLOCK, BLOCK + 2, 2 * BLOCK + 1])
+    def test_future_keys_and_values_do_not_leak(self, p):
+        rng = np.random.default_rng(p)
+        q, k, v = _qkv(rng, 2 * BLOCK + 3)
+        base = _attend(q, k, v)
+        k2, v2 = k.copy(), v.copy()
+        k2[p:] += rng.normal(size=k2[p:].shape) * 10.0
+        v2[p:] += rng.normal(size=v2[p:].shape) * 10.0
+        changed = _attend(q, k2, v2)
+        assert (base[:p] == changed[:p]).all()
+        assert (base[p:] != changed[p:]).any()
+        # a huge future value would swamp any weight that is not exactly 0
+        v2[p] = 1e300
+        assert (_attend(q, k, v2)[:p] == base[:p]).all()
+
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    def test_gradient_across_a_block_boundary(self, arg):
+        rng = np.random.default_rng(10 + arg)
+        length = BLOCK + 3
+        inputs = [Tensor(a) for a in _qkv(rng, length)]
+        inputs[arg].requires_grad = True
+        w = Tensor(rng.normal(size=(length, 16)))
+
+        def f(t):
+            args = list(inputs)
+            args[arg] = t
+            return ad.tsum(ad.mul(ad.causal_attention(*args, 4, 2), w))
+
+        assert finite_diff_check(f, inputs[arg], h=1e-5) < 1e-6
+
+    def test_records_one_tape_node(self):
+        rng = np.random.default_rng(4)
+        q, k, v = (Tensor(a, requires_grad=True) for a in _qkv(rng, BLOCK + 3))
+        with ad.Tape() as tape:
+            ad.causal_attention(q, k, v, 4, 2)
+        assert len(tape) == 1
 
     def test_head_count_mismatch(self):
         t = Tensor(np.ones((2, 4)))
         with pytest.raises(ConfigError, match="head counts"):
-            bb.causal_attention([t, t, t], [t, t], [t, t])
+            ad.causal_attention(t, t, t, 3, 2)
+
+    def test_shape_mismatch(self):
+        q, k = Tensor(np.ones((2, 8))), Tensor(np.ones((2, 6)))
+        with pytest.raises(DimensionError, match="do not split"):
+            ad.causal_attention(q, k, k, 2, 1)
 
 
 class TestRope:
@@ -161,6 +218,15 @@ class TestRope:
             kr = ad.rope(Tensor(k), [n], 10000.0).data
             dots.append(float((qr @ kr.T)[0, 0]))
         assert np.var(dots) < 1e-10
+
+    def test_heads_rotate_independently(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, 24))
+        positions = [0, 1, 2, 7, 30, 100]
+        whole = ad.rope(Tensor(x), positions, 10000.0, head_dim=8).data
+        for j in range(3):
+            head = ad.rope(Tensor(x[:, j * 8 : (j + 1) * 8]), positions, 10000.0).data
+            np.testing.assert_array_equal(whole[:, j * 8 : (j + 1) * 8], head)
 
     def test_odd_head_dim(self):
         with pytest.raises(ConfigError):

@@ -69,11 +69,9 @@ class TestExitCodes:
                    "--qrels", str(tmp_path / "qrels.txt")])
         assert rc == 2
 
-    def test_bad_merge_weight(self, tmp_path, capsys):
-        ckpt = tmp_path / "a.ckpt"
-        save_checkpoint(ckpt, {"w": np.ones(3)})
+    def test_bad_merge_weight(self, model_path, tmp_path, capsys):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([{"checkpoint": str(ckpt), "weight": 2.0}]))
+        spec.write_text(json.dumps([{"checkpoint": str(model_path), "weight": 2.0}]))
         rc = main(["merge", "--spec", str(spec), "--out", str(tmp_path / "m.ckpt")])
         assert rc == 2
         assert "outside" in capsys.readouterr().err
@@ -98,6 +96,74 @@ class TestExitCodes:
                    "--output", str(tmp_path / "run.txt")])
         assert rc == 2
         assert "truncated checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: [1, 2],
+        lambda h: {**h, "tensors": {}},
+        lambda h: {**h, "meta": []},
+        lambda h: {**h, "tensors": [{"name": "w", "offset": 0}]},
+        lambda h: {**h, "tensors": [{"name": 3, "shape": [1], "offset": 0}]},
+        lambda h: {**h, "tensors": [{"name": "w", "shape": [-1], "offset": 0}]},
+        lambda h: {**h, "tensors": [{"name": "w", "shape": [1.5], "offset": 0}]},
+        lambda h: {**h, "tensors": [{"name": "w", "shape": [1], "offset": "0"}]},
+        lambda h: {**h, "tensors": ["w"]},
+    ], ids=["list", "tensors object", "meta list", "no shape", "int name", "negative dim",
+            "float dim", "string offset", "entry string"])
+    def test_malformed_checkpoint_header(self, model_path, data_dir, tmp_path, capsys, edit):
+        raw = model_path.read_bytes()
+        header_end = 8 + struct.unpack(">Q", raw[:8])[0]
+        header = json.dumps(edit(json.loads(raw[8:header_end]))).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(struct.pack(">Q", len(header)) + header + raw[header_end:])
+        rc = main(["rerank", "--model", str(bad),
+                   "--input", str(data_dir / "requests.jsonl"),
+                   "--output", str(tmp_path / "run.txt")])
+        assert rc == 2
+        assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.pop("layers.0.attn.wq"), "layers.0.attn.wq missing (expected (32, 32))"),
+        (lambda t: t.update({"layers.1.attn.wk": np.ones((32, 8))}),
+         "layers.1.attn.wk (32, 8) (expected (32, 16))"),
+        (lambda t: t.update({"extra": np.ones(2)}), "extra (2,) (expected none)"),
+    ], ids=["missing", "wrong shape", "unexpected"])
+    def test_bundle_tensors_match_configs(self, model_path, data_dir, tmp_path, capsys,
+                                          edit, message):
+        tensors, meta = load_checkpoint(model_path)
+        edit(tensors)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, tensors, meta)
+        rc = main(["rerank", "--model", str(bad),
+                   "--input", str(data_dir / "requests.jsonl"),
+                   "--output", str(tmp_path / "run.txt")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("[{", "not JSON"),
+        ('{"checkpoint": "MODEL", "weight": 1.0}', "must be a JSON list"),
+        ('[{"weight": 1.0}]', "must be a JSON list"),
+        ('[{"checkpoint": "MODEL", "weight": "half"}]', "must be a JSON list"),
+        ('[{"checkpoint": "PLAIN", "weight": 1.0}]', "not a rerank model bundle"),
+    ], ids=["not json", "not a list", "no checkpoint", "no weight", "not a bundle"])
+    def test_bad_merge_spec(self, model_path, tmp_path, capsys, spec, message):
+        plain = tmp_path / "plain.ckpt"
+        save_checkpoint(plain, {"w": np.ones(3)})
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec.replace("MODEL", str(model_path)).replace("PLAIN", str(plain)))
+        rc = main(["merge", "--spec", str(spec_path), "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_request_file_not_utf8(self, model_path, tmp_path, capsys):
+        req = tmp_path / "req.jsonl"
+        req.write_bytes(b"\xff\xfe" + json.dumps({"query_id": "q1", "query_text": "a",
+                                                   "documents": []}).encode())
+        rc = main(["rerank", "--model", str(model_path), "--input", str(req),
+                   "--output", str(tmp_path / "run.txt")])
+        assert rc == 2
+        assert "line 1" in capsys.readouterr().err
 
     def test_non_string_document_text(self, model_path, tmp_path, capsys):
         req = tmp_path / "req.jsonl"
