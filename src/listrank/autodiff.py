@@ -341,22 +341,28 @@ def cosine(u: Tensor, v: Tensor) -> Tensor:
         raise DimensionError(
             f"cosine expects two equal-length vectors, got {tuple(u.shape)} and {tuple(v.shape)}"
         )
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu == 0.0 or nv == 0.0:
+    # scale by the largest magnitude first: squaring tiny entries underflows
+    # into subnormals and the norms lose their precision
+    su = float(np.max(np.abs(u.data)))
+    sv = float(np.max(np.abs(v.data)))
+    if su == 0.0 or sv == 0.0:
         raise DegenerateEmbeddingError("cosine of a zero-norm embedding is undefined")
-    if not (math.isfinite(nu) and math.isfinite(nv)):
+    if not (math.isfinite(su) and math.isfinite(sv)):
         raise DegenerateEmbeddingError("cosine of a non-finite embedding is undefined")
-    c = float(u.data @ v.data) / (nu * nv)
+    uu, vu = u.data / su, v.data / sv
+    ru, rv = float(np.linalg.norm(uu)), float(np.linalg.norm(vu))
+    uu, vu = uu / ru, vu / rv  # unit vectors
+    nu, nv = su * ru, sv * rv
+    c = float(uu @ vu)
     c = min(1.0, max(-1.0, c))  # trim roundoff outside [-1, 1]
     out = Tensor(np.asarray(c))
 
     def bwd(g):
         g = float(g)
         if u.requires_grad:
-            u.accumulate_grad(g * (v.data / (nu * nv) - c * u.data / (nu * nu)))
+            u.accumulate_grad(g * (vu - c * uu) / nu)
         if v.requires_grad:
-            v.accumulate_grad(g * (u.data / (nu * nv) - c * v.data / (nv * nv)))
+            v.accumulate_grad(g * (uu - c * vu) / nv)
 
     return _record(out, (u, v), bwd)
 
