@@ -8,13 +8,14 @@ no mask tensor is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import from_json_object
 from .errors import ConfigError, ContextLengthError, VocabularyError
 
 
@@ -50,6 +51,8 @@ class BackboneConfig:
             )
         if self.head_dim % 2 != 0:
             raise ConfigError(f"head_dim={self.head_dim} must be even for rotary positions")
+        if not (self.rope_base > 0 and self.rms_eps >= 0):
+            raise ConfigError("rope_base must be positive and rms_eps non-negative")
 
     @property
     def head_dim(self) -> int:
@@ -60,18 +63,9 @@ class BackboneConfig:
         return self.n_kv_heads * self.head_dim
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers, "d_hidden": self.d_hidden,
-            "n_q_heads": self.n_q_heads, "n_kv_heads": self.n_kv_heads,
-            "d_ffn": self.d_ffn, "max_context": self.max_context,
-            "effective_seq_len": self.effective_seq_len,
-            "vocab_size": self.vocab_size, "rope_base": self.rope_base,
-            "rms_eps": self.rms_eps,
-        }
+        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BackboneConfig":
-        return cls(**d)
+    from_dict = classmethod(from_json_object)
 
 
 ATTN_MATS = ("wq", "wk", "wv", "wo")

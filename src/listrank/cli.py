@@ -61,8 +61,6 @@ def _env_default(flag: str, fallback):
     value = os.environ.get(name)
     if value is None:
         return fallback
-    if isinstance(fallback, bool):
-        return value.lower() in ("1", "true", "yes")
     try:
         return type(fallback)(value)
     except ValueError:
@@ -100,7 +98,6 @@ def cmd_rerank(args) -> int:
             model, request,
             max_docs_per_pass=args.max_docs_per_pass,
             max_doc_tokens=args.max_doc_tokens,
-            pin_first_query_embedding=args.pin_query_embedding,
         )
     write_run(args.output, results)
     print(f"[rerank] wrote {sum(len(r.entries) for r in results.values())} rows "
@@ -339,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_env_default("max-docs-per-pass", 64))
     p.add_argument("--max-doc-tokens", type=int,
                    default=_env_default("max-doc-tokens", 256))
-    p.add_argument("--pin-query-embedding", action="store_true",
-                   default=_env_default("pin-query-embedding", False))
     p.set_defaults(func=cmd_rerank)
 
     p = sub.add_parser("train", help="run one training stage")

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import from_json_object
 from .errors import ConfigError, DimensionError
 from .prompt import PromptLayout
 
@@ -29,11 +30,9 @@ class ProjectorConfig:
             raise ConfigError("projector dimensions must be positive")
 
     def to_dict(self) -> dict:
-        return {"d_in": self.d_in, "d_mid": self.d_mid, "d_out": self.d_out}
+        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProjectorConfig":
-        return cls(**d)
+    from_dict = classmethod(from_json_object)
 
 
 def projector_shapes(config: ProjectorConfig) -> dict[str, tuple[int, ...]]:

@@ -70,12 +70,21 @@ class MetricReport:
         return out
 
 
+def read_lines(path):
+    """``(line number, text)`` of each non-blank line; bad UTF-8 raises ``ParseError``."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
+        if line.strip():
+            yield lineno, line
+
+
 def load_qrels(path) -> dict[str, dict[str, int]]:
     """TREC qrels: ``query_id 0 doc_id rel``."""
     qrels: dict[str, dict[str, int]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         fields = line.split()
         if len(fields) != 4:
             raise ParseError(f"{path} line {lineno}: expected 4 fields", lineno)
@@ -84,6 +93,8 @@ def load_qrels(path) -> dict[str, dict[str, int]]:
             rel = int(rel)
         except ValueError as exc:
             raise ParseError(f"{path} line {lineno}: bad relevance {rel!r}", lineno) from exc
+        if rel > 1023:  # the nDCG gain 2.0 ** rel overflows a float
+            raise ParseError(f"{path} line {lineno}: relevance above 1023", lineno)
         if did in qrels.get(qid, {}):
             raise ParseError(f"{path} line {lineno}: duplicate ({qid}, {did})", lineno)
         qrels.setdefault(qid, {})[did] = rel
@@ -94,9 +105,7 @@ def load_run(path) -> dict[str, list[tuple[str, float]]]:
     """TREC run: ``query_id Q0 doc_id rank score tag``; returns doc lists
     sorted by the recorded rank."""
     raw: dict[str, list[tuple[int, str, float]]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         fields = line.split()
         if len(fields) != 6:
             raise ParseError(f"{path} line {lineno}: expected 6 fields", lineno)
@@ -193,7 +202,7 @@ def generate_synthetic_corpus(
 
 def lexical_overlap_scorer(query_text: str, doc_text: str) -> float:
     """Word-overlap oracle scorer; achieves perfect nDCG on the synthetic
-    corpus and drives hard-negative mining tests."""
+    corpus and gives its requests their first-stage scores."""
     q, d = set(query_text.split()), set(doc_text.split())
     if not q:
         return 0.0
@@ -231,18 +240,30 @@ def write_corpus_files(corpus: SyntheticCorpus, out_dir) -> None:
                 fh.write(f"{qid} 0 {did} {corpus.qrels[qid][did]}\n")
 
 
+def _string_records(path, keys: tuple[str, ...]):
+    """Yield ``(line number, values)`` for the string fields ``keys`` of each
+    JSON line of ``path``; anything else raises ``ParseError``."""
+    for lineno, line in read_lines(path):
+        try:
+            rec = json.loads(line)
+            values = tuple(rec[key] for key in keys)
+            if not all(isinstance(v, str) for v in values):
+                raise TypeError(f"{', '.join(keys)} must be strings")
+        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
+        yield lineno, values
+
+
 def load_corpus_files(data_dir) -> SyntheticCorpus:
     data = Path(data_dir)
-    queries = []
-    for line in (data / "queries.jsonl").read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rec = json.loads(line)
-            queries.append((rec["query_id"], rec["text"]))
-    docs = {}
-    for line in (data / "corpus.jsonl").read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rec = json.loads(line)
-            docs[rec["doc_id"]] = rec["text"]
     qrels = load_qrels(data / "qrels.txt")
+    docs = dict(v for _, v in _string_records(data / "corpus.jsonl", ("doc_id", "text")))
+    queries = []
+    path = data / "queries.jsonl"
+    for lineno, (qid, text) in _string_records(path, ("query_id", "text")):
+        if not qrels.get(qid) or not qrels[qid].keys() <= docs.keys():
+            raise ParseError(f"{path} line {lineno}: query {qid!r} needs qrels whose "
+                             "documents are all in corpus.jsonl", lineno)
+        queries.append((qid, text))
     candidates = {qid: sorted(qrels[qid]) for qid, _ in queries}
     return SyntheticCorpus(queries=queries, docs=docs, candidates=candidates, qrels=qrels)

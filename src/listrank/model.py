@@ -65,6 +65,9 @@ class RerankModel:
         tensors, meta = load_checkpoint(path)
         if meta.get("kind") != "rerank-model":
             raise ConfigError(f"{path} is not a rerank model bundle")
+        missing = [key for key in ("vocab", "backbone", "projector") if key not in meta]
+        if missing:
+            raise ConfigError(f"{path}: bundle meta has no {', '.join(missing)}")
         return cls(
             vocab=Vocabulary.from_entries(meta["vocab"]),
             backbone_config=BackboneConfig.from_dict(meta["backbone"]),

@@ -9,6 +9,7 @@ adversarial document content cannot forge an embedding marker.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -137,6 +138,13 @@ class Vocabulary:
 
     @classmethod
     def from_entries(cls, entries) -> "Vocabulary":
+        # type() rather than isinstance: JSON true/false is not an id
+        if not (isinstance(entries, list) and all(
+                isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
+                and type(e[1]) is int for e in entries)
+                and sorted(e[1] for e in entries) == list(range(len(entries)))):
+            raise VocabularyError("vocabulary must be a list of [surface, id, special] "
+                                  "entries with ids 0..n-1")
         vocab = cls.__new__(cls)
         vocab._surfaces = [e[0] for e in sorted(entries, key=lambda e: e[1])]
         vocab._word_ids = {
@@ -206,6 +214,29 @@ def apply_ordering(
     return [documents[i] for i in perm], [int(i) for i in perm]
 
 
+# The listwise template, as the segments ``build_prompt`` emits in order: a
+# special-token surface or text that meets its neighbours at whitespace, so
+# tokenizing segment by segment gives the ids of the joined text. The passage
+# count and each passage id are in segments of their own (numbers from 100 up
+# are byte tokens), so packing costs them exactly without assembling a prompt.
+_BEFORE_K, _AFTER_K = INSTRUCTION_FMT.split("{k}")
+_SYSTEM_BLOCK = (IM_START, "system\n" + SYSTEM_TEXT + "\n", IM_END, "\n")
+_PASSAGE_CLOSE = (DOC_EMB, "\n</passage>\n")
+
+
+def _user_header(k: int, query: str, dual_marker: bool = False) -> list[str]:
+    return [IM_START, "user\n" + _BEFORE_K, str(k), _AFTER_K + query,
+            *([QUERY_EMB] if dual_marker else []), "\n\n"]
+
+
+def _passage_open(slot: int) -> str:
+    return f'<passage id="{slot}">\n'
+
+
+def _query_block(query: str) -> list[str]:
+    return ["\n<query>\n" + query, QUERY_EMB, "\n</query>\n", IM_END]
+
+
 def build_prompt(
     request: RerankRequest,
     vocab: Vocabulary,
@@ -229,43 +260,29 @@ def build_prompt(
 
     ids: list[int] = []
     text_parts: list[str] = []
-    doc_positions: list[int] = []
-    dual_position: Optional[int] = None
+    markers: dict[str, list[int]] = {DOC_EMB: [], QUERY_EMB: []}
 
-    def emit_text(chunk: str):
-        ids.extend(vocab.tokenize(chunk))
-        text_parts.append(chunk)
+    def emit(segments: Iterable[str]):
+        for segment in segments:
+            if segment in markers:
+                markers[segment].append(len(ids))
+            if segment in SPECIALS:
+                ids.append(vocab.special_id(segment))
+            else:
+                ids.extend(vocab.tokenize(segment))
+            text_parts.append(segment)
 
-    def emit_special(surface: str) -> int:
-        pos = len(ids)
-        ids.append(vocab.special_id(surface))
-        text_parts.append(surface)
-        return pos
-
-    emit_special(IM_START)
-    emit_text("system\n" + SYSTEM_TEXT + "\n")
-    emit_special(IM_END)
-    emit_text("\n")
-    emit_special(IM_START)
-    emit_text("user\n" + INSTRUCTION_FMT.format(k=len(docs)) + request.query)
-    if insert_dual_query_marker:
-        dual_position = emit_special(QUERY_EMB)
-    emit_text("\n\n")
-
+    emit(_SYSTEM_BLOCK)
+    emit(_user_header(len(docs), request.query, insert_dual_query_marker))
     for slot, doc in enumerate(docs, start=1):
-        emit_text(f'<passage id="{slot}">\n')
+        emit([_passage_open(slot)])
         doc_ids = vocab.tokenize(doc.text)[:max_doc_tokens]
         if pad_docs and len(doc_ids) < max_doc_tokens:
             doc_ids = doc_ids + [vocab.pad_id] * (max_doc_tokens - len(doc_ids))
         ids.extend(doc_ids)
         text_parts.append(vocab.detokenize(doc_ids))
-        doc_positions.append(emit_special(DOC_EMB))
-        emit_text("\n</passage>\n")
-
-    emit_text("\n<query>\n" + request.query)
-    query_position = emit_special(QUERY_EMB)
-    emit_text("\n</query>\n")
-    emit_special(IM_END)
+        emit(_PASSAGE_CLOSE)
+    emit(_query_block(request.query))
 
     if max_context is not None and len(ids) > max_context:
         raise ContextLengthError(
@@ -274,20 +291,12 @@ def build_prompt(
         )
     return PromptLayout(
         token_ids=ids,
-        doc_marker_positions=doc_positions,
-        query_marker_position=query_position,
-        dual_query_marker_position=dual_position,
+        doc_marker_positions=markers[DOC_EMB],
+        query_marker_position=markers[QUERY_EMB][-1],
+        dual_query_marker_position=markers[QUERY_EMB][0] if insert_dual_query_marker else None,
         doc_presentation_order=perm,
         text="".join(text_parts),
     )
-
-
-def scan_marker_positions(token_ids: Sequence[int], vocab: Vocabulary):
-    """Re-derive marker positions from raw token ids (self-consistency check)."""
-    doc_id_, query_id_ = vocab.special_id(DOC_EMB), vocab.special_id(QUERY_EMB)
-    docs = [i for i, t in enumerate(token_ids) if t == doc_id_]
-    queries = [i for i, t in enumerate(token_ids) if t == query_id_]
-    return docs, queries
 
 
 def chunk_into_batches(
@@ -299,39 +308,43 @@ def chunk_into_batches(
     max_doc_tokens: int,
 ) -> list[RerankRequest]:
     """Greedy in-order packing under both the per-pass document cap and the
-    assembled token budget. Passage ids restart at 1 within each batch."""
+    assembled token budget. Passage ids restart at 1 within each batch.
+
+    Each document is tokenized once: a batch's prompt length is the sum of
+    its template segments and its truncated passages."""
     if max_docs_per_pass < 1:
         raise ValidationError("max_docs_per_pass must be >= 1")
+    if not query.strip():
+        raise ValidationError("empty query")
 
-    def fits(batch: list[Document]) -> bool:
-        try:
-            build_prompt(
-                RerankRequest(query=query, documents=batch),
-                vocab, max_doc_tokens, max_context=max_context,
-            )
-            return True
-        except ContextLengthError:
-            return False
+    @functools.cache
+    def length(segment: str) -> int:
+        return 1 if segment in SPECIALS else len(vocab.tokenize(segment))
+
+    def template(k: int) -> int:
+        return sum(map(length, [*_SYSTEM_BLOCK, *_user_header(k, query), *_query_block(query)]))
+
+    def passage(slot: int, n_tokens: int) -> int:
+        return sum(map(length, [_passage_open(slot), *_PASSAGE_CLOSE])) + n_tokens
 
     batches: list[list[Document]] = []
     current: list[Document] = []
+    body = 0  # tokens of the passages in ``current``
     for doc in documents:
-        candidate = current + [doc]
-        if len(candidate) <= max_docs_per_pass and fits(candidate):
-            current = candidate
+        n_tokens = len(vocab.tokenize(doc.text)[:max_doc_tokens])
+        k = len(current) + 1
+        if k <= max_docs_per_pass and template(k) + body + passage(k, n_tokens) <= max_context:
+            current.append(doc)
+            body += passage(k, n_tokens)
             continue
-        if not current:
+        if current:
+            batches.append(current)
+        current, body = [doc], passage(1, n_tokens)
+        if template(1) + body > max_context:
             raise ChunkingError(
                 f"document {doc.doc_id!r} plus template overhead exceeds "
                 f"max_context={max_context}"
             )
-        batches.append(current)
-        if not fits([doc]):
-            raise ChunkingError(
-                f"document {doc.doc_id!r} plus template overhead exceeds "
-                f"max_context={max_context}"
-            )
-        current = [doc]
     if current:
         batches.append(current)
     return [RerankRequest(query=query, documents=b) for b in batches]

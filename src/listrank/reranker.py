@@ -1,11 +1,10 @@
 """End-to-end inference: request -> prompt(s) -> forward -> scores -> ranking.
 
 When the candidate set exceeds the per-pass cap or the context budget,
-documents are chunked and the query is re-encoded within each batch; raw
-cosine scores are pooled across batches and sorted globally (cosine
-normalization keeps them commensurable). ``pin_first_query_embedding``
-scores every batch against batch 0's query embedding instead, for
-comparison studies.
+documents are packed into batches in order and the query is re-encoded
+within each batch, so every batch is scored against its own query
+embedding; raw cosine scores are pooled across batches and sorted
+globally (cosine normalization keeps them commensurable).
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import numpy as np
 from . import backbone as bb
 from .embedding import extract, project, score
 from .errors import DegenerateEmbeddingError, ParseError
+from .evaluation import ndcg_at_k, read_lines
 from .model import RerankModel
 from .prompt import Document, RerankRequest, apply_ordering, build_prompt, chunk_into_batches
 
@@ -47,7 +47,6 @@ def rerank(
     request: RerankRequest,
     max_docs_per_pass: int = 64,
     max_doc_tokens: int = 256,
-    pin_first_query_embedding: bool = False,
 ) -> RankedResult:
     """Score every candidate and return the globally sorted ranking.
 
@@ -68,7 +67,6 @@ def rerank(
     )
 
     scored: list[tuple[str, Optional[float], int, Optional[str]]] = []
-    pinned_query = None
     for batch_idx, batch in enumerate(batches):
         layout = build_prompt(
             batch, model.vocab, max_doc_tokens,
@@ -77,10 +75,6 @@ def rerank(
         hidden = bb.forward(layout.token_ids, model.backbone_config, model.weights)
         emb = extract(hidden, layout)
         q = project(emb.query, model.weights)
-        if pin_first_query_embedding:
-            if pinned_query is None:
-                pinned_query = q
-            q = pinned_query
         for doc, raw in zip(batch.documents, emb.docs):
             d = project(raw, model.weights)
             try:
@@ -117,8 +111,6 @@ def rerank_ordered_variants(
     Returns per-variant results and, when qrels are supplied, a per-variant
     nDCG@10 comparison report.
     """
-    from .evaluation import ndcg_at_k  # local import to avoid a cycle
-
     results: dict[str, RankedResult] = {}
     report: dict[str, Optional[float]] = {}
     for variant in variants:
@@ -146,11 +138,9 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
     {"query_id", "query_text", "documents": [{"doc_id", "text",
     "first_stage_score"?}]}."""
     out = []
-    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         try:
-            rec = json.loads(line.decode("utf-8"))
+            rec = json.loads(line)
             _require(isinstance(rec["query_text"], str), "query_text must be a string")
             _require(isinstance(rec["documents"], list), "documents must be a list")
             docs = []
@@ -163,7 +153,7 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
                          "first_stage_score must be a number or null")
                 docs.append(Document(str(d["doc_id"]), d["text"], first_stage))
             out.append((str(rec["query_id"]), RerankRequest(rec["query_text"], docs)))
-        except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
     return out
 

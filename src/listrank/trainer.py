@@ -1,5 +1,5 @@
 """Multi-stage fine-tuning: LoRA adapters, stage-configured optimization,
-hard-negative mining, and linear checkpoint merging."""
+and linear checkpoint merging."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -15,8 +15,9 @@ from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, backward
 from .backbone import ATTN_MATS, FFN_MATS
+from .config import from_json_object
 from .embedding import extract, project
-from .errors import ConfigError, DataError, MergeError, NonFiniteLossError
+from .errors import ConfigError, DataError, MergeError, NonFiniteLossError, ParseError
 from .losses import LossWeights, QueryGroup, TrainingBatch, all_losses
 from .model import RerankModel
 from .prompt import Document, RerankRequest, build_prompt
@@ -66,13 +67,15 @@ class StageConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StageConfig":
-        return cls(**d)
+    from_dict = classmethod(from_json_object)
 
     @classmethod
     def load(cls, path) -> "StageConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"stage config {path} is not UTF-8 JSON: {exc}") from exc
+        return cls.from_dict(obj)
 
     def save(self, path) -> None:
         Path(path).write_text(
@@ -353,57 +356,6 @@ def write_loss_trace(path, trace: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in trace:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-# ----------------------------------------------------------------------
-# hard-negative mining
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class MiningConfig:
-    pool_size: int = 100
-    n_negatives: int = 25
-
-    def __post_init__(self):
-        if self.n_negatives > self.pool_size:
-            raise ConfigError("n_negatives cannot exceed pool_size")
-
-
-def mine_hard_negatives(
-    queries: Sequence[tuple[str, str]],
-    corpus: dict[str, str],
-    scorers: Callable[[str, str], float] | Sequence[Callable[[str, str], float]],
-    config: MiningConfig,
-    positives: dict[str, set[str]],
-) -> dict[str, list[str]]:
-    """Top-scoring non-positive documents per query, deterministically.
-
-    With several scorers, per-scorer pools are unioned in rank order and
-    deduplicated before the cap is applied."""
-    if not corpus:
-        raise DataError("empty corpus")
-    if callable(scorers):
-        scorers = [scorers]
-    doc_ids = sorted(corpus)
-    mined: dict[str, list[str]] = {}
-    for qid, qtext in queries:
-        pools: list[list[str]] = []
-        for scorer in scorers:
-            ranked = sorted(
-                doc_ids, key=lambda d: (-scorer(qtext, corpus[d]), d)
-            )
-            pool = [d for d in ranked if d not in positives.get(qid, set())]
-            pools.append(pool[: config.pool_size])
-        merged: list[str] = []
-        seen: set[str] = set()
-        for rank in range(max(len(p) for p in pools)):
-            for pool in pools:
-                if rank < len(pool) and pool[rank] not in seen:
-                    seen.add(pool[rank])
-                    merged.append(pool[rank])
-        mined[qid] = merged[: config.n_negatives]
-    return mined
 
 
 # ----------------------------------------------------------------------

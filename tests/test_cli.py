@@ -46,13 +46,6 @@ class TestParser:
         args = build_parser().parse_args(["eval", "--run", "r", "--qrels", "q"])
         assert args.k == 5
 
-    def test_env_bool(self, monkeypatch):
-        monkeypatch.setenv("LISTRANK_PIN_QUERY_EMBEDDING", "true")
-        args = build_parser().parse_args(
-            ["rerank", "--model", "m", "--input", "i", "--output", "o"]
-        )
-        assert args.pin_query_embedding is True
-
 
 class TestExitCodes:
     def test_missing_model_is_validation_error(self, tmp_path, capsys):
@@ -138,6 +131,74 @@ class TestExitCodes:
                    "--output", str(tmp_path / "run.txt")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("vocab"), "bundle meta has no vocab"),
+        (lambda m: m.pop("projector"), "bundle meta has no projector"),
+        (lambda m: m["backbone"].update(bogus=1), "unknown BackboneConfig keys: bogus"),
+        (lambda m: m.update(backbone=list(m["backbone"].values())),
+         "BackboneConfig must be a JSON object, got list"),
+        (lambda m: m.update(vocab={"alpha": 261}), "vocabulary must be a list"),
+        (lambda m: m["vocab"].append(["extra", "262", False]), "vocabulary must be a list"),
+        (lambda m: m["vocab"][300].__setitem__(1, 301), "with ids 0..n-1"),
+        (lambda m: m["backbone"].update(n_layers="2"), "BackboneConfig.n_layers must be int"),
+        (lambda m: m["backbone"].update(n_layers=True), "BackboneConfig.n_layers must be int"),
+        (lambda m: m["backbone"].update(rope_base=0), "rope_base must be positive"),
+        (lambda m: m["projector"].update(d_mid=16.0), "ProjectorConfig.d_mid must be int"),
+    ], ids=["no vocab", "no projector", "unknown backbone key", "backbone list",
+            "vocab object", "string vocab id", "repeated vocab id", "string n_layers",
+            "bool n_layers", "zero rope base", "float d_mid"])
+    def test_malformed_bundle_meta(self, model_path, data_dir, tmp_path, capsys, edit, message):
+        tensors, meta = load_checkpoint(model_path)
+        edit(meta)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, tensors, meta)
+        rc = main(["rerank", "--model", str(bad),
+                   "--input", str(data_dir / "requests.jsonl"),
+                   "--output", str(tmp_path / "run.txt")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (b"{steps: 3}", "is not UTF-8 JSON"),
+        (b'\xff\xfe{"steps": 3}', "is not UTF-8 JSON"),
+        (b"[1]", "StageConfig must be a JSON object, got list"),
+        (b'{"bogus": 1}', "unknown StageConfig keys: bogus"),
+        (b'{"steps": "3"}', "StageConfig.steps must be int, got '3'"),
+        (b'{"pad_docs": 1}', "StageConfig.pad_docs must be bool"),
+        (b'{"learning_rate": true}', "StageConfig.learning_rate must be float or int"),
+        (b'{"max_seq_tokens": 1.5}', "StageConfig.max_seq_tokens must be int or NoneType"),
+    ], ids=["not json", "not utf-8", "list", "unknown key", "string steps", "int bool",
+            "bool float", "float optional int"])
+    def test_malformed_stage_config(self, data_dir, tmp_path, capsys, content, message):
+        stage_path = tmp_path / "stage.json"
+        stage_path.write_bytes(content)
+        out_ckpt = tmp_path / "trained.ckpt"
+        rc = main(["train", "--stage-config", str(stage_path), "--data", str(data_dir),
+                   "--out-checkpoint", str(out_ckpt)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out_ckpt.exists()
+
+    @pytest.mark.parametrize("which", ["run", "qrels"])
+    def test_eval_file_not_utf8(self, tmp_path, capsys, which):
+        (tmp_path / "run.txt").write_text("q1 Q0 d1 1 0.9 t\n")
+        (tmp_path / "qrels.txt").write_text("q1 0 d1 1\n")
+        (tmp_path / f"{which}.txt").write_bytes(b"\xff\xfe q1 0 d1 1\n")
+        rc = main(["eval", "--run", str(tmp_path / "run.txt"),
+                   "--qrels", str(tmp_path / "qrels.txt")])
+        assert rc == 2
+        assert f"{which}.txt line 1" in capsys.readouterr().err
+
+    def test_train_corpus_line_not_json(self, data_dir, tmp_path, capsys):
+        with open(data_dir / "corpus.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"doc_id": "x", "text": \n')
+        stage_path = tmp_path / "stage.json"
+        StageConfig(steps=1, n_negatives=7, max_doc_tokens=16, lora_rank=4).save(stage_path)
+        rc = main(["train", "--stage-config", str(stage_path), "--data", str(data_dir),
+                   "--out-checkpoint", str(tmp_path / "trained.ckpt")])
+        assert rc == 2
+        assert "corpus.jsonl line 401" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec, message", [
         ("[{", "not JSON"),

@@ -125,6 +125,23 @@ class TestTrecFiles:
         with pytest.raises(ParseError, match="relevance"):
             load_qrels(p)
 
+    def test_qrels_relevance_beyond_a_float_gain(self, tmp_path):
+        p = tmp_path / "qrels.txt"
+        p.write_text("q1 0 d1 1\nq1 0 d2 1024\n")
+        with pytest.raises(ParseError, match="above 1023") as exc:
+            load_qrels(p)
+        assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("loader, good", [
+        (load_qrels, b"q1 0 d1 1"), (load_run, b"q1 Q0 d1 1 0.9 t"),
+    ], ids=["qrels", "run"])
+    def test_line_not_utf8(self, tmp_path, loader, good):
+        p = tmp_path / "trec.txt"
+        p.write_bytes(good + b"\n\xff\xfe" + good + b"\n")
+        with pytest.raises(ParseError, match="trec.txt line 2") as exc:
+            loader(p)
+        assert exc.value.line_number == 2
+
     def test_run_sorted_by_rank(self, tmp_path):
         p = tmp_path / "run.txt"
         p.write_text(
@@ -206,6 +223,35 @@ class TestSyntheticCorpus:
         assert loaded.docs == synth_corpus.docs
         assert loaded.queries == synth_corpus.queries
         assert loaded.qrels == synth_corpus.qrels
+
+    @pytest.mark.parametrize("name, line, message", [
+        ("corpus.jsonl", b"\xff\xfe", "corpus.jsonl line 3"),
+        ("corpus.jsonl", b'{"doc_id": "x", "text": ', "corpus.jsonl line 3"),
+        ("corpus.jsonl", b'{"doc_id": "x"}', "corpus.jsonl line 3: 'text'"),
+        ("corpus.jsonl", b'["x", "text"]', "corpus.jsonl line 3"),
+        ("queries.jsonl", b'{"query_id": 7, "text": "a"}', "must be strings"),
+        ("queries.jsonl", b'{"query_id": "q9", "text": "a"}', "'q9' needs qrels"),
+    ], ids=["not utf-8", "not json", "no text", "not an object", "int id", "no qrels"])
+    def test_corpus_files_bad_line(self, tmp_path, name, line, message):
+        corpus = generate_synthetic_corpus(n_queries=2, docs_per_query=4, seed=0)
+        write_corpus_files(corpus, tmp_path)
+        with open(tmp_path / name, "r+b") as fh:
+            lines = fh.read().splitlines()
+            fh.seek(0)
+            fh.truncate()
+            fh.write(b"\n".join(lines[:2] + [line] + lines[2:]) + b"\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            load_corpus_files(tmp_path)
+        assert exc.value.line_number == 3
+
+    def test_corpus_files_judged_document_missing(self, tmp_path):
+        write_corpus_files(generate_synthetic_corpus(n_queries=2, docs_per_query=4, seed=0),
+                           tmp_path)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(line for line in path.read_text().splitlines(True)
+                                if '"q001_d02"' not in line))
+        with pytest.raises(ParseError, match="'q001' needs qrels whose documents are all"):
+            load_corpus_files(tmp_path)
 
     def test_invalid_sizes(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from listrank.errors import (
     ChunkingError,
     ContextLengthError,
+    ListrankError,
     ValidationError,
 )
 from listrank.prompt import (
@@ -20,7 +22,6 @@ from listrank.prompt import (
     apply_ordering,
     build_prompt,
     chunk_into_batches,
-    scan_marker_positions,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -125,7 +126,10 @@ class TestBuildPrompt:
             "alpha beta", [Document(c, f"{c} gamma") for c in "abcde"]
         )
         layout = build_prompt(req, vocab, max_doc_tokens=8, insert_dual_query_marker=True)
-        docs, queries = scan_marker_positions(layout.token_ids, vocab)
+        # re-derive the marker positions from the raw token ids
+        ids = layout.token_ids
+        docs = [i for i, t in enumerate(ids) if t == vocab.special_id(DOC_EMB)]
+        queries = [i for i, t in enumerate(ids) if t == vocab.special_id(QUERY_EMB)]
         assert docs == layout.doc_marker_positions
         assert queries == [layout.dual_query_marker_position, layout.query_marker_position]
 
@@ -220,6 +224,103 @@ class TestChunking:
             assert len(layout.token_ids) <= max_context
             seen += [d.doc_id for d in b.documents]
         assert seen == [d.doc_id for d in docs]
+
+
+def _reference_chunk_into_batches(documents, query, vocab, max_docs_per_pass,
+                                  max_context, max_doc_tokens):
+    """The packer as it was before packing from token counts: it assembles
+    the whole prompt for every candidate it tries to add."""
+    if max_docs_per_pass < 1:
+        raise ValidationError("max_docs_per_pass must be >= 1")
+
+    def fits(batch):
+        try:
+            build_prompt(RerankRequest(query=query, documents=batch),
+                         vocab, max_doc_tokens, max_context=max_context)
+            return True
+        except ContextLengthError:
+            return False
+
+    batches, current = [], []
+    for doc in documents:
+        candidate = current + [doc]
+        if len(candidate) <= max_docs_per_pass and fits(candidate):
+            current = candidate
+            continue
+        if not current:
+            raise ChunkingError(f"document {doc.doc_id!r} plus template overhead exceeds "
+                                f"max_context={max_context}")
+        batches.append(current)
+        if not fits([doc]):
+            raise ChunkingError(f"document {doc.doc_id!r} plus template overhead exceeds "
+                                f"max_context={max_context}")
+        current = [doc]
+    if current:
+        batches.append(current)
+    return [RerankRequest(query=query, documents=b) for b in batches]
+
+
+def _packing(chunker, *args):
+    """Doc ids per batch, or the error class and message."""
+    try:
+        return [(b.query, [d.doc_id for d in b.documents]) for b in chunker(*args)]
+    except ListrankError as exc:
+        return type(exc), str(exc)
+
+
+def _word_docs(lengths):
+    # "delta" is one token, "zq" two byte tokens, each space one more
+    return [Document(f"d{i}", " ".join(("delta", "zq")[(i + j) % 2] for j in range(n)))
+            for i, n in enumerate(lengths)]
+
+
+class TestPackingMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_docs=st.integers(1, 130),
+        seed=st.integers(0, 2 ** 32 - 1),
+        cap=st.one_of(st.integers(1, 8), st.integers(60, 140)),
+        max_context=st.one_of(st.integers(100, 4000), st.just(100_000)),
+        max_doc_tokens=st.integers(0, 40),
+        query=st.sampled_from(["alpha beta", "zq gamma", "  "]),
+    )
+    def test_same_batches_or_error(self, vocab, n_docs, seed, cap, max_context,
+                                   max_doc_tokens, query):
+        rng = random.Random(seed)
+        docs = _word_docs([rng.randint(0, 30) for _ in range(n_docs)])
+        args = (docs, query, vocab, cap, max_context, max_doc_tokens)
+        assert _packing(chunk_into_batches, *args) == _packing(_reference_chunk_into_batches, *args)
+
+    @pytest.mark.parametrize("slack", [-1, 0, 1])
+    def test_budget_edge_past_one_hundred_passages(self, vocab, slack):
+        # numbers from 100 up are byte tokens, in the header and in id="101"
+        docs = _word_docs([1] * 150)
+        budget = len(build_prompt(RerankRequest("alpha", docs[:101]), vocab, 8).token_ids)
+        args = (docs, "alpha", vocab, 200, budget + slack, 8)
+        packing = _packing(chunk_into_batches, *args)
+        assert packing == _packing(_reference_chunk_into_batches, *args)
+        assert len(packing[0][1]) == (100 if slack < 0 else 101)
+
+    @pytest.mark.parametrize("cap, sizes", [(150, [150]), (101, [101, 49]), (64, [64, 64, 22])])
+    def test_count_bound_past_one_hundred_passages(self, vocab, cap, sizes):
+        args = (_word_docs([2] * 150), "alpha", vocab, cap, 100_000, 8)
+        packing = _packing(chunk_into_batches, *args)
+        assert packing == _packing(_reference_chunk_into_batches, *args)
+        assert [len(ids) for _, ids in packing] == sizes
+
+    @pytest.mark.parametrize("where", [0, 5])
+    def test_unsatisfiable_document(self, vocab, where):
+        lengths = [3] * 10
+        lengths[where] = 200
+        args = (_word_docs(lengths), "alpha", vocab, 4, 300, 500)
+        packing = _packing(chunk_into_batches, *args)
+        assert packing == _packing(_reference_chunk_into_batches, *args)
+        assert packing[0] is ChunkingError and f"'d{where}'" in packing[1]
+
+    def test_empty_query(self, vocab):
+        args = (_word_docs([3, 4]), " \n", vocab, 4, 4096, 8)
+        assert _packing(chunk_into_batches, *args) == (ValidationError, "empty query")
+        assert _packing(_reference_chunk_into_batches, *args) == (ValidationError, "empty query")
 
 
 class TestRequestValidation:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from listrank.autodiff import Tensor
 from listrank.errors import DegenerateEmbeddingError, ParseError, ValidationError
 from listrank.evaluation import load_run
 from listrank.model import RerankModel
-from listrank.prompt import Document, RerankRequest
+from listrank.prompt import Document, RerankRequest, Vocabulary
 from listrank.reranker import (
     RankedEntry,
     RankedResult,
@@ -84,6 +85,22 @@ class TestRerank:
             singles[doc.doc_id] = one.entries[0].score
         for e in pooled.entries:
             assert e.score == pytest.approx(singles[e.doc_id], abs=1e-12)
+
+    def test_each_document_tokenized_at_most_twice(self, untrained_model, monkeypatch):
+        """Once to pack it into a batch and once to build that batch's prompt."""
+        calls = Counter()
+        tokenize = Vocabulary.tokenize
+
+        def counting(self, text):
+            calls[text] += 1
+            return tokenize(self, text)
+
+        monkeypatch.setattr(Vocabulary, "tokenize", counting)
+        docs = [Document(f"d{i:02d}", f"w{i % 40:03d} passage {i}") for i in range(80)]
+        res = rerank(untrained_model, RerankRequest("topic000 key000", docs),
+                     max_docs_per_pass=64, max_doc_tokens=16)
+        assert len(res.entries) == 80 and len({e.batch_index for e in res.entries}) > 1
+        assert max(calls[d.text] for d in docs) == 2
 
     def test_ordering_variants_report(self, untrained_model, synth_corpus):
         qid, qtext = synth_corpus.queries[4]

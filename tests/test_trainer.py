@@ -7,14 +7,13 @@ import pytest
 from listrank import autodiff as ad
 from listrank.autodiff import Tensor
 from listrank.errors import ConfigError, DataError, MergeError
-from listrank.evaluation import lexical_overlap_scorer, ndcg_at_k
+from listrank.evaluation import ndcg_at_k
 from listrank.model import RerankModel
 from listrank.prompt import Document, RerankRequest
 from listrank.reranker import rerank
 from listrank.trainer import (
     AdamW,
     MergeSpec,
-    MiningConfig,
     StageConfig,
     TrainingExample,
     apply_lora,
@@ -23,7 +22,6 @@ from listrank.trainer import (
     fold_adapters,
     lora_target_names,
     merge_models,
-    mine_hard_negatives,
     train_stage,
     write_loss_trace,
 )
@@ -231,52 +229,6 @@ class TestTrainStage:
         write_loss_trace(p, trace)
         lines = [json.loads(l) for l in p.read_text().splitlines()]
         assert lines == trace
-
-
-class TestMining:
-    def test_top_scoring_non_positives(self):
-        corpus = {f"d{i}": f"w{i} common" for i in range(10)}
-        corpus["dpos"] = "query words exactly"
-        corpus["dhard"] = "query words almost"
-        queries = [("q1", "query words exactly")]
-        mined = mine_hard_negatives(
-            queries, corpus, lexical_overlap_scorer,
-            MiningConfig(pool_size=5, n_negatives=3),
-            positives={"q1": {"dpos"}},
-        )
-        assert mined["q1"][0] == "dhard"
-        assert "dpos" not in mined["q1"]
-        assert len(mined["q1"]) == 3
-
-    def test_multi_scorer_union(self):
-        corpus = {"a": "x", "b": "y", "c": "z"}
-        s1 = lambda q, d: {"x": 3, "y": 2, "z": 1}[d]
-        s2 = lambda q, d: {"x": 1, "y": 2, "z": 3}[d]
-        mined = mine_hard_negatives(
-            [("q", "anything")], corpus, [s1, s2],
-            MiningConfig(pool_size=3, n_negatives=3), positives={},
-        )
-        # rank-order interleaving: s1's top then s2's top, dedup
-        assert mined["q"] == ["a", "c", "b"]
-
-    def test_deterministic(self, synth_corpus):
-        args = (
-            synth_corpus.queries[:5],
-            synth_corpus.docs,
-            lexical_overlap_scorer,
-            MiningConfig(pool_size=20, n_negatives=10),
-            {q: {f"{q}_d00"} for q, _ in synth_corpus.queries[:5]},
-        )
-        assert mine_hard_negatives(*args) == mine_hard_negatives(*args)
-
-    def test_empty_corpus(self):
-        with pytest.raises(DataError):
-            mine_hard_negatives([("q", "t")], {}, lexical_overlap_scorer,
-                                MiningConfig(1, 1), {})
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            MiningConfig(pool_size=5, n_negatives=10)
 
 
 class TestMerge:
