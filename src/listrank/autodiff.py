@@ -14,7 +14,6 @@ accumulating.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -305,66 +304,70 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
-    """Stack 0-d tensors into a vector."""
-    scalars = [_as_tensor(s) for s in scalars]
-    out = Tensor(np.array([float(s.data) for s in scalars]))
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack matrices of equal width on top of each other."""
+    parts = [_as_tensor(p) for p in parts]
+    out = Tensor(np.concatenate([p.data for p in parts]))
+    ends = np.cumsum([p.shape[0] for p in parts])
 
     def bwd(g):
-        for i, s in enumerate(scalars):
-            if s.requires_grad:
-                s.accumulate_grad(np.asarray(g[i]))
+        for p, gp in zip(parts, np.split(g, ends[:-1])):
+            if p.requires_grad:
+                p.accumulate_grad(gp)
 
-    return _record(out, tuple(scalars), bwd)
-
-
-def logsumexp(v: Tensor) -> Tensor:
-    """log(sum(exp(v))) over a vector, max-shifted for stability."""
-    v = _as_tensor(v)
-    m = v.data.max()
-    e = np.exp(v.data - m)
-    s = e.sum()
-    out = Tensor(np.asarray(m + math.log(s)))
-
-    def bwd(g):
-        if v.requires_grad:
-            v.accumulate_grad(float(g) * e / s)
-
-    return _record(out, (v,), bwd)
+    return _record(out, parts, bwd)
 
 
-def cosine(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine similarity of two vectors; raises on zero-norm or non-finite
-    operands."""
-    u, v = _as_tensor(u), _as_tensor(v)
-    if u.data.shape != v.data.shape or u.ndim != 1:
-        raise DimensionError(
-            f"cosine expects two equal-length vectors, got {tuple(u.shape)} and {tuple(v.shape)}"
-        )
-    # scale by the largest magnitude first: squaring tiny entries underflows
-    # into subnormals and the norms lose their precision
-    su = float(np.max(np.abs(u.data)))
-    sv = float(np.max(np.abs(v.data)))
-    if su == 0.0 or sv == 0.0:
-        raise DegenerateEmbeddingError("cosine of a zero-norm embedding is undefined")
-    if not (math.isfinite(su) and math.isfinite(sv)):
-        raise DegenerateEmbeddingError("cosine of a non-finite embedding is undefined")
-    uu, vu = u.data / su, v.data / sv
-    ru, rv = float(np.linalg.norm(uu)), float(np.linalg.norm(vu))
-    uu, vu = uu / ru, vu / rv  # unit vectors
-    nu, nv = su * ru, sv * rv
-    c = float(uu @ vu)
-    c = min(1.0, max(-1.0, c))  # trim roundoff outside [-1, 1]
-    out = Tensor(np.asarray(c))
+def logsumexp(x: Tensor) -> Tensor:
+    """Row-wise log(sum(exp(x))) of a matrix, max-shifted for stability.
+    Entries of -inf are padding: they add nothing and get no gradient, but
+    every row needs one finite entry."""
+    x = _as_tensor(x)
+    m = x.data.max(axis=1, keepdims=True)
+    e = np.exp(x.data - m)
+    s = e.sum(axis=1, keepdims=True)
+    out = Tensor((m + np.log(s))[:, 0])
 
     def bwd(g):
-        g = float(g)
-        if u.requires_grad:
-            u.accumulate_grad(g * (vu - c * uu) / nu)
-        if v.requires_grad:
-            v.accumulate_grad(g * (uu - c * vu) / nv)
+        if x.requires_grad:
+            x.accumulate_grad(g[:, None] * e / s)
 
-    return _record(out, (u, v), bwd)
+    return _record(out, (x,), bwd)
+
+
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit length, and their norms. Each row is divided by
+    its largest magnitude first: squaring tiny entries underflows into
+    subnormals and the norms lose their precision."""
+    peak = np.abs(x).max(axis=1, keepdims=True)
+    for bad, what in ((peak == 0.0, "zero-norm"), (~np.isfinite(peak), "non-finite")):
+        if bad.any():
+            raise DegenerateEmbeddingError(
+                f"cosine of a {what} embedding (row {np.flatnonzero(bad)[0]}) is undefined")
+    scaled = x / peak
+    r = np.linalg.norm(scaled, axis=1, keepdims=True)
+    return scaled / r, peak * r
+
+
+def cosine(a: Tensor, b: Tensor) -> Tensor:
+    """All-pairs cosine similarity of the rows of ``a`` (m, d) and ``b``
+    (n, d), as an (m, n) matrix; raises on zero-norm or non-finite rows."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise DimensionError(f"cosine expects two matrices of equal width, "
+                             f"got {tuple(a.shape)} and {tuple(b.shape)}")
+    ua, na = _unit_rows(a.data)
+    ub, nb = _unit_rows(b.data)
+    c = np.clip(ua @ ub.T, -1.0, 1.0)  # trim roundoff outside [-1, 1]
+
+    def bwd(g):
+        gc = g * c
+        if a.requires_grad:
+            a.accumulate_grad((g @ ub - gc.sum(axis=1, keepdims=True) * ua) / na)
+        if b.requires_grad:
+            b.accumulate_grad((g.T @ ua - gc.sum(axis=0)[:, None] * ub) / nb)
+
+    return _record(Tensor(c), (a, b), bwd)
 
 
 def rope(x: Tensor, positions: Sequence[int], base: float, head_dim: int | None = None) -> Tensor:

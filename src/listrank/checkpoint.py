@@ -9,6 +9,7 @@ byte-deterministic: saving the same tensors twice yields identical files.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -17,6 +18,18 @@ import numpy as np
 from .errors import ParseError
 
 _MAGIC = "listrank-ckpt-v1"
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write a temp file beside ``path``, then ``os.replace`` it over ``path``:
+    a write that fails midway leaves the old file whole and no temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
@@ -37,11 +50,8 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">Q", len(header)))
-        fh.write(header)
-        for arr in arrays.values():
-            fh.write(arr.astype("<f8", copy=False).tobytes())
+    blobs = [arr.astype("<f8", copy=False).tobytes() for arr in arrays.values()]
+    write_atomic(path, b"".join([struct.pack(">Q", len(header)), header, *blobs]))
 
 
 def load_checkpoint(path):

@@ -198,24 +198,14 @@ def cmd_eval(args) -> int:
 def _gradcheck_losses(seed: int) -> float:
     rng = np.random.default_rng(seed)
     n_queries, n_neg, dim = 2, 3, 6
-    rows = n_queries * (4 + n_neg)
-    X = Tensor(rng.normal(size=(rows, dim)), requires_grad=True)
-
-    def f(x):
-        rows_iter = iter(range(rows))
-
-        def row():
-            return ad.reshape(ad.gather_rows(x, [next(rows_iter)]), (dim,))
-
-        groups = []
-        for _ in range(n_queries):
-            q, dual, pos, aug = row(), row(), row(), row()
-            negs = [row() for _ in range(n_neg)]
-            groups.append(QueryGroup(query=q, dual_query=dual, positive=pos,
-                                     augmented=aug, negatives=negs))
-        return total_loss(TrainingBatch(groups, temperature=0.25), LossWeights())
-
-    return finite_diff_check(f, X)
+    width = 4 + n_neg
+    X = Tensor(rng.normal(size=(n_queries * width, dim)), requires_grad=True)
+    # each query's rows: query, dual query, positive, augmented, negatives
+    groups = [QueryGroup(query=r, dual_query=r + 1, positive=r + 2, augmented=r + 3,
+                         negatives=list(range(r + 4, r + width)))
+              for r in range(0, n_queries * width, width)]
+    return finite_diff_check(
+        lambda x: total_loss(TrainingBatch(x, groups, temperature=0.25), LossWeights()), X)
 
 
 def _gradcheck_projector(seed: int) -> float:
@@ -229,13 +219,13 @@ def _gradcheck_projector(seed: int) -> float:
         weights[name].data = rng.normal(0.0, 0.5, weights[name].shape)
     weights["projector.b1"].data = 0.5 + rng.random(cfg.d_mid)
     weights["projector.b2"].data = rng.normal(0.0, 0.1, cfg.d_out)
-    u = Tensor(rng.normal(size=8))
-    v = Tensor(rng.normal(size=8))
+    u = Tensor(rng.normal(size=(1, 8)))
+    v = Tensor(rng.normal(size=(1, 8)))
     w1 = weights["projector.w1"]
     w1.requires_grad = True
 
     def f(_):
-        return ad.cosine(project(u, weights), project(v, weights))
+        return ad.tsum(ad.cosine(project(u, weights), project(v, weights)))
 
     return finite_diff_check(f, w1)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,54 +50,35 @@ def init_projector(config: ProjectorConfig, seed: int) -> dict[str, Tensor]:
     }
 
 
-@dataclass
-class ExtractedEmbeddings:
-    """Raw per-marker hidden rows, document rows keyed by original index."""
-
-    query: Tensor
-    docs: list[Tensor]
-    dual_query: Optional[Tensor] = None
-
-
-def _row(hidden: Tensor, position: int) -> Tensor:
-    return ad.reshape(ad.gather_rows(hidden, [position]), (hidden.shape[1],))
-
-
-def extract(hidden: Tensor, layout: PromptLayout, include_dual: bool = False) -> ExtractedEmbeddings:
-    """Pure row selection at the recorded marker positions. Document rows are
-    returned in original-document order (the presentation permutation is
-    inverted here)."""
-    n_rows = hidden.shape[0]
-    positions = layout.doc_marker_positions + [layout.query_marker_position]
-    if max(positions) >= n_rows:
-        raise DimensionError(
-            f"marker position {max(positions)} outside hidden states with {n_rows} rows"
-        )
-    by_original: list[Optional[Tensor]] = [None] * len(layout.doc_marker_positions)
-    for slot, pos in enumerate(layout.doc_marker_positions):
-        by_original[layout.doc_presentation_order[slot]] = _row(hidden, pos)
-    query = _row(hidden, layout.query_marker_position)
-    dual = None
+def extract(hidden: Tensor, layout: PromptLayout, include_dual: bool = False) -> Tensor:
+    """One gather of the rows at the recorded marker positions: the
+    documents in original order (the presentation permutation is inverted
+    here), then the query, then the dual query if asked for."""
+    positions = [pos for _, pos in sorted(zip(layout.doc_presentation_order,
+                                              layout.doc_marker_positions))]
+    positions.append(layout.query_marker_position)
     if include_dual:
         if layout.dual_query_marker_position is None:
             raise DimensionError("layout has no dual query marker")
-        dual = _row(hidden, layout.dual_query_marker_position)
-    return ExtractedEmbeddings(query=query, docs=by_original, dual_query=dual)
+        positions.append(layout.dual_query_marker_position)
+    if max(positions) >= hidden.shape[0]:
+        raise DimensionError(
+            f"marker position {max(positions)} outside hidden states with {hidden.shape[0]} rows"
+        )
+    return ad.gather_rows(hidden, positions)
 
 
 def project(raw: Tensor, weights: dict[str, Tensor]) -> Tensor:
-    """affine -> rectifier -> affine, differentiable end-to-end."""
-    if raw.shape != (weights["projector.w1"].shape[0],):
-        raise ConfigError(
-            f"projector expects input of width {weights['projector.w1'].shape[0]}, "
-            f"got {tuple(raw.shape)}"
-        )
-    x = ad.reshape(raw, (1, raw.shape[0]))
-    hidden = ad.relu(ad.add(ad.matmul(x, weights["projector.w1"]), weights["projector.b1"]))
-    out = ad.add(ad.matmul(hidden, weights["projector.w2"]), weights["projector.b2"])
-    return ad.reshape(out, (out.shape[1],))
+    """affine -> rectifier -> affine on every row, differentiable end-to-end."""
+    d_in = weights["projector.w1"].shape[0]
+    if raw.ndim != 2 or raw.shape[1] != d_in:
+        raise ConfigError(f"projector expects rows of width {d_in}, got {tuple(raw.shape)}")
+    hidden = ad.relu(ad.add(ad.matmul(raw, weights["projector.w1"]), weights["projector.b1"]))
+    return ad.add(ad.matmul(hidden, weights["projector.w2"]), weights["projector.b2"])
 
 
-def score(q: Tensor, d: Tensor) -> Tensor:
-    """Cosine relevance score in [-1, 1]; raises on zero-norm embeddings."""
-    return ad.cosine(q, d)
+def score(query: Tensor, docs: Tensor) -> Tensor:
+    """Cosine relevance of each document row against the (1, d) query row,
+    as a (1, n_docs) matrix in [-1, 1]; raises on zero-norm or non-finite
+    rows."""
+    return ad.cosine(query, docs)

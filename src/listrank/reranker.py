@@ -4,19 +4,22 @@ When the candidate set exceeds the per-pass cap or the context budget,
 documents are packed into batches in order and the query is re-encoded
 within each batch, so every batch is scored against its own query
 embedding; raw cosine scores are pooled across batches and sorted
-globally (cosine normalization keeps them commensurable).
+globally (cosine normalization keeps them commensurable). A batch is one
+``extract`` of its marker rows, one ``project`` of that matrix and one
+``score`` of its document rows against the query row.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import backbone as bb
+from .autodiff import Tensor
+from .checkpoint import write_atomic
 from .embedding import extract, project, score
 from .errors import DegenerateEmbeddingError, ParseError
 from .evaluation import ndcg_at_k, read_lines
@@ -73,19 +76,18 @@ def rerank(
             max_context=model.backbone_config.max_context,
         )
         hidden = bb.forward(layout.token_ids, model.backbone_config, model.weights)
-        emb = extract(hidden, layout)
-        q = project(emb.query, model.weights)
-        for doc, raw in zip(batch.documents, emb.docs):
-            d = project(raw, model.weights)
-            try:
-                s = float(score(q, d).data)
-                scored.append((doc.doc_id, s, batch_idx, None))
-            except DegenerateEmbeddingError as exc:
-                # a non-finite embedding means broken weights, not one bad
-                # document, so it fails the whole request
-                if not (np.isfinite(q.data).all() and np.isfinite(d.data).all()):
-                    raise
-                scored.append((doc.doc_id, None, batch_idx, str(exc)))
+        emb = project(extract(hidden, layout), model.weights).data  # documents, then the query
+        if not np.isfinite(emb).all():
+            # broken weights, not one bad document: fail the whole request
+            raise DegenerateEmbeddingError("non-finite embedding: the model weights are broken")
+        # a zero-norm row has no cosine: its document sinks with a diagnostic,
+        # and so does every document of the batch when the query's row is zero
+        live = np.flatnonzero(emb[:-1].any(axis=1) & emb[-1].any())
+        sims = score(Tensor(emb[-1:]), Tensor(emb[live])).data[0].tolist() if live.size else []
+        by_doc = dict(zip(live.tolist(), sims))
+        for i, doc in enumerate(batch.documents):
+            scored.append((doc.doc_id, by_doc.get(i), batch_idx,
+                           None if i in by_doc else "zero-norm embedding: cosine is undefined"))
 
     valid = sorted(
         (t for t in scored if t[1] is not None), key=lambda t: (-t[1], t[0])
@@ -138,6 +140,7 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
     {"query_id", "query_text", "documents": [{"doc_id", "text",
     "first_stage_score"?}]}."""
     out = []
+    first_line: dict[str, int] = {}
     for lineno, line in read_lines(path):
         try:
             rec = json.loads(line)
@@ -152,9 +155,13 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
                                                  and not isinstance(first_stage, bool)),
                          "first_stage_score must be a number or null")
                 docs.append(Document(str(d["doc_id"]), d["text"], first_stage))
-            out.append((str(rec["query_id"]), RerankRequest(rec["query_text"], docs)))
+            query_id = str(rec["query_id"])
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
+        if first_line.setdefault(query_id, lineno) != lineno:  # results are keyed by it
+            raise ParseError(f"{path} line {lineno}: query_id {query_id!r} repeats "
+                             f"line {first_line[query_id]}", lineno)
+        out.append((query_id, RerankRequest(rec["query_text"], docs)))
     return out
 
 
@@ -170,4 +177,4 @@ def write_run(path, results: dict[str, RankedResult], tag: str = "listrank") -> 
         for e in results[query_id].entries:
             s = e.score if e.score is not None else -2.0
             lines.append(f"{query_id} Q0 {e.doc_id} {e.rank} {s:.6f} {tag}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -15,6 +15,7 @@ from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, backward
 from .backbone import ATTN_MATS, FFN_MATS
+from .checkpoint import write_atomic
 from .config import from_json_object
 from .embedding import extract, project
 from .errors import ConfigError, DataError, MergeError, NonFiniteLossError, ParseError
@@ -78,9 +79,8 @@ class StageConfig:
         return cls.from_dict(obj)
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_atomic(path, (json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+                     .encode("utf-8"))
 
 
 @dataclass
@@ -239,9 +239,11 @@ def _encode_group(
     negatives: list[str],
     stage: StageConfig,
     rng: np.random.Generator,
-) -> QueryGroup:
+    first_row: int,
+) -> tuple[Tensor, QueryGroup]:
     """One training forward: positive + negatives + augmented positive in a
-    shuffled listwise prompt with the dual query marker."""
+    shuffled listwise prompt with the dual query marker. Returns the raw
+    marker rows and the group naming them, counted from ``first_row``."""
     augmented = augment_text(example.positive, rng)
     docs = (
         [Document("pos", example.positive)]
@@ -260,15 +262,13 @@ def _encode_group(
         pad_docs=stage.pad_docs,
     )
     hidden = bb.forward(layout.token_ids, model.backbone_config, weights)
-    emb = extract(hidden, layout, include_dual=True)
-    proj = [project(raw, weights) for raw in emb.docs]
-    return QueryGroup(
-        query=project(emb.query, weights),
-        dual_query=project(emb.dual_query, weights),
-        positive=proj[0],
-        negatives=proj[1 : 1 + len(negatives)],
-        augmented=proj[1 + len(negatives)],
+    # rows: positive, negatives, augmented positive, query, dual query
+    k = len(negatives)
+    group = QueryGroup(
+        query=first_row + k + 2, dual_query=first_row + k + 3, positive=first_row,
+        negatives=list(range(first_row + 1, first_row + 1 + k)), augmented=first_row + k + 1,
     )
+    return extract(hidden, layout, include_dual=True), group
 
 
 def train_stage(
@@ -312,12 +312,15 @@ def train_stage(
                 apply_lora(model.weights, adapters, stage.lora_rank, stage.lora_alpha)
                 if adapters is not None else model.weights
             )
-            groups = []
+            raw, groups = [], []
             for i in idx:
                 ex = dataset[int(i)]
                 neg_idx = rng.choice(len(ex.negatives), size=stage.n_negatives, replace=False)
                 negatives = [ex.negatives[int(j)] for j in neg_idx]
-                groups.append(_encode_group(model, weights, ex, negatives, stage, rng))
+                rows, group = _encode_group(model, weights, ex, negatives, stage, rng,
+                                            sum(r.shape[0] for r in raw))
+                raw.append(rows)
+                groups.append(group)
             # in-batch negatives: other queries' positives join each contrast set
             if stage.n_inbatch_negatives > 0 and len(groups) > 1:
                 n_extra = min(stage.n_inbatch_negatives, len(groups) - 1)
@@ -325,7 +328,8 @@ def train_stage(
                     others = [j for j in range(len(groups)) if j != gi]
                     pick = rng.choice(others, size=n_extra, replace=False)
                     g.negatives = g.negatives + [groups[int(j)].positive for j in pick]
-            batch = TrainingBatch(groups=groups, temperature=stage.temperature)
+            embeddings = project(ad.concat_rows(raw), weights)
+            batch = TrainingBatch(embeddings, groups, stage.temperature)
             total, components = all_losses(batch, stage.loss_weights)
             record = {
                 "step": step,
@@ -353,9 +357,8 @@ def train_stage(
 
 
 def write_loss_trace(path, trace: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in trace:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in trace)
+                 .encode("utf-8"))
 
 
 # ----------------------------------------------------------------------

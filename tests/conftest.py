@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from listrank import BackboneConfig, RerankModel, Vocabulary
+from listrank.autodiff import Tensor
+from listrank.losses import QueryGroup, TrainingBatch
 from listrank.evaluation import generate_synthetic_corpus
 from listrank.trainer import StageConfig, TrainingExample, train_stage
 
@@ -13,6 +15,27 @@ def tiny_backbone_config(vocab_size: int = 50, **overrides) -> BackboneConfig:
     )
     base.update(overrides)
     return BackboneConfig(**base)
+
+
+def stacked_batch(groups, temperature: float) -> TrainingBatch:
+    """A TrainingBatch from per-query vectors. Each group is a dict with
+    ``query``, ``positive`` and ``negatives``, and optionally ``dual_query``
+    and ``augmented``; every vector becomes one row of the embedding matrix."""
+    rows = []
+
+    def row(vector):
+        if vector is None:
+            return None
+        rows.append(np.asarray(vector, dtype=np.float64))
+        return len(rows) - 1
+
+    index_groups = [
+        QueryGroup(query=row(g["query"]), positive=row(g["positive"]),
+                   negatives=[row(n) for n in g["negatives"]],
+                   dual_query=row(g.get("dual_query")), augmented=row(g.get("augmented")))
+        for g in groups
+    ]
+    return TrainingBatch(Tensor(np.array(rows)), index_groups, temperature)
 
 
 @pytest.fixture(scope="session")

@@ -19,8 +19,6 @@ from listrank.evaluation import (
 )
 from listrank.losses import (
     LossWeights,
-    QueryGroup,
-    TrainingBatch,
     all_losses,
     disperse_loss,
     rank_loss,
@@ -36,7 +34,7 @@ from listrank.trainer import (
     merge_models,
 )
 
-from conftest import tiny_backbone_config
+from conftest import stacked_batch, tiny_backbone_config
 
 GOLDEN_DIR = __import__("pathlib").Path(__file__).parent / "golden"
 
@@ -66,19 +64,19 @@ class TestAcceptance:
         {1, 9, 15, 25}; dispersive K=2 zero-similarity case = ln(3/2)."""
         for k in (1, 9, 15, 25):
             eye = np.eye(k + 2)
-            g = QueryGroup(
-                query=Tensor(eye[k + 1]),
-                positive=Tensor(eye[0]),
-                negatives=[Tensor(eye[1 + i]) for i in range(k)],
+            g = dict(
+                query=eye[k + 1],
+                positive=eye[0],
+                negatives=[eye[1 + i] for i in range(k)],
             )
-            got = float(rank_loss(TrainingBatch([g], temperature=0.25)).data)
+            got = float(rank_loss(stacked_batch([g], temperature=0.25)).data)
             assert abs(got - math.log(k + 1)) < 1e-9, (k, got)
         eye = np.eye(5)
-        g = QueryGroup(
-            query=Tensor(eye[0]), positive=Tensor(eye[1]),
-            negatives=[Tensor(eye[2]), Tensor(eye[3])],
+        g = dict(
+            query=eye[0], positive=eye[1],
+            negatives=[eye[2], eye[3]],
         )
-        got = float(disperse_loss(TrainingBatch([g], temperature=0.25)).data)
+        got = float(disperse_loss(stacked_batch([g], temperature=0.25)).data)
         assert abs(got - math.log(1.5)) < 1e-9
         _report(2, "closed-form losses", "ln(K+1) for K in {1,9,15,25}; ln(3/2)")
 
@@ -89,12 +87,12 @@ class TestAcceptance:
         for trial in range(10):
             groups = []
             for _ in range(3):
-                mk = lambda: Tensor(rng.normal(size=6))
-                groups.append(QueryGroup(
+                mk = lambda: rng.normal(size=6)
+                groups.append(dict(
                     query=mk(), positive=mk(), dual_query=mk(), augmented=mk(),
                     negatives=[mk() for _ in range(4)],
                 ))
-            batch = TrainingBatch(groups, temperature=0.25)
+            batch = stacked_batch(groups, temperature=0.25)
             total, parts = all_losses(batch, LossWeights(0.45, 0.85, 0.85))
             expected = (
                 float(parts["rank"].data)
@@ -311,12 +309,12 @@ class TestAcceptance:
         from listrank.embedding import extract, project, score
 
         hidden = forward(layout.token_ids, cfg, model.weights)
-        emb = extract(hidden, layout)
-        q = project(emb.query, model.weights)
+        emb = project(extract(hidden, layout), model.weights).data
+        sims = score(Tensor(emb[-1:]), Tensor(emb[:-1])).data[0]
         manual = sorted(
             (
-                (-float(score(q, project(raw, model.weights)).data), d.doc_id)
-                for d, raw in zip(small.documents, emb.docs)
+                (-float(s), d.doc_id)
+                for d, s in zip(small.documents, sims)
             ),
         )
         assert [(e.doc_id, e.score) for e in chunked.entries] == [

@@ -109,28 +109,32 @@ class TestRmsNorm:
             np.testing.assert_array_equal(full[r], row)
 
 
+def _cos(u, v) -> float:
+    """Cosine of two vectors, as the 1x1 all-pairs matrix of two one-row operands."""
+    return float(ad.cosine(Tensor(np.atleast_2d(u)), Tensor(np.atleast_2d(v))).data[0, 0])
+
+
 class TestCosine:
     def test_self(self):
-        u = Tensor([1.0, 2.0, -3.0])
-        assert float(ad.cosine(u, u).data) == pytest.approx(1.0, abs=1e-15)
+        u = [1.0, 2.0, -3.0]
+        assert _cos(u, u) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal(self):
-        assert float(ad.cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).data) == 0.0
+        assert _cos([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_antipodal(self):
-        u = Tensor([1.0, 2.0, -3.0])
-        v = Tensor(-u.data)
-        assert float(ad.cosine(u, v).data) == pytest.approx(-1.0, abs=1e-15)
+        u = np.array([1.0, 2.0, -3.0])
+        assert _cos(u, -u) == pytest.approx(-1.0, abs=1e-15)
 
     def test_zero_norm_raises(self):
         with pytest.raises(DegenerateEmbeddingError):
-            ad.cosine(Tensor(np.zeros(3)), Tensor([1.0, 0.0, 0.0]))
+            _cos(np.zeros(3), [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_norm_raises(self, bad):
         # a clamp would turn NaN into a plausible -1.0 score
         with pytest.raises(DegenerateEmbeddingError, match="non-finite"):
-            ad.cosine(Tensor([1.0, 0.0, 0.0]), Tensor([bad, 1.0, 0.0]))
+            _cos([1.0, 0.0, 0.0], [bad, 1.0, 0.0])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -142,17 +146,86 @@ class TestCosine:
     def test_scale_invariance(self, u, v, a, b):
         if np.linalg.norm(u) == 0 or np.linalg.norm(v) == 0:
             return
-        c1 = float(ad.cosine(Tensor(u), Tensor(v)).data)
-        c2 = float(ad.cosine(Tensor(a * u), Tensor(b * v)).data)
+        c1 = _cos(u, v)
+        c2 = _cos(a * u, b * v)
         assert abs(c1 - c2) < 1e-12
         assert -1.0 <= c1 <= 1.0
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
-        u = Tensor(rng.normal(size=6), requires_grad=True)
-        v = Tensor(rng.normal(size=6), requires_grad=True)
-        assert finite_diff_check(lambda t: ad.cosine(t, v), u) < 1e-5
-        assert finite_diff_check(lambda t: ad.cosine(u, t), v) < 1e-5
+        u = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+        v = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+        assert finite_diff_check(lambda t: ad.tsum(ad.cosine(t, v)), u) < 1e-5
+        assert finite_diff_check(lambda t: ad.tsum(ad.cosine(u, t)), v) < 1e-5
+
+    def test_all_pairs_match_per_pair(self):
+        rng = np.random.default_rng(6)
+        a, b = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
+        full = ad.cosine(Tensor(a), Tensor(b)).data
+        assert full.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                ref = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
+                assert full[i, j] == pytest.approx(ref, abs=1e-15)
+
+    def test_all_pairs_gradient(self):
+        """Both operands at m != n, with a weighting that makes every entry count."""
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)))
+        assert finite_diff_check(lambda t: ad.tsum(ad.mul(ad.cosine(t, b), w)), a) < 1e-6
+        assert finite_diff_check(lambda t: ad.tsum(ad.mul(ad.cosine(a, t), w)), b) < 1e-6
+
+    def test_same_operand_twice(self):
+        """cos(E, E): the gradient gathers both operands' contributions."""
+        rng = np.random.default_rng(8)
+        e = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)))
+        assert finite_diff_check(lambda t: ad.tsum(ad.mul(ad.cosine(t, t), w)), e) < 1e-6
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_any_bad_row_raises(self, bad):
+        rows = np.ones((3, 2))
+        rows[1] = bad
+        with pytest.raises(DegenerateEmbeddingError, match="row 1"):
+            ad.cosine(Tensor(np.ones((2, 2))), Tensor(rows))
+
+    def test_width_mismatch(self):
+        with pytest.raises(DimensionError):
+            ad.cosine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+
+
+class TestLogsumexp:
+    def test_rows_match_numpy(self):
+        x = np.random.default_rng(9).normal(size=(3, 5)) * 30
+        expected = np.log(np.exp(x).sum(axis=1))
+        np.testing.assert_allclose(ad.logsumexp(Tensor(x)).data, expected, rtol=1e-14)
+
+    def test_minus_inf_padding(self):
+        x = np.array([[1.0, 2.0, -np.inf], [0.5, -np.inf, -np.inf]])
+        np.testing.assert_allclose(ad.logsumexp(Tensor(x)).data,
+                                   [np.log(np.e + np.e ** 2), 0.5], rtol=1e-15)
+
+    def test_gradient_skips_padding(self):
+        x = Tensor(np.array([[1.0, 2.0, -np.inf], [0.5, 3.0, 1.0]]), requires_grad=True)
+        w = Tensor([0.3, -1.2])
+        with Tape():
+            backward(ad.tsum(ad.mul(ad.logsumexp(x), w)))
+        assert x.grad[0, 2] == 0.0
+        finite = Tensor(np.array([[1.0, 2.0], [0.5, 3.0]]), requires_grad=True)
+        assert finite_diff_check(lambda t: ad.tsum(ad.mul(ad.logsumexp(t), w)), finite) < 1e-8
+
+
+class TestConcatRows:
+    def test_values_and_gradient(self):
+        rng = np.random.default_rng(10)
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3)))
+        np.testing.assert_array_equal(ad.concat_rows([a, b]).data, np.vstack([a.data, b.data]))
+        assert finite_diff_check(lambda t: ad.tsum(ad.mul(ad.concat_rows([a, t]), w)), b) < 1e-8
+        assert finite_diff_check(lambda t: ad.tsum(ad.mul(ad.concat_rows([t, b]), w)), a) < 1e-8
 
 
 class TestBackward:

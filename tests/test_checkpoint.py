@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from listrank.autodiff import Tensor
 from listrank.checkpoint import load_checkpoint, save_checkpoint
 from listrank.errors import ParseError
+from listrank.reranker import RankedEntry, RankedResult, write_run
+from listrank.trainer import StageConfig, write_loss_trace
 
 
 @pytest.fixture
@@ -76,3 +80,31 @@ class TestErrors:
         path.write_bytes(struct.pack(">Q", 4) + b"\xff\xfe{]")
         with pytest.raises(ParseError, match="malformed"):
             load_checkpoint(path)
+
+
+def _write_half_then_fail(self, data):
+    """Stands in for ``Path.write_bytes`` on a full disk: half the bytes land."""
+    with open(self, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError("No space left on device")
+
+
+WRITERS = {
+    "checkpoint": lambda path, v: save_checkpoint(path, {"w": np.full(4, v)}),
+    "run": lambda path, v: write_run(
+        path, {"q1": RankedResult([RankedEntry("d1", v, 1, 0)], "given")}),
+    "loss trace": lambda path, v: write_loss_trace(path, [{"step": 0, "total": v}]),
+    "stage config": lambda path, v: StageConfig(temperature=v).save(path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_keeps_the_old_file(writer, tmp_path, monkeypatch):
+    path = tmp_path / "out"
+    WRITERS[writer](path, 0.5)
+    old = path.read_bytes()
+    monkeypatch.setattr(Path, "write_bytes", _write_half_then_fail)
+    with pytest.raises(OSError, match="No space"):
+        WRITERS[writer](path, 0.25)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

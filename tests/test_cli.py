@@ -235,6 +235,19 @@ class TestExitCodes:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_repeated_query_id(self, model_path, tmp_path, capsys):
+        """Results are keyed by query_id, so a repeat would drop a ranking."""
+        req = tmp_path / "req.jsonl"
+        lines = [json.dumps({"query_id": "q1", "query_text": text,
+                             "documents": [{"doc_id": "d1", "text": "a b"}]}) for text in "ab"]
+        req.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run.txt"
+        rc = main(["rerank", "--model", str(model_path), "--input", str(req),
+                   "--output", str(out)])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture()
 def nan_model_path(model_path, tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from listrank import autodiff as ad
 from listrank.autodiff import Tensor, backward, finite_diff_check
 from listrank.embedding import (
-    ExtractedEmbeddings,
     ProjectorConfig,
     extract,
     init_projector,
@@ -32,28 +31,28 @@ class TestExtract:
         rng = np.random.default_rng(0)
         hidden = Tensor(rng.normal(size=(10, 4)))
         layout = _layout([2, 5, 7], 9)
-        emb = extract(hidden, layout)
+        emb = extract(hidden, layout).data
         for i, pos in enumerate([2, 5, 7]):
-            np.testing.assert_array_equal(emb.docs[i].data, hidden.data[pos])
-        np.testing.assert_array_equal(emb.query.data, hidden.data[9])
-        assert emb.dual_query is None
+            np.testing.assert_array_equal(emb[i], hidden.data[pos])
+        np.testing.assert_array_equal(emb[3], hidden.data[9])
+        assert emb.shape == (4, 4)  # no dual query row
 
     def test_presentation_order_inverted(self):
         rng = np.random.default_rng(1)
         hidden = Tensor(rng.normal(size=(10, 4)))
         # slot 0 shows original doc 2, slot 1 shows doc 0, slot 2 shows doc 1
         layout = _layout([2, 5, 7], 9, order=[2, 0, 1])
-        emb = extract(hidden, layout)
-        np.testing.assert_array_equal(emb.docs[2].data, hidden.data[2])
-        np.testing.assert_array_equal(emb.docs[0].data, hidden.data[5])
-        np.testing.assert_array_equal(emb.docs[1].data, hidden.data[7])
+        emb = extract(hidden, layout).data
+        np.testing.assert_array_equal(emb[2], hidden.data[2])
+        np.testing.assert_array_equal(emb[0], hidden.data[5])
+        np.testing.assert_array_equal(emb[1], hidden.data[7])
 
     def test_dual_query(self):
         rng = np.random.default_rng(2)
         hidden = Tensor(rng.normal(size=(8, 3)))
         layout = _layout([4], 6, dual=1)
         emb = extract(hidden, layout, include_dual=True)
-        np.testing.assert_array_equal(emb.dual_query.data, hidden.data[1])
+        np.testing.assert_array_equal(emb.data[-1], hidden.data[1])
 
     def test_missing_dual_raises(self):
         hidden = Tensor(np.zeros((8, 3)))
@@ -69,8 +68,7 @@ class TestExtract:
         hidden = Tensor(np.random.default_rng(3).normal(size=(6, 3)), requires_grad=True)
         layout = _layout([1], 4)
         with ad.Tape():
-            emb = extract(hidden, layout)
-            backward(ad.tsum(ad.add(emb.docs[0], emb.query)))
+            backward(ad.tsum(extract(hidden, layout)))  # the document and the query row
         touched = np.zeros((6, 3))
         touched[[1, 4]] = 1.0
         np.testing.assert_array_equal(hidden.grad, touched)
@@ -93,7 +91,7 @@ class TestProjector:
         rng = np.random.default_rng(4)
         cfg = ProjectorConfig(d_in=6, d_mid=4, d_out=3)
         w = init_projector(cfg, seed=1)
-        x = rng.normal(size=6)
+        x = rng.normal(size=(2, 6))
         out = project(Tensor(x), w).data
         mid = np.maximum(x @ w["projector.w1"].data + w["projector.b1"].data, 0.0)
         ref = mid @ w["projector.w2"].data + w["projector.b2"].data
@@ -102,15 +100,15 @@ class TestProjector:
     def test_width_mismatch(self):
         w = init_projector(ProjectorConfig(d_in=6, d_mid=4, d_out=3), seed=0)
         with pytest.raises(ConfigError, match="width 6"):
-            project(Tensor(np.zeros(5)), w)
+            project(Tensor(np.zeros((1, 5))), w)
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
         w = init_projector(ProjectorConfig(d_in=6, d_mid=4, d_out=3), seed=2)
         # keep rectifier units strictly active so the loss is smooth
         w["projector.b1"] = Tensor(np.full(4, 0.5))
-        x = Tensor(rng.normal(size=6), requires_grad=True)
-        target = Tensor(rng.normal(size=3))
+        x = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+        target = Tensor(rng.normal(size=(1, 3)))
         err = finite_diff_check(lambda t: ad.tsum(ad.mul(project(t, w), target)), x)
         assert err < 1e-5
 
@@ -119,7 +117,7 @@ class TestScore:
     def test_is_cosine(self):
         rng = np.random.default_rng(6)
         q, d = rng.normal(size=5), rng.normal(size=5)
-        s = float(score(Tensor(q), Tensor(d)).data)
+        s = float(score(Tensor([q]), Tensor([d])).data[0, 0])
         expected = q @ d / (np.linalg.norm(q) * np.linalg.norm(d))
         assert s == pytest.approx(expected, abs=1e-14)
         assert -1.0 <= s <= 1.0

@@ -20,21 +20,18 @@ from listrank.losses import (
     total_loss,
 )
 
-
-def _unit(v):
-    v = np.asarray(v, dtype=np.float64)
-    return Tensor(v)
+from conftest import stacked_batch
 
 
 def _orthonormal_group(k, dim, base=0):
     """Positive and negatives mutually orthogonal: every cosine is zero."""
     eye = np.eye(dim)
-    return QueryGroup(
-        query=_unit(eye[base]),
-        positive=_unit(eye[base]),
-        negatives=[_unit(eye[base + 1 + i]) for i in range(k)],
-        dual_query=_unit(eye[base]),
-        augmented=_unit(eye[base]),
+    return dict(
+        query=eye[base],
+        positive=eye[base],
+        negatives=[eye[base + 1 + i] for i in range(k)],
+        dual_query=eye[base],
+        augmented=eye[base],
     )
 
 
@@ -58,14 +55,14 @@ def _random_batch(rng, n_groups=3, k=4, dim=6, tau=0.25):
         aug = rng.normal(size=dim)
         negs = [rng.normal(size=dim) for _ in range(k)]
         groups.append(
-            QueryGroup(
-                query=Tensor(q), positive=Tensor(p),
-                negatives=[Tensor(n) for n in negs],
-                dual_query=Tensor(dq), augmented=Tensor(aug),
+            dict(
+                query=q, positive=p,
+                negatives=negs,
+                dual_query=dq, augmented=aug,
             )
         )
         arrays.append((q, p, negs, dq, aug))
-    return TrainingBatch(groups, tau), arrays
+    return stacked_batch(groups, tau), arrays
 
 
 class TestClosedForms:
@@ -75,23 +72,23 @@ class TestClosedForms:
         orthogonal, every similarity is zero and the contrastive loss
         reduces to ln(K+1) at any temperature."""
         eye = np.eye(k + 2)
-        g = QueryGroup(
-            query=_unit(eye[k + 1]),
-            positive=_unit(eye[0]),
-            negatives=[_unit(eye[1 + i]) for i in range(k)],
+        g = dict(
+            query=eye[k + 1],
+            positive=eye[0],
+            negatives=[eye[1 + i] for i in range(k)],
         )
-        loss = rank_loss(TrainingBatch([g], temperature=0.25))
+        loss = rank_loss(stacked_batch([g], temperature=0.25))
         assert float(loss.data) == pytest.approx(math.log(k + 1), abs=1e-12)
 
     def test_disperse_two_orthogonal_negatives(self):
         """K=2 with all pairwise similarities zero: three unit terms,
         loss = ln 3 - ln 2."""
         eye = np.eye(5)
-        g = QueryGroup(
-            query=_unit(eye[0]), positive=_unit(eye[1]),
-            negatives=[_unit(eye[2]), _unit(eye[3])],
+        g = dict(
+            query=eye[0], positive=eye[1],
+            negatives=[eye[2], eye[3]],
         )
-        loss = disperse_loss(TrainingBatch([g], temperature=0.05))
+        loss = disperse_loss(stacked_batch([g], temperature=0.05))
         assert float(loss.data) == pytest.approx(math.log(3.0 / 2.0), abs=1e-12)
 
     def test_similar_hand_case(self):
@@ -101,11 +98,11 @@ class TestClosedForms:
         p = np.array([1.0, 0.0])
         aug = np.array([0.9, math.sqrt(1 - 0.81)])
         neg = np.array([-0.2, -math.sqrt(1 - 0.04)])
-        g = QueryGroup(
-            query=Tensor(p), positive=Tensor(p),
-            negatives=[Tensor(neg)], augmented=Tensor(aug),
+        g = dict(
+            query=p, positive=p,
+            negatives=[neg], augmented=aug,
         )
-        loss = similar_loss(TrainingBatch([g], temperature=0.25))
+        loss = similar_loss(stacked_batch([g], temperature=0.25))
         expected = math.log(1.0 + math.exp((-0.2 - 0.9) / 0.25))
         assert float(loss.data) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(
@@ -113,12 +110,12 @@ class TestClosedForms:
         )
 
     def test_perfect_separation_drives_rank_loss_down(self):
-        g = QueryGroup(
-            query=Tensor(np.array([1.0, 0.0])),
-            positive=Tensor(np.array([1.0, 0.0])),
-            negatives=[Tensor(np.array([-1.0, 0.0]))],
+        g = dict(
+            query=np.array([1.0, 0.0]),
+            positive=np.array([1.0, 0.0]),
+            negatives=[np.array([-1.0, 0.0])],
         )
-        tight = float(rank_loss(TrainingBatch([g], temperature=0.05)).data)
+        tight = float(rank_loss(stacked_batch([g], temperature=0.05)).data)
         assert tight < 1e-15
 
 
@@ -190,40 +187,99 @@ class TestProperties:
     def test_gradients_flow(self):
         rng = np.random.default_rng(3)
         batch, _ = _random_batch(rng, n_groups=2, k=3)
-        for g in batch.groups:
-            g.query.requires_grad = True
+        batch.embeddings.requires_grad = True
         with ad.Tape():
             backward(total_loss(batch))
         for g in batch.groups:
-            assert g.query.grad is not None
-            assert np.linalg.norm(g.query.grad) > 0
+            assert batch.embeddings.grad is not None
+            assert np.linalg.norm(batch.embeddings.grad[g.query]) > 0
+
+
+def _reference_disperse(positive, negatives, tau):
+    def cos(a, b):
+        return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+    terms = [cos(positive, n) / tau for n in negatives]
+    for k in range(len(negatives)):
+        for j in range(k + 1, len(negatives)):
+            terms.append(cos(negatives[k], negatives[j]) / tau)
+    logits = np.array(terms)
+    m = logits.max()
+    return float(m + np.log(np.exp(logits - m).sum()) - np.log(len(negatives)))
+
+
+@st.composite
+def index_batches(draw):
+    """Groups with their own negative counts (so the logit rows need -inf
+    padding), some of whose negatives are other groups' positives."""
+    n_groups = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(1, 6), min_size=n_groups, max_size=n_groups))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = sum(4 + k for k in counts)
+    embeddings = rng.normal(size=(rows, draw(st.integers(2, 7))))
+    groups, r = [], 0
+    for k in counts:
+        groups.append(QueryGroup(query=r, dual_query=r + 1, positive=r + 2, augmented=r + 3,
+                                 negatives=list(range(r + 4, r + 4 + k))))
+        r += 4 + k
+    n_shared = draw(st.integers(0, n_groups - 1))
+    for gi, g in enumerate(groups):
+        others = [groups[j].positive for j in range(n_groups) if j != gi]
+        g.negatives += [int(p) for p in rng.choice(others, size=n_shared, replace=False)]
+    return TrainingBatch(Tensor(embeddings), groups, draw(st.floats(0.05, 1.0)))
+
+
+class TestMatchesNumpyReference:
+    @settings(max_examples=60, deadline=None)
+    @given(index_batches())
+    def test_all_four_losses(self, batch):
+        e, tau = batch.embeddings.data, batch.temperature
+        expected = {
+            "rank": np.mean([_reference_infonce(e[g.query], e[g.positive], e[g.negatives], tau)
+                             for g in batch.groups]),
+            "dual": np.mean([_reference_infonce(e[g.dual_query], e[g.positive], e[g.negatives],
+                                                tau) for g in batch.groups]),
+            "similar": np.mean([_reference_infonce(e[g.positive], e[g.augmented],
+                                                   e[g.negatives], tau) for g in batch.groups]),
+            "disperse": np.mean([_reference_disperse(e[g.positive], e[g.negatives], tau)
+                                 for g in batch.groups]),
+        }
+        _, parts = all_losses(batch)
+        for name, value in expected.items():
+            assert float(parts[name].data) == pytest.approx(value, abs=1e-12), name
 
 
 class TestValidation:
+    def test_group_rows_inside_the_matrix(self):
+        g = QueryGroup(query=0, positive=1, negatives=[2, 3])
+        with pytest.raises(ValidationError, match="outside"):
+            TrainingBatch(Tensor(np.eye(3)), [g], temperature=0.25)
+
+
     def test_temperature_positive(self):
         with pytest.raises(ConfigError):
-            TrainingBatch([_orthonormal_group(1, 4)], temperature=0.0)
+            stacked_batch([_orthonormal_group(1, 4)], temperature=0.0)
 
     def test_empty_batch(self):
         with pytest.raises(ValidationError):
-            TrainingBatch([], temperature=0.25)
+            stacked_batch([], temperature=0.25)
 
     def test_negatives_required(self):
-        g = QueryGroup(query=_unit([1.0, 0]), positive=_unit([0, 1.0]), negatives=[])
+        g = dict(query=[1.0, 0], positive=[0, 1.0], negatives=[])
         with pytest.raises(ValidationError):
-            TrainingBatch([g], temperature=0.25)
+            stacked_batch([g], temperature=0.25)
 
     def test_dual_requires_embeddings(self):
         eye = np.eye(4)
-        g = QueryGroup(query=_unit(eye[0]), positive=_unit(eye[1]), negatives=[_unit(eye[2])])
+        g = dict(query=eye[0], positive=eye[1], negatives=[eye[2]])
         with pytest.raises(ValidationError, match="dual"):
-            dual_loss(TrainingBatch([g], temperature=0.25))
+            dual_loss(stacked_batch([g], temperature=0.25))
 
     def test_similar_requires_augmented(self):
         eye = np.eye(4)
-        g = QueryGroup(query=_unit(eye[0]), positive=_unit(eye[1]), negatives=[_unit(eye[2])])
+        g = dict(query=eye[0], positive=eye[1], negatives=[eye[2]])
         with pytest.raises(ValidationError, match="augmented|similarity"):
-            similar_loss(TrainingBatch([g], temperature=0.25))
+            similar_loss(stacked_batch([g], temperature=0.25))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):

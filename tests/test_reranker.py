@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from listrank import reranker
 from listrank.autodiff import Tensor
 from listrank.errors import DegenerateEmbeddingError, ParseError, ValidationError
 from listrank.evaluation import load_run
@@ -127,6 +128,27 @@ class TestDegenerateEmbeddings:
         res = rerank(model, _request_from_corpus(synth_corpus, qid, qtext), max_doc_tokens=16)
         assert len(res.entries) == len(synth_corpus.candidates[qid])
         assert all(e.score is None and "zero-norm" in e.error for e in res.entries)
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_zero_norm_row_sinks_its_documents(self, untrained_model, synth_corpus, row,
+                                               monkeypatch):
+        """Row 0 is the first document's embedding: it alone sinks. The
+        last row is the query's: every document of the batch sinks."""
+        project = reranker.project
+
+        def zero_row(raw, weights):
+            out = project(raw, weights)
+            out.data[row] = 0.0
+            return out
+
+        monkeypatch.setattr(reranker, "project", zero_row)
+        qid, qtext = synth_corpus.queries[0]
+        req = _request_from_corpus(synth_corpus, qid, qtext)
+        res = rerank(untrained_model, req, max_doc_tokens=16)
+        sunk = [e.doc_id for e in res.entries if e.score is None]
+        assert sunk == ([req.documents[0].doc_id] if row == 0 else sorted(res.doc_ids()))
+        assert res.doc_ids()[len(res.entries) - len(sunk):] == sunk
+        assert all("zero-norm" in e.error for e in res.entries if e.score is None)
 
     def test_non_finite_weight_fails_the_request(self, untrained_model, synth_corpus):
         w1 = untrained_model.weights["projector.w1"].data.copy()

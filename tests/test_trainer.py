@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from listrank import autodiff as ad
+from listrank import trainer
 from listrank.autodiff import Tensor
 from listrank.errors import ConfigError, DataError, MergeError
 from listrank.evaluation import ndcg_at_k
@@ -187,6 +189,21 @@ class TestTrainStage:
             expected = (rec["rank"] + 0.45 * rec["disperse"]
                         + 0.85 * rec["dual"] + 0.85 * rec["similar"])
             assert rec["total"] == pytest.approx(expected, abs=1e-9)
+
+    def test_graph_size_does_not_grow_with_negatives(self, synth_corpus, synth_vocab,
+                                                     monkeypatch):
+        """Embeddings and losses are matrix ops, so a step records as many
+        tape nodes for 3 negatives per query as for 7."""
+        cfg = tiny_backbone_config(vocab_size=len(synth_vocab), d_ffn=64)
+        nodes = []
+        backward = trainer.backward
+        monkeypatch.setattr(trainer, "backward",
+                            lambda loss: (nodes.append(len(loss.tape)), backward(loss)))
+        for k in (3, 7):
+            model = RerankModel.create(synth_vocab, cfg, seed=3)
+            stage = dataclasses.replace(overfit_stage_config(steps=1), n_negatives=k)
+            train_stage(model, corpus_dataset(synth_corpus), stage)
+        assert nodes[0] == nodes[1]
 
     def test_loss_decreases_over_training(self, trained_model):
         _, trace, _ = trained_model
