@@ -175,17 +175,6 @@ def mul(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data * c)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
-
-    return _record(out, (a,), bwd)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -260,31 +249,25 @@ def silu(a: Tensor) -> Tensor:
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
-    """RMS normalization, row-wise for matrices: g * x / sqrt(mean(x^2)+eps)."""
+    """Row-wise RMS normalization of a matrix: g * x / sqrt(mean(x^2)+eps)."""
     x, gain = _as_tensor(x), _as_tensor(gain)
     if eps <= 0:
         raise DimensionError("rms_norm eps must be positive")
-    vec = x.ndim == 1
-    xd = x.data[None, :] if vec else x.data
-    if gain.data.shape != (xd.shape[1],):
-        raise DimensionError(
-            f"rms_norm gain shape {tuple(gain.data.shape)} does not match width {xd.shape[1]}"
-        )
-    n = xd.shape[1]
+    if x.ndim != 2 or gain.data.shape != (x.shape[1],):
+        raise DimensionError(f"rms_norm gain shape {tuple(gain.data.shape)} does not match "
+                             f"the rows of {tuple(x.shape)}")
+    xd, n = x.data, x.shape[1]
     inv = 1.0 / np.sqrt((xd * xd).mean(axis=1, keepdims=True) + eps)
-    y = gain.data * xd * inv
-    out = Tensor(y[0] if vec else y)
+    out = Tensor(gain.data * xd * inv)
 
     def bwd(g):
-        gd = g[None, :] if vec else g
-        gg = gd * gain.data
+        gg = g * gain.data
         if x.requires_grad:
             inner = (gg * xd).sum(axis=1, keepdims=True)
-        # d/dx_i: g_i*inv - x_i * inv^3 / n * sum_j(go_j g_j x_j)
-            gx = gg * inv - xd * (inv ** 3) * inner / n
-            x.accumulate_grad(gx[0] if vec else gx)
+            # d/dx_i: g_i*inv - x_i * inv^3 / n * sum_j(go_j g_j x_j)
+            x.accumulate_grad(gg * inv - xd * (inv ** 3) * inner / n)
         if gain.requires_grad:
-            gain.accumulate_grad((gd * xd * inv).sum(axis=0))
+            gain.accumulate_grad((g * xd * inv).sum(axis=0))
 
     return _record(out, (x, gain), bwd)
 
@@ -370,6 +353,16 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
     return _record(Tensor(c), (a, b), bwd)
 
 
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Turn each pair (x[2i], x[2i+1]) of every row by the angle whose
+    cosine and sine are given."""
+    even, odd = x[:, 0::2], x[:, 1::2]
+    y = np.empty_like(x)
+    y[:, 0::2] = even * cos - odd * sin
+    y[:, 1::2] = even * sin + odd * cos
+    return y
+
+
 def rope(x: Tensor, positions: Sequence[int], base: float, head_dim: int | None = None) -> Tensor:
     """Rotary position transform over rows split into heads of even width
     ``head_dim`` (the whole row by default). Pair (h[2i], h[2i+1]) of each
@@ -387,22 +380,13 @@ def rope(x: Tensor, positions: Sequence[int], base: float, head_dim: int | None 
                     width // head_dim)
     angles = pos[:, None] * freqs[None, :]
     cos, sin = np.cos(angles), np.sin(angles)
-    even, odd = x.data[:, 0::2], x.data[:, 1::2]
-    y = np.empty_like(x.data)
-    y[:, 0::2] = even * cos - odd * sin
-    y[:, 1::2] = even * sin + odd * cos
-    out = Tensor(y)
 
     def bwd(g):
         if x.requires_grad:
-            ge, go = g[:, 0::2], g[:, 1::2]
-            gx = np.empty_like(g)
-            # inverse rotation (transpose of an orthogonal map)
-            gx[:, 0::2] = ge * cos + go * sin
-            gx[:, 1::2] = -ge * sin + go * cos
-            x.accumulate_grad(gx)
+            # the transpose of a rotation turns by the opposite angle
+            x.accumulate_grad(_rotate(g, cos, -sin))
 
-    return _record(out, (x,), bwd)
+    return _record(Tensor(_rotate(x.data, cos, sin)), (x,), bwd)
 
 
 ATTENTION_BLOCK = 64  # query rows per block of causal_attention

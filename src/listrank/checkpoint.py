@@ -32,6 +32,12 @@ def write_atomic(path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def write_jsonl(path, records) -> None:
+    """One JSON object per line, keys sorted, written through ``write_atomic``."""
+    write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+                 .encode("utf-8"))
+
+
 def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
     """Write ``{name: ndarray}`` (or autodiff Tensors) to ``path``."""
     arrays = {}

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,13 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, finite_diff_check
-from .checkpoint import load_checkpoint, save_checkpoint
 from .embedding import ProjectorConfig, init_projector, project
 from .errors import (
     ConfigError,
     DataError,
     DegenerateEmbeddingError,
     ListrankError,
+    MergeError,
     NonFiniteLossError,
     ParseError,
     ValidationError,
@@ -168,17 +169,16 @@ def cmd_merge(args) -> int:
             and type(e.get("weight")) in (int, float) for e in spec_doc)):
         raise ValidationError(f"merge spec {args.spec} must be a JSON list of "
                               '{"checkpoint": string, "weight": number} objects')
-    entries = []
-    meta = None
+    models = []
     for item in spec_doc:
         _require_file(item["checkpoint"], "checkpoint")
-        tensors, m = load_checkpoint(item["checkpoint"])
-        if m.get("kind") != "rerank-model":
-            raise ConfigError(f"{item['checkpoint']} is not a rerank model bundle")
-        meta = meta or m
-        entries.append((tensors, float(item["weight"])))
-    merged = merge_models(MergeSpec(entries))
-    save_checkpoint(args.out, merged, meta)
+        models.append(RerankModel.load(item["checkpoint"]))
+        if models[-1].meta() != models[0].meta():
+            raise MergeError(f"{item['checkpoint']} has another vocabulary, backbone or "
+                             f"projector than {spec_doc[0]['checkpoint']}")
+    merged = merge_models(MergeSpec([(m.weights, float(item["weight"]))
+                                     for m, item in zip(models, spec_doc)]))
+    replace(models[0], weights={name: Tensor(w) for name, w in merged.items()}).save(args.out)
     print(f"[merge] wrote {len(merged)} tensors to {args.out}")
     return 0
 
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except DegenerateEmbeddingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ListrankError as exc:
+    except (ListrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

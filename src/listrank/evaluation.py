@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checkpoint import write_atomic, write_jsonl
 from .errors import ParseError, ValidationError
 
 
@@ -150,14 +151,9 @@ class SyntheticCorpus:
     qrels: dict[str, dict[str, int]]
 
     def words(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for _, text in self.queries:
-            for w in text.split():
-                seen.setdefault(w)
-        for text in self.docs.values():
-            for w in text.split():
-                seen.setdefault(w)
-        return list(seen)
+        """Distinct words of the queries, then the documents, in first-seen order."""
+        texts = [text for _, text in self.queries] + list(self.docs.values())
+        return list(dict.fromkeys(w for text in texts for w in text.split()))
 
 
 def generate_synthetic_corpus(
@@ -171,6 +167,10 @@ def generate_synthetic_corpus(
     (they reuse other queries' patterns plus filler). Deterministic."""
     if n_queries < 1 or docs_per_query < 1:
         raise ValidationError("corpus sizes must be >= 1")
+    draws = 3 if docs_per_query > 1 else 2  # filler words per negative, per positive
+    if vocab_size < draws:
+        raise ValidationError(f"vocab_size={vocab_size} is fewer than the {draws} distinct "
+                              "filler words a document draws")
     rng = np.random.default_rng(seed)
     filler = [f"w{j:03d}" for j in range(vocab_size)]
     queries, docs, candidates, qrels = [], {}, {}, {}
@@ -213,31 +213,19 @@ def write_corpus_files(corpus: SyntheticCorpus, out_dir) -> None:
     """Emit requests.jsonl, queries.jsonl, corpus.jsonl and qrels.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "queries.jsonl", "w", encoding="utf-8") as fh:
-        for qid, text in corpus.queries:
-            fh.write(json.dumps({"query_id": qid, "text": text}, sort_keys=True) + "\n")
-    with open(out / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        for did in sorted(corpus.docs):
-            fh.write(json.dumps({"doc_id": did, "text": corpus.docs[did]}, sort_keys=True) + "\n")
-    with open(out / "requests.jsonl", "w", encoding="utf-8") as fh:
-        for qid, text in corpus.queries:
-            rec = {
-                "query_id": qid,
-                "query_text": text,
-                "documents": [
-                    {
-                        "doc_id": did,
-                        "text": corpus.docs[did],
-                        "first_stage_score": lexical_overlap_scorer(text, corpus.docs[did]),
-                    }
-                    for did in corpus.candidates[qid]
-                ],
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    with open(out / "qrels.txt", "w", encoding="utf-8") as fh:
-        for qid, _ in corpus.queries:
-            for did in corpus.candidates[qid]:
-                fh.write(f"{qid} 0 {did} {corpus.qrels[qid][did]}\n")
+    write_jsonl(out / "queries.jsonl",
+                [{"query_id": qid, "text": text} for qid, text in corpus.queries])
+    write_jsonl(out / "corpus.jsonl",
+                [{"doc_id": did, "text": corpus.docs[did]} for did in sorted(corpus.docs)])
+    write_jsonl(out / "requests.jsonl", [
+        {"query_id": qid, "query_text": text, "documents": [
+            {"doc_id": did, "text": corpus.docs[did],
+             "first_stage_score": lexical_overlap_scorer(text, corpus.docs[did])}
+            for did in corpus.candidates[qid]]}
+        for qid, text in corpus.queries])
+    write_atomic(out / "qrels.txt", "".join(
+        f"{qid} 0 {did} {corpus.qrels[qid][did]}\n"
+        for qid, _ in corpus.queries for did in corpus.candidates[qid]).encode("utf-8"))
 
 
 def _string_records(path, keys: tuple[str, ...]):

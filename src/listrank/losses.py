@@ -67,7 +67,7 @@ class LossWeights:
 def similarities(batch: TrainingBatch) -> Tensor:
     """cos(E, E) / tau, flattened: entry i * rows + j compares rows i and j."""
     e = batch.embeddings
-    return ad.reshape(ad.scale(ad.cosine(e, e), 1.0 / batch.temperature), (-1,))
+    return ad.reshape(ad.mul(ad.cosine(e, e), 1.0 / batch.temperature), (-1,))
 
 
 def _logsumexp_rows(sims: Tensor, rows: int, pairs: list[list[tuple[int, int]]]) -> Tensor:
@@ -138,9 +138,9 @@ def all_losses(batch: TrainingBatch, weights: LossWeights = LossWeights()):
     sims = similarities(batch)
     c = {"rank": rank_loss(batch, sims), "disperse": disperse_loss(batch, sims),
          "dual": dual_loss(batch, sims), "similar": similar_loss(batch, sims)}
-    total = ad.add(c["rank"], ad.add(ad.scale(c["disperse"], weights.disperse),
-                                     ad.add(ad.scale(c["dual"], weights.dual),
-                                            ad.scale(c["similar"], weights.similar))))
+    total = ad.add(c["rank"], ad.add(ad.mul(c["disperse"], weights.disperse),
+                                     ad.add(ad.mul(c["dual"], weights.dual),
+                                            ad.mul(c["similar"], weights.similar))))
     return total, c
 
 

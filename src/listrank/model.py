@@ -51,14 +51,17 @@ class RerankModel:
         weights.update(init_projector(projector_config, seed + 1))
         return cls(vocab, backbone_config, projector_config, weights)
 
-    def save(self, path) -> None:
-        meta = {
+    def meta(self) -> dict:
+        """Everything but the weights, as the bundle stores it."""
+        return {
             "kind": "rerank-model",
             "backbone": self.backbone_config.to_dict(),
             "projector": self.projector_config.to_dict(),
             "vocab": self.vocab.entries(),
         }
-        save_checkpoint(path, self.weights, meta)
+
+    def save(self, path) -> None:
+        save_checkpoint(path, self.weights, self.meta())
 
     @classmethod
     def load(cls, path) -> "RerankModel":

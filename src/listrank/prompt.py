@@ -10,6 +10,7 @@ adversarial document content cannot forge an embedding marker.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -30,6 +31,7 @@ QUERY_EMB = "<|query_emb|>"
 
 SPECIALS = (PAD, IM_START, IM_END, DOC_EMB, QUERY_EMB)
 _N_BYTE = 256
+_PIECES = re.compile(r"\s|\S+")  # each whitespace character, and each run between them
 
 SYSTEM_TEXT = (
     "You are a search relevance expert who can determine "
@@ -96,19 +98,9 @@ class Vocabulary:
         """Encode plain text. Whitespace becomes byte pieces; unknown words
         fall back to byte pieces; special surfaces are never produced."""
         ids: list[int] = []
-        i, n = 0, len(text)
-        while i < n:
-            if text[i].isspace():
-                ids += self._byte_ids(text[i])
-                i += 1
-                continue
-            j = i
-            while j < n and not text[j].isspace():
-                j += 1
-            word = text[i:j]
-            wid = self._word_ids.get(word)
-            ids += [wid] if wid is not None else self._byte_ids(word)
-            i = j
+        for piece in _PIECES.findall(text):  # no word holds whitespace
+            wid = self._word_ids.get(piece)
+            ids += [wid] if wid is not None else self._byte_ids(piece)
         return ids
 
     def detokenize(self, ids: Sequence[int]) -> str:
@@ -138,6 +130,7 @@ class Vocabulary:
 
     @classmethod
     def from_entries(cls, entries) -> "Vocabulary":
+        """Inverse of ``entries``; refuses any list that ``entries`` would not give back."""
         # type() rather than isinstance: JSON true/false is not an id
         if not (isinstance(entries, list) and all(
                 isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
@@ -145,12 +138,11 @@ class Vocabulary:
                 and sorted(e[1] for e in entries) == list(range(len(entries)))):
             raise VocabularyError("vocabulary must be a list of [surface, id, special] "
                                   "entries with ids 0..n-1")
-        vocab = cls.__new__(cls)
-        vocab._surfaces = [e[0] for e in sorted(entries, key=lambda e: e[1])]
-        vocab._word_ids = {
-            s: i for i, s in enumerate(vocab._surfaces) if i >= len(SPECIALS) + _N_BYTE
-        }
-        vocab._special_ids = {s: i for i, s in enumerate(SPECIALS)}
+        entries = sorted(entries, key=lambda e: e[1])
+        vocab = cls([e[0] for e in entries[len(SPECIALS) + _N_BYTE:]], include_template=False)
+        if vocab.entries() != entries:
+            raise VocabularyError("vocabulary entries are not the specials, the byte "
+                                  "pieces and distinct words in id order")
         return vocab
 
 
@@ -185,7 +177,7 @@ class PromptLayout:
     query_marker_position: int
     dual_query_marker_position: Optional[int]
     doc_presentation_order: list[int]  # slot -> original document index
-    text: str
+    text: str  # the detokenized ``token_ids``
 
 
 def apply_ordering(
@@ -237,6 +229,13 @@ def _query_block(query: str) -> list[str]:
     return ["\n<query>\n" + query, QUERY_EMB, "\n</query>\n", IM_END]
 
 
+def _check_inputs(query: str, max_doc_tokens: int) -> None:
+    if not query.strip():
+        raise ValidationError("empty query")
+    if max_doc_tokens < 1:  # a slice to 0 or below would drop tokens silently
+        raise ValidationError(f"max_doc_tokens must be >= 1, got {max_doc_tokens}")
+
+
 def build_prompt(
     request: RerankRequest,
     vocab: Vocabulary,
@@ -254,12 +253,10 @@ def build_prompt(
     token. The dual query marker, when requested, lands immediately after
     the first query occurrence.
     """
-    if not request.query.strip():
-        raise ValidationError("empty query")
+    _check_inputs(request.query, max_doc_tokens)
     docs, perm = apply_ordering(request.documents, request.ordering, request.ordering_seed)
 
     ids: list[int] = []
-    text_parts: list[str] = []
     markers: dict[str, list[int]] = {DOC_EMB: [], QUERY_EMB: []}
 
     def emit(segments: Iterable[str]):
@@ -270,7 +267,6 @@ def build_prompt(
                 ids.append(vocab.special_id(segment))
             else:
                 ids.extend(vocab.tokenize(segment))
-            text_parts.append(segment)
 
     emit(_SYSTEM_BLOCK)
     emit(_user_header(len(docs), request.query, insert_dual_query_marker))
@@ -280,7 +276,6 @@ def build_prompt(
         if pad_docs and len(doc_ids) < max_doc_tokens:
             doc_ids = doc_ids + [vocab.pad_id] * (max_doc_tokens - len(doc_ids))
         ids.extend(doc_ids)
-        text_parts.append(vocab.detokenize(doc_ids))
         emit(_PASSAGE_CLOSE)
     emit(_query_block(request.query))
 
@@ -295,7 +290,7 @@ def build_prompt(
         query_marker_position=markers[QUERY_EMB][-1],
         dual_query_marker_position=markers[QUERY_EMB][0] if insert_dual_query_marker else None,
         doc_presentation_order=perm,
-        text="".join(text_parts),
+        text=vocab.detokenize(ids),
     )
 
 
@@ -314,8 +309,7 @@ def chunk_into_batches(
     its template segments and its truncated passages."""
     if max_docs_per_pass < 1:
         raise ValidationError("max_docs_per_pass must be >= 1")
-    if not query.strip():
-        raise ValidationError("empty query")
+    _check_inputs(query, max_doc_tokens)
 
     @functools.cache
     def length(segment: str) -> int:

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, backward
 from .backbone import ATTN_MATS, FFN_MATS
-from .checkpoint import write_atomic
+from .checkpoint import write_atomic, write_jsonl
 from .config import from_json_object
 from .embedding import extract, project
 from .errors import ConfigError, DataError, MergeError, NonFiniteLossError, ParseError
@@ -135,7 +135,7 @@ def apply_lora(
                 f"adapter shapes {tuple(b.shape)}x{tuple(a.shape)} incompatible "
                 f"with {name} of shape {tuple(w.shape)}"
             )
-        eff[name] = ad.add(w, ad.scale(ad.matmul(b, a), scale_factor))
+        eff[name] = ad.add(w, ad.mul(ad.matmul(b, a), scale_factor))
     return eff
 
 
@@ -145,11 +145,10 @@ def fold_adapters(
     rank: int,
     alpha: float,
 ) -> dict[str, Tensor]:
-    """Materialize adapters into plain weights (for saving and merging)."""
-    out = {k: Tensor(v.data.copy()) for k, v in base_weights.items()}
-    for name, (a, b) in adapters.items():
-        out[name] = Tensor(base_weights[name].data + (alpha / rank) * (b.data @ a.data))
-    return out
+    """Materialize adapters into plain weights (for saving and merging):
+    copies of the ``apply_lora`` view, which records nothing outside a tape."""
+    eff = apply_lora(base_weights, adapters, rank, alpha)
+    return {k: Tensor(v.data.copy()) for k, v in eff.items()}
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +347,7 @@ def train_stage(
 
     if adapters is not None:
         folded = fold_adapters(model.weights, adapters, stage.lora_rank, stage.lora_alpha)
-        for name in folded:
+        for name in adapters:
             model.weights[name].data = folded[name].data
     for w in model.weights.values():
         w.requires_grad = False
@@ -356,9 +355,7 @@ def train_stage(
     return trace
 
 
-def write_loss_trace(path, trace: list[dict]) -> None:
-    write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in trace)
-                 .encode("utf-8"))
+write_loss_trace = write_jsonl  # one record per step
 
 
 # ----------------------------------------------------------------------

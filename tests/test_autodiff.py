@@ -85,16 +85,16 @@ class TestSoftmaxRows:
 class TestRmsNorm:
     def test_constant_vector(self):
         gain = Tensor(np.array([2.0, 3.0, 4.0]))
-        out = ad.rms_norm(Tensor([5.0, 5.0, 5.0]), gain, eps=1e-15)
-        np.testing.assert_allclose(out.data, gain.data, rtol=1e-10)
+        out = ad.rms_norm(Tensor([[5.0, 5.0, 5.0]]), gain, eps=1e-15)
+        np.testing.assert_allclose(out.data[0], gain.data, rtol=1e-10)
 
     def test_zero_vector(self):
-        out = ad.rms_norm(Tensor(np.zeros(4)), Tensor(np.ones(4)), eps=1e-6)
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        out = ad.rms_norm(Tensor(np.zeros((1, 4))), Tensor(np.ones(4)), eps=1e-6)
+        np.testing.assert_array_equal(out.data[0], np.zeros(4))
 
     def test_gradient(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=5), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 5)), requires_grad=True)
         gain = Tensor(rng.normal(size=5), requires_grad=True)
         assert finite_diff_check(lambda t: ad.tsum(ad.rms_norm(t, gain, 1e-6)), x) < 1e-6
         assert finite_diff_check(lambda t: ad.tsum(ad.rms_norm(x, t, 1e-6)), gain) < 1e-6
@@ -105,8 +105,8 @@ class TestRmsNorm:
         gain = Tensor(rng.normal(size=5))
         full = ad.rms_norm(Tensor(x), gain, 1e-6).data
         for r in range(3):
-            row = ad.rms_norm(Tensor(x[r]), gain, 1e-6).data
-            np.testing.assert_array_equal(full[r], row)
+            row = ad.rms_norm(Tensor(x[r : r + 1]), gain, 1e-6).data
+            np.testing.assert_array_equal(full[r], row[0])
 
 
 def _cos(u, v) -> float:
@@ -261,7 +261,7 @@ class TestBackward:
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
             hidden = ad.mul(x, x)
-            loss = ad.tsum(ad.scale(hidden, 2.0))
+            loss = ad.tsum(ad.mul(hidden, 2.0))
             backward(loss)
         ref = weakref.ref(hidden)
         del hidden

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from listrank.checkpoint import load_checkpoint, save_checkpoint
 from listrank.cli import GRADCHECK_THRESHOLD, build_parser, main
 from listrank.evaluation import load_run
 from listrank.model import RerankModel
+from listrank.prompt import Vocabulary
 from listrank.trainer import StageConfig
 
 from conftest import tiny_backbone_config
@@ -248,6 +250,42 @@ class TestExitCodes:
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, bad", [
+        ("rerank", "--output", "nodir/run.txt"),
+        ("train", "--out-checkpoint", "nodir/m.ckpt"),
+        ("rerank", "--input", "."),
+        ("rerank", "--model", "."),
+    ], ids=["output in a missing directory", "checkpoint in a missing directory",
+            "input is a directory", "model is a directory"])
+    def test_unusable_path(self, model_path, data_dir, tmp_path, capsys, command, flag, bad):
+        stage_path = tmp_path / "stage.json"
+        StageConfig(steps=1, n_negatives=7, max_doc_tokens=16, lora_rank=4).save(stage_path)
+        args = {"rerank": {"--model": model_path, "--input": data_dir / "requests.jsonl",
+                           "--output": tmp_path / "run.txt", "--max-doc-tokens": 16},
+                "train": {"--stage-config": stage_path, "--data": data_dir,
+                          "--out-checkpoint": tmp_path / "m.ckpt"}}[command]
+        args[flag] = tmp_path / bad
+        rc = main([command, *(str(x) for pair in args.items() for x in pair)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and str(tmp_path / Path(bad).parent) in err
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_max_doc_tokens_below_one(self, model_path, data_dir, tmp_path, capsys, value):
+        rc = main(["rerank", "--model", str(model_path),
+                   "--input", str(data_dir / "requests.jsonl"),
+                   "--output", str(tmp_path / "run.txt"), "--max-doc-tokens", value])
+        assert rc == 2
+        assert f"max_doc_tokens must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "run.txt").exists()
+
+    @pytest.mark.parametrize("vocab_size, docs_per_query", [(0, 3), (2, 3), (1, 1)])
+    def test_synth_vocabulary_too_small(self, tmp_path, capsys, vocab_size, docs_per_query):
+        rc = main(["synth", "--vocab-size", str(vocab_size), "--docs-per-query",
+                   str(docs_per_query), "--out", str(tmp_path / "corpus")])
+        assert rc == 2
+        assert f"vocab_size={vocab_size}" in capsys.readouterr().err
+
 
 @pytest.fixture()
 def nan_model_path(model_path, tmp_path):
@@ -376,3 +414,25 @@ class TestTrainAndMergeCommands:
             )
         # merged bundle keeps model metadata and stays loadable
         RerankModel.load(merged_path)
+
+    @pytest.mark.parametrize("other", ["vocabulary", "backbone"])
+    def test_merge_refuses_other_bundles(self, untrained_model, model_path, tmp_path, capsys,
+                                         other):
+        """Averaging rows of unrelated words, or weights trained under another
+        rotary base, gives a model that matches neither input."""
+        m = untrained_model
+        vocab, config = m.vocab, m.backbone_config
+        if other == "vocabulary":  # same size, other words
+            vocab = Vocabulary([f"other{i}" for i in range(len(m.vocab) - 261)],
+                               include_template=False)
+        else:
+            config = tiny_backbone_config(vocab_size=len(m.vocab), d_ffn=64, rope_base=500.0)
+        other_path = tmp_path / "other.ckpt"
+        RerankModel(vocab, config, m.projector_config, m.weights).save(other_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"checkpoint": str(model_path), "weight": 0.5},
+                                    {"checkpoint": str(other_path), "weight": 0.5}]))
+        rc = main(["merge", "--spec", str(spec), "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert "other.ckpt" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()

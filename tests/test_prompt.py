@@ -11,6 +11,7 @@ from listrank.errors import (
     ContextLengthError,
     ListrankError,
     ValidationError,
+    VocabularyError,
 )
 from listrank.prompt import (
     DOC_EMB,
@@ -35,6 +36,31 @@ words = st.text(
 @pytest.fixture(scope="module")
 def vocab():
     return Vocabulary(["alpha", "beta", "gamma", "delta", "epsilon"])
+
+
+def _reference_tokenize(vocab, text):
+    """The tokenizer as a character scanner: each whitespace character is
+    its byte pieces, each run between them a word or its byte pieces."""
+    ids, i, n = [], 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            ids += vocab._byte_ids(text[i])
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        word = text[i:j]
+        wid = vocab._word_ids.get(word)
+        ids += [wid] if wid is not None else vocab._byte_ids(word)
+        i = j
+    return ids
+
+
+# arbitrary text, known words and Unicode whitespace beyond ASCII
+mixed_text = st.lists(st.one_of(
+    st.text(), st.sampled_from(["alpha", "beta", " ", "\x1c", "\x85", "\u00a0", "\u2028",
+                                "\u3000", "\u200b", "\t\r\n"])), max_size=12).map("".join)
 
 
 class TestTokenizer:
@@ -67,11 +93,30 @@ class TestTokenizer:
         text = "alpha beta\ngamma zz9\n\n delta"
         assert vocab.detokenize(vocab.tokenize(text)) == text
 
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_text)
+    def test_matches_the_character_scanner(self, vocab, text):
+        assert vocab.tokenize(text) == _reference_tokenize(vocab, text)
+
     def test_entries_roundtrip(self, vocab):
         loaded = Vocabulary.from_entries(vocab.entries())
         assert len(loaded) == len(vocab)
         text = "alpha zz gamma"
         assert loaded.tokenize(text) == vocab.tokenize(text)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda e: e[3].__setitem__(0, "<|passage_emb|>"),
+        lambda e: e[4].__setitem__(2, False),
+        lambda e: e[-1].__setitem__(0, "two words"),
+        lambda e: e[-1].__setitem__(0, e[-2][0]),
+        lambda e: e[70].__setitem__(0, "<0xZZ>"),
+    ], ids=["renamed special", "special flag off", "word with a space", "duplicate word",
+            "renamed byte piece"])
+    def test_entries_that_do_not_roundtrip(self, vocab, tamper):
+        entries = vocab.entries()
+        tamper(entries)
+        with pytest.raises(VocabularyError):
+            Vocabulary.from_entries(entries)
 
     def test_bijection(self, vocab):
         surfaces = [vocab.surface(i) for i in range(len(vocab))]
