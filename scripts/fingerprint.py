@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Write a byte-exact fingerprint of training and reranking, to compare two
+checkouts of listrank.
+
+It builds the model of ``overfit_experiment.py`` on a synthetic corpus of
+Q queries x D candidates and trains it through three stages: adapters,
+full fine-tuning, and adapters with frozen word embeddings. It then reranks
+every query under the 512-token context (3 passes per query at D = 64).
+The output is sorted-key JSON: each stage's loss trace as ``float.hex``,
+a SHA-256 of every tensor after each stage, and each ranking with its
+scores as ``float.hex`` and its batch index. Two checkouts that compute the
+same bits write the same bytes; compare runs made with BLAS on one thread.
+The script imports only the listrank package, with the model recipe and
+stage of ``overfit_experiment.py`` written out, so it runs unchanged when
+copied into an older checkout.
+
+Example:
+    OPENBLAS_NUM_THREADS=1 python3 scripts/fingerprint.py --out /tmp/fp.json
+"""
+
+import argparse
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from listrank import BackboneConfig, RerankModel, Vocabulary
+from listrank.evaluation import generate_synthetic_corpus
+from listrank.prompt import Document, RerankRequest
+from listrank.reranker import rerank
+from listrank.trainer import StageConfig, TrainingExample, train_stage
+
+STAGES = {  # name -> fields that differ from the overfit experiment's stage
+    "adapters": {},
+    "full": {"mode": "full", "learning_rate": 1e-3},
+    "frozen_embeddings": {"train_embeddings": False},
+}
+
+
+def hex_floats(record: dict) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v for k, v in record.items()}
+
+
+def tensor_digests(model: RerankModel) -> dict:
+    return {name: hashlib.sha256(np.ascontiguousarray(t.data, dtype="<f8").tobytes()).hexdigest()
+            for name, t in model.weights.items()}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", type=Path, required=True, help="fingerprint JSON path")
+    parser.add_argument("--steps", type=int, default=30, help="steps of each stage")
+    parser.add_argument("--n-queries", type=int, default=20)
+    parser.add_argument("--docs-per-query", type=int, default=64)
+    args = parser.parse_args()
+
+    corpus = generate_synthetic_corpus(args.n_queries, args.docs_per_query, seed=7)
+    vocab = Vocabulary(corpus.words())
+    config = BackboneConfig(
+        n_layers=2, d_hidden=32, n_q_heads=4, n_kv_heads=2,
+        d_ffn=64, max_context=512, effective_seq_len=512, vocab_size=len(vocab),
+    )
+    model = RerankModel.create(vocab, config, seed=3)
+    dataset = [
+        TrainingExample(qid, qtext, corpus.docs[f"{qid}_d00"],
+                        [corpus.docs[d] for d in corpus.candidates[qid][1:]])
+        for qid, qtext in corpus.queries
+    ]
+
+    stages = {}
+    for seed, (name, fields) in enumerate(STAGES.items(), start=11):
+        # at most 7 negatives, so a training prompt fits the 512-token context
+        stage = StageConfig(**{
+            "mode": "adapters", "steps": args.steps, "learning_rate": 3e-3, "batch_size": 4,
+            "n_negatives": min(7, args.docs_per_query - 1), "n_inbatch_negatives": 3,
+            "temperature": 0.25, "max_doc_tokens": 16, "lora_rank": 8, "lora_alpha": 16.0,
+            "seed": seed, **fields})
+        trace = train_stage(model, dataset, stage)
+        stages[name] = {"loss_trace": [hex_floats(r) for r in trace],
+                        "tensors": tensor_digests(model)}
+
+    rankings = {}
+    for qid, qtext in corpus.queries:
+        docs = [Document(d, corpus.docs[d]) for d in corpus.candidates[qid]]
+        result = rerank(model, RerankRequest(qtext, docs), max_doc_tokens=16)
+        rankings[qid] = [[e.doc_id, None if e.score is None else e.score.hex(), e.batch_index]
+                         for e in result.entries]
+
+    args.out.write_text(json.dumps({"stages": stages, "rankings": rankings},
+                                   sort_keys=True, indent=1) + "\n")
+    print(f"fingerprint of {len(STAGES)} stages and {len(rankings)} rankings "
+          f"written to {args.out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,10 +6,11 @@ independent gradient oracle for the whole project.
 
 Graphs are recorded only inside ``with Tape():``. Outside one, every op
 just computes its value, so inference needs no switch of its own.
-Gradients accumulate into ``Tensor.grad`` buffers during ``backward``,
-which frees the graph as it walks it. A tape may be walked backward
-exactly once; a second call raises ``GraphError`` rather than silently
-accumulating.
+Each op's backward returns one gradient per input, in input order, and
+reads no ``requires_grad``: ``backward`` alone copies the first gradient a
+grad-requiring input receives into ``Tensor.grad``, adds later ones, and
+frees the graph as it walks it. A tape may be walked backward exactly
+once; a second call raises ``GraphError`` rather than silently accumulating.
 """
 
 from __future__ import annotations
@@ -46,12 +47,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
-            self.grad = self.grad + g
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
@@ -59,12 +54,12 @@ class Tensor:
 class Tape:
     """Ordered record of the differentiable ops run inside ``with Tape():``.
 
-    Each entry is an (output, backward_fn) pair; ``backward`` replaces it
-    with ``None`` once walked, so ``len(tape)`` still counts the ops.
+    Each entry is an (output, inputs, backward_fn) triple; ``backward``
+    replaces it with ``None`` once walked, so ``len(tape)`` still counts the ops.
     """
 
     def __init__(self):
-        self.entries: list[Optional[tuple[Tensor, Callable]]] = []
+        self.entries: list[Optional[tuple[Tensor, Sequence[Tensor], Callable]]] = []
         self.consumed = False
 
     def __enter__(self):
@@ -84,10 +79,12 @@ def _recording(inputs: Sequence[Tensor]) -> bool:
 
 
 def _record(output: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
+    """Put the op on the active tape when one records and an input requires
+    grad. ``backward_fn(g)`` returns one gradient per input, in input order."""
     if _recording(inputs):
         output.requires_grad = True
         output.tape = _ACTIVE_TAPES[-1]
-        output.tape.entries.append((output, backward_fn))
+        output.tape.entries.append((output, inputs, backward_fn))
     return output
 
 
@@ -109,12 +106,15 @@ def backward(loss: Tensor):
     loss.grad = np.asarray(1.0)
     entries = tape.entries
     for i in range(len(entries) - 1, -1, -1):
-        output, backward_fn = entries[i]
+        output, inputs, backward_fn = entries[i]
         # every recorded tensor points at the tape: dropping the entry breaks
         # that cycle, so the graph is freed without waiting for the collector
         entries[i] = None
-        if output.grad is not None:
-            backward_fn(output.grad)
+        if output.grad is None:
+            continue
+        for t, g in zip(inputs, backward_fn(output.grad), strict=True):  # a miscount raises
+            if t.requires_grad:
+                t.grad = np.array(g, dtype=np.float64, copy=True) if t.grad is None else t.grad + g
 
 
 def _as_tensor(x) -> Tensor:
@@ -141,10 +141,7 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _record(out, (a, b), bwd)
 
@@ -154,10 +151,7 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
     return _record(out, (a, b), bwd)
 
@@ -167,10 +161,7 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _record(out, (a, b), bwd)
 
@@ -184,10 +175,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
+        return g @ b.data.T, a.data.T @ g
 
     return _record(out, (a, b), bwd)
 
@@ -197,8 +185,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.data.shape))
+        return (g.reshape(a.data.shape),)
 
     return _record(out, (a,), bwd)
 
@@ -208,8 +195,7 @@ def tsum(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, float(g)))
+        return (np.full_like(a.data, float(g)),)
 
     return _record(out, (a,), bwd)
 
@@ -219,8 +205,7 @@ def tmean(a: Tensor) -> Tensor:
     out = Tensor(a.data.mean())
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, float(g) / a.data.size))
+        return (np.full_like(a.data, float(g) / a.data.size),)
 
     return _record(out, (a,), bwd)
 
@@ -230,8 +215,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (a.data > 0.0))
+        return (g * (a.data > 0.0),)
 
     return _record(out, (a,), bwd)
 
@@ -242,8 +226,7 @@ def silu(a: Tensor) -> Tensor:
     out = Tensor(a.data * sig)
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * sig * (1.0 + a.data * (1.0 - sig)))
+        return (g * sig * (1.0 + a.data * (1.0 - sig)),)
 
     return _record(out, (a,), bwd)
 
@@ -262,12 +245,9 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
 
     def bwd(g):
         gg = g * gain.data
-        if x.requires_grad:
-            inner = (gg * xd).sum(axis=1, keepdims=True)
-            # d/dx_i: g_i*inv - x_i * inv^3 / n * sum_j(go_j g_j x_j)
-            x.accumulate_grad(gg * inv - xd * (inv ** 3) * inner / n)
-        if gain.requires_grad:
-            gain.accumulate_grad((g * xd * inv).sum(axis=0))
+        inner = (gg * xd).sum(axis=1, keepdims=True)
+        # d/dx_i: g_i*inv - x_i * inv^3 / n * sum_j(go_j g_j x_j)
+        return gg * inv - xd * (inv ** 3) * inner / n, (g * xd * inv).sum(axis=0)
 
     return _record(out, (x, gain), bwd)
 
@@ -279,10 +259,9 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     out = Tensor(x.data[idx])
 
     def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            x.accumulate_grad(gx)
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, idx, g)
+        return (gx,)
 
     return _record(out, (x,), bwd)
 
@@ -294,9 +273,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     ends = np.cumsum([p.shape[0] for p in parts])
 
     def bwd(g):
-        for p, gp in zip(parts, np.split(g, ends[:-1])):
-            if p.requires_grad:
-                p.accumulate_grad(gp)
+        return np.split(g, ends[:-1])
 
     return _record(out, parts, bwd)
 
@@ -312,8 +289,7 @@ def logsumexp(x: Tensor) -> Tensor:
     out = Tensor((m + np.log(s))[:, 0])
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g[:, None] * e / s)
+        return (g[:, None] * e / s,)
 
     return _record(out, (x,), bwd)
 
@@ -345,10 +321,8 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         gc = g * c
-        if a.requires_grad:
-            a.accumulate_grad((g @ ub - gc.sum(axis=1, keepdims=True) * ua) / na)
-        if b.requires_grad:
-            b.accumulate_grad((g.T @ ua - gc.sum(axis=0)[:, None] * ub) / nb)
+        return ((g @ ub - gc.sum(axis=1, keepdims=True) * ua) / na,
+                (g.T @ ua - gc.sum(axis=0)[:, None] * ub) / nb)
 
     return _record(Tensor(c), (a, b), bwd)
 
@@ -382,9 +356,8 @@ def rope(x: Tensor, positions: Sequence[int], base: float, head_dim: int | None 
     cos, sin = np.cos(angles), np.sin(angles)
 
     def bwd(g):
-        if x.requires_grad:
-            # the transpose of a rotation turns by the opposite angle
-            x.accumulate_grad(_rotate(g, cos, -sin))
+        # the transpose of a rotation turns by the opposite angle
+        return (_rotate(g, cos, -sin),)
 
     return _record(Tensor(_rotate(x.data, cos, sin)), (x,), bwd)
 
@@ -443,9 +416,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_q_heads: int, n_kv_heads
             ds *= inv_sqrt
             dq[:, :, r0:r1] = ds @ kh[:, :, :r1]
             dk[:, :, :r1] += (ds.swapaxes(-1, -2) @ qh[:, :, r0:r1]).sum(axis=1, keepdims=True)
-        for t, gt in ((q, dq), (k, dk), (v, dv)):
-            if t.requires_grad:
-                t.accumulate_grad(gt.transpose(2, 0, 1, 3).reshape(t.data.shape))
+        return tuple(gt.transpose(2, 0, 1, 3).reshape(t.data.shape)
+                     for t, gt in ((q, dq), (k, dk), (v, dv)))
 
     return _record(Tensor(out.reshape(length, width)), (q, k, v), bwd)
 

@@ -51,8 +51,9 @@ class BackboneConfig:
             )
         if self.head_dim % 2 != 0:
             raise ConfigError(f"head_dim={self.head_dim} must be even for rotary positions")
-        if not (self.rope_base > 0 and self.rms_eps >= 0):
-            raise ConfigError("rope_base must be positive and rms_eps non-negative")
+        for name in ("rope_base", "rms_eps"):  # rms_norm divides by sqrt(mean + rms_eps)
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def head_dim(self) -> int:

@@ -38,6 +38,31 @@ def write_jsonl(path, records) -> None:
                  .encode("utf-8"))
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def parse_json(data, where: str, line_number: int | None = None):
+    """Decode UTF-8 JSON (bytes or text) as RFC 8259 has it: ``NaN``,
+    ``Infinity``, ``-Infinity`` and strings holding a lone surrogate are
+    refused. Every failure is a ``ParseError`` reading "<where>: <reason>"."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        value = _STRICT_JSON.decode(text)
+        # only a \u escape spells a lone surrogate; a one-character search is much faster
+        if "\\" in text and "\\u" in text:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"{where}: lone surrogate {exc.object[exc.start]!r} in a string",
+                         line_number) from exc
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, malformed or too deep JSON
+        raise ParseError(f"{where}: {exc}", line_number) from exc
+    return value
+
+
 def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
     """Write ``{name: ndarray}`` (or autodiff Tensors) to ``path``."""
     arrays = {}
@@ -70,10 +95,7 @@ def load_checkpoint(path):
     if 8 + hlen > len(raw):
         raise ParseError(f"{path}: truncated checkpoint header "
                          f"({hlen} bytes declared, {len(raw) - 8} present)")
-    try:
-        header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: malformed checkpoint header: {exc}") from exc
+    header = parse_json(raw[8 : 8 + hlen], f"{path}: malformed checkpoint header")
     if not isinstance(header, dict) or header.get("magic") != _MAGIC:
         raise ParseError(f"{path}: not a checkpoint file (bad magic)")
     entries = header.get("tensors")

@@ -20,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, finite_diff_check
+from .checkpoint import parse_json
 from .embedding import ProjectorConfig, init_projector, project
 from .errors import (
     ConfigError,
@@ -28,7 +29,6 @@ from .errors import (
     ListrankError,
     MergeError,
     NonFiniteLossError,
-    ParseError,
     ValidationError,
 )
 from .evaluation import (
@@ -159,10 +159,7 @@ def cmd_train(args) -> int:
 def cmd_merge(args) -> int:
     _print_config("merge", args)
     _require_file(args.spec, "merge spec")
-    try:
-        spec_doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"merge spec {args.spec} is not JSON: {exc}") from exc
+    spec_doc = parse_json(Path(args.spec).read_bytes(), f"merge spec {args.spec} is not JSON")
     # type() rather than isinstance: JSON true/false is not a weight
     if not (isinstance(spec_doc, list) and all(
             isinstance(e, dict) and isinstance(e.get("checkpoint"), str)

@@ -3,7 +3,6 @@ generator used by the overfit experiments."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -11,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import write_atomic, write_jsonl
+from .checkpoint import parse_json, write_atomic, write_jsonl
 from .errors import ParseError, ValidationError
 
 
@@ -233,11 +232,11 @@ def _string_records(path, keys: tuple[str, ...]):
     JSON line of ``path``; anything else raises ``ParseError``."""
     for lineno, line in read_lines(path):
         try:
-            rec = json.loads(line)
+            rec = parse_json(line, f"{path} line {lineno}", lineno)
             values = tuple(rec[key] for key in keys)
             if not all(isinstance(v, str) for v in values):
                 raise TypeError(f"{', '.join(keys)} must be strings")
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
         yield lineno, values
 

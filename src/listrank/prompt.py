@@ -177,7 +177,6 @@ class PromptLayout:
     query_marker_position: int
     dual_query_marker_position: Optional[int]
     doc_presentation_order: list[int]  # slot -> original document index
-    text: str  # the detokenized ``token_ids``
 
 
 def apply_ordering(
@@ -290,7 +289,6 @@ def build_prompt(
         query_marker_position=markers[QUERY_EMB][-1],
         dual_query_marker_position=markers[QUERY_EMB][0] if insert_dual_query_marker else None,
         doc_presentation_order=perm,
-        text=vocab.detokenize(ids),
     )
 
 

@@ -11,7 +11,6 @@ globally (cosine normalization keeps them commensurable). A batch is one
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import backbone as bb
 from .autodiff import Tensor
-from .checkpoint import write_atomic
+from .checkpoint import parse_json, write_atomic
 from .embedding import extract, project, score
 from .errors import DegenerateEmbeddingError, ParseError
 from .evaluation import ndcg_at_k, read_lines
@@ -143,7 +142,7 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
     first_line: dict[str, int] = {}
     for lineno, line in read_lines(path):
         try:
-            rec = json.loads(line)
+            rec = parse_json(line, f"{path} line {lineno}", lineno)
             _require(isinstance(rec["query_text"], str), "query_text must be a string")
             _require(isinstance(rec["documents"], list), "documents must be a list")
             docs = []
@@ -156,7 +155,7 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
                          "first_stage_score must be a number or null")
                 docs.append(Document(str(d["doc_id"]), d["text"], first_stage))
             query_id = str(rec["query_id"])
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
         if first_line.setdefault(query_id, lineno) != lineno:  # results are keyed by it
             raise ParseError(f"{path} line {lineno}: query_id {query_id!r} repeats "

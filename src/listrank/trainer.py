@@ -15,10 +15,10 @@ from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, backward
 from .backbone import ATTN_MATS, FFN_MATS
-from .checkpoint import write_atomic, write_jsonl
+from .checkpoint import parse_json, write_atomic, write_jsonl
 from .config import from_json_object
 from .embedding import extract, project
-from .errors import ConfigError, DataError, MergeError, NonFiniteLossError, ParseError
+from .errors import ConfigError, DataError, MergeError, NonFiniteLossError
 from .losses import LossWeights, QueryGroup, TrainingBatch, all_losses
 from .model import RerankModel
 from .prompt import Document, RerankRequest, build_prompt
@@ -60,6 +60,8 @@ class StageConfig:
             raise ConfigError("learning_rate and temperature must be positive")
         if self.lora_rank < 1:
             raise ConfigError("lora_rank must be >= 1")
+        if self.max_seq_tokens is not None and self.max_seq_tokens < 1:
+            raise ConfigError(f"max_seq_tokens must be null or >= 1, got {self.max_seq_tokens}")
 
     @property
     def loss_weights(self) -> LossWeights:
@@ -72,11 +74,8 @@ class StageConfig:
 
     @classmethod
     def load(cls, path) -> "StageConfig":
-        try:
-            obj = json.loads(Path(path).read_bytes().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ParseError(f"stage config {path} is not UTF-8 JSON: {exc}") from exc
-        return cls.from_dict(obj)
+        return cls.from_dict(parse_json(Path(path).read_bytes(),
+                                        f"stage config {path} is not UTF-8 JSON"))
 
     def save(self, path) -> None:
         write_atomic(path, (json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -253,7 +252,8 @@ def _encode_group(
         query=example.query_text, documents=docs,
         ordering="random", ordering_seed=int(rng.integers(2 ** 31)),
     )
-    max_seq = stage.max_seq_tokens or model.backbone_config.effective_seq_len
+    max_seq = (model.backbone_config.effective_seq_len if stage.max_seq_tokens is None
+               else stage.max_seq_tokens)
     layout = build_prompt(
         request, model.vocab, stage.max_doc_tokens,
         insert_dual_query_marker=True,

@@ -280,6 +280,58 @@ class TestBackward:
         np.testing.assert_array_equal(y.grad, 4 * np.ones(3))
 
 
+# every op with two or more tensor operands, with operand shapes that
+# exercise broadcasting, several parts and grouped heads
+MULTI_OPERAND_OPS = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "sub": (ad.sub, [(3, 4), (1, 4)]),
+    "mul": (ad.mul, [(3, 4), (3, 1)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "rms_norm": (lambda x, gain: ad.rms_norm(x, gain, 1e-6), [(3, 4), (4,)]),
+    "concat_rows": (lambda *parts: ad.concat_rows(parts), [(2, 4), (1, 4), (3, 4)]),
+    "cosine": (ad.cosine, [(3, 4), (2, 4)]),
+    "causal_attention": (lambda q, k, v: ad.causal_attention(q, k, v, 4, 2),
+                         [(5, 8), (5, 4), (5, 4)]),
+}
+
+
+def _operand_grads(op, arrays, frozen=None):
+    """Gradients of a weighted sum of ``op``'s output, operand ``frozen``
+    built without ``requires_grad``."""
+    operands = [Tensor(a, requires_grad=i != frozen) for i, a in enumerate(arrays)]
+    with Tape():
+        out = op(*operands)
+        weights = np.random.default_rng(12).normal(size=out.shape)
+        backward(ad.tsum(ad.mul(out, weights)))
+    return [t.grad for t in operands]
+
+
+class TestGradientContract:
+    """Ops return one gradient per operand; ``backward`` alone routes them."""
+
+    @pytest.mark.parametrize("name", sorted(MULTI_OPERAND_OPS))
+    def test_frozen_operand_gets_no_gradient(self, name):
+        op, shapes = MULTI_OPERAND_OPS[name]
+        rng = np.random.default_rng(11)
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        trainable = _operand_grads(op, arrays)
+        assert [g.shape for g in trainable] == list(shapes)
+        for frozen in range(len(arrays)):
+            grads = _operand_grads(op, arrays, frozen)
+            assert grads[frozen] is None
+            for i, (g, ref) in enumerate(zip(grads, trainable)):
+                if i != frozen:
+                    assert g.tobytes() == ref.tobytes(), f"operand {i}, {frozen} frozen"
+
+    def test_too_few_gradients_raise(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        with Tape():
+            out = ad._record(Tensor(x.data + y.data), (x, y), lambda g: (g,))
+            with pytest.raises(ValueError, match="shorter"):
+                backward(ad.tsum(out))
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_closed_form(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)

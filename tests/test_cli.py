@@ -15,6 +15,26 @@ from listrank.trainer import StageConfig
 from conftest import tiny_backbone_config
 
 
+def strict_json_request(**tokens) -> str:
+    """One request line; each keyword replaces a placeholder with raw JSON."""
+    line = ('{"query_id": QID, "query_text": QTEXT, "documents": ['
+            '{"doc_id": DID, "text": DTEXT, "first_stage_score": SCORE}, '
+            '{"doc_id": "d2", "text": "gamma", "first_stage_score": 0.5}]}')
+    defaults = {"QID": '"q1"', "QTEXT": '"alpha beta"', "DID": '"d1"', "DTEXT": '"alpha"',
+                "SCORE": "0.9"}
+    for token, value in {**defaults, **tokens}.items():
+        line = line.replace(token, value)
+    return line
+
+
+def stage_json_with(field: str, value: str) -> str:
+    """A one-step stage config that fits the fixture corpus, with ``field``
+    spelled as the raw JSON ``value``."""
+    stage = StageConfig(steps=1, n_negatives=7, max_doc_tokens=16, lora_rank=4).to_dict()
+    del stage[field]
+    return json.dumps(stage)[:-1] + f', "{field}": {value}}}'
+
+
 @pytest.fixture()
 def model_path(untrained_model, tmp_path):
     p = tmp_path / "model.ckpt"
@@ -278,6 +298,65 @@ class TestExitCodes:
         assert rc == 2
         assert f"max_doc_tokens must be >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "run.txt").exists()
+
+    @pytest.mark.parametrize("token, value", [
+        ("QTEXT", '"a \\ud800 b"'), ("DTEXT", '"a \\ud800 b"'), ("DID", '"\\ud800"'),
+        ("QID", '"\\ud800"'), ("DID", '"\\udc80"'), ("QTEXT", '"a \\udc80 b"'),
+        ("SCORE", "NaN"), ("SCORE", "-Infinity"),
+    ], ids=["high surrogate in query_text", "high surrogate in text",
+            "high surrogate in doc_id", "high surrogate in query_id",
+            "low surrogate in doc_id", "low surrogate in query_text",
+            "NaN first_stage_score", "-Infinity first_stage_score"])
+    def test_request_not_strict_json(self, model_path, tmp_path, capsys, token, value):
+        """A lone surrogate has no UTF-8 form, and NaN is no number to order by."""
+        req, out = tmp_path / "req.jsonl", tmp_path / "run.txt"
+        req.write_text(strict_json_request(**{token: value}) + "\n")
+        rc = main(["rerank", "--model", str(model_path), "--input", str(req),
+                   "--output", str(out), "--ordering", "desc"])
+        assert rc == 2
+        assert "req.jsonl line 1: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_request_nested_too_deep(self, model_path, tmp_path, capsys):
+        req = tmp_path / "req.jsonl"
+        req.write_text("[" * 100_000 + "\n")
+        rc = main(["rerank", "--model", str(model_path), "--input", str(req),
+                   "--output", str(tmp_path / "run.txt")])
+        assert rc == 2
+        assert "req.jsonl line 1: maximum recursion depth" in capsys.readouterr().err
+
+    def test_request_surrogate_pair_loads(self, model_path, tmp_path):
+        req, out = tmp_path / "req.jsonl", tmp_path / "run.txt"
+        req.write_text(strict_json_request(QTEXT='"smile \\ud83d\\ude00"') + "\n")
+        rc = main(["rerank", "--model", str(model_path), "--input", str(req),
+                   "--output", str(out)])
+        assert rc == 0
+        assert len(load_run(out)["q1"]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", "NaN"), ("lora_alpha", "NaN"), ("w_dual", "NaN"),
+        ("temperature", "Infinity"),
+    ])
+    def test_stage_config_not_strict_json(self, data_dir, tmp_path, capsys, field, value):
+        stage_path, out_ckpt = tmp_path / "stage.json", tmp_path / "m.ckpt"
+        stage_path.write_text(stage_json_with(field, value))
+        rc = main(["train", "--stage-config", str(stage_path), "--data", str(data_dir),
+                   "--out-checkpoint", str(out_ckpt)])
+        assert rc == 2
+        assert f"stage.json is not UTF-8 JSON: {value} is not a JSON number" in \
+            capsys.readouterr().err
+        assert not out_ckpt.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_seq_tokens_below_one(self, data_dir, tmp_path, capsys, value):
+        """0 was silently replaced by the backbone's effective_seq_len."""
+        stage_path, out_ckpt = tmp_path / "stage.json", tmp_path / "m.ckpt"
+        stage_path.write_text(stage_json_with("max_seq_tokens", value))
+        rc = main(["train", "--stage-config", str(stage_path), "--data", str(data_dir),
+                   "--out-checkpoint", str(out_ckpt)])
+        assert rc == 2
+        assert f"max_seq_tokens must be null or >= 1, got {value}" in capsys.readouterr().err
+        assert not out_ckpt.exists()
 
     @pytest.mark.parametrize("vocab_size, docs_per_query", [(0, 3), (2, 3), (1, 1)])
     def test_synth_vocabulary_too_small(self, tmp_path, capsys, vocab_size, docs_per_query):

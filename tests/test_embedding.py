@@ -22,7 +22,6 @@ def _layout(doc_positions, query_position, order=None, dual=None):
         query_marker_position=query_position,
         dual_query_marker_position=dual,
         doc_presentation_order=order or list(range(len(doc_positions))),
-        text="",
     )
 
 

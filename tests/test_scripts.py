@@ -1,5 +1,6 @@
 """The experiment scripts, run as a user runs them, on tiny settings."""
 
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +24,15 @@ def test_overfit_then_ordering_study(tmp_path):
     done = _run("ordering_study.py", "--model", tmp_path / "model.ckpt", "--n-queries", 5)
     assert done.returncode == 0, done.stderr
     assert "spread (max - min)" in done.stdout
+
+
+def test_fingerprint_is_reproducible(tmp_path):
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        done = _run("fingerprint.py", "--out", out, "--steps", 2, "--n-queries", 4,
+                    "--docs-per-query", 8)
+        assert done.returncode == 0, done.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    fingerprint = json.loads(outs[0].read_text())
+    assert sorted(fingerprint["stages"]) == ["adapters", "frozen_embeddings", "full"]
+    assert len(fingerprint["rankings"]) == 4
