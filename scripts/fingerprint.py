@@ -3,8 +3,9 @@
 checkouts of listrank.
 
 It builds the model of ``overfit_experiment.py`` on a synthetic corpus of
-Q queries x D candidates and trains it through three stages: adapters,
-full fine-tuning, and adapters with frozen word embeddings. It then reranks
+Q queries x D candidates and trains it through four stages: adapters,
+full fine-tuning, adapters with frozen word embeddings, and adapters with
+no in-batch negatives. It then reranks
 every query under the 512-token context (3 passes per query at D = 64).
 The output is sorted-key JSON: each stage's loss trace as ``float.hex``,
 a SHA-256 of every tensor after each stage, and each ranking with its
@@ -35,6 +36,7 @@ STAGES = {  # name -> fields that differ from the overfit experiment's stage
     "adapters": {},
     "full": {"mode": "full", "learning_rate": 1e-3},
     "frozen_embeddings": {"train_embeddings": False},
+    "no_inbatch_negatives": {"n_inbatch_negatives": 0},
 }
 
 

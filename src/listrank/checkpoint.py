@@ -9,6 +9,7 @@ byte-deterministic: saving the same tensors twice yields identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -42,13 +43,20 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-_STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"{text} is not a JSON number a float can hold")
+    return value
+
+
+_STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
 
 
 def parse_json(data, where: str, line_number: int | None = None):
-    """Decode UTF-8 JSON (bytes or text) as RFC 8259 has it: ``NaN``,
-    ``Infinity``, ``-Infinity`` and strings holding a lone surrogate are
-    refused. Every failure is a ``ParseError`` reading "<where>: <reason>"."""
+    """Decode UTF-8 JSON (bytes or text) as RFC 8259 has it: ``NaN``, ``Infinity``,
+    ``-Infinity``, numbers too large for a float and strings holding a lone surrogate
+    are refused. Every failure is a ``ParseError`` reading "<where>: <reason>"."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         value = _STRICT_JSON.decode(text)

@@ -129,7 +129,7 @@ def cmd_train(args) -> int:
     _require_file(args.stage_config, "stage config")
     stage = StageConfig.load(args.stage_config)
     if args.seed is not None:
-        stage.seed = args.seed
+        stage = replace(stage, seed=args.seed)  # runs the StageConfig checks
     corpus = load_corpus_files(args.data)
     dataset = _training_examples(corpus, args.data)
     if args.init_checkpoint:
@@ -368,6 +368,9 @@ def main(argv=None) -> int:
     try:
         # the parser reads LISTRANK_* defaults, so a bad value fails here
         args = build_parser().parse_args(argv)
+        # numpy refuses a negative seed; this covers every --seed and LISTRANK_SEED
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed/LISTRANK_SEED must be >= 0, got {args.seed}")
         return args.func(args)
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)

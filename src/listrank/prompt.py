@@ -82,10 +82,6 @@ class Vocabulary:
     def special_id(self, surface: str) -> int:
         return self._special_ids[surface]
 
-    @property
-    def pad_id(self) -> int:
-        return self._special_ids[PAD]
-
     def surface(self, token_id: int) -> str:
         if not 0 <= token_id < len(self._surfaces):
             raise VocabularyError(f"token id {token_id} outside vocabulary of {len(self)}")
@@ -241,7 +237,6 @@ def build_prompt(
     max_doc_tokens: int,
     insert_dual_query_marker: bool = False,
     max_context: Optional[int] = None,
-    pad_docs: bool = False,
 ) -> PromptLayout:
     """Assemble the listwise prompt and record every marker position.
 
@@ -271,10 +266,7 @@ def build_prompt(
     emit(_user_header(len(docs), request.query, insert_dual_query_marker))
     for slot, doc in enumerate(docs, start=1):
         emit([_passage_open(slot)])
-        doc_ids = vocab.tokenize(doc.text)[:max_doc_tokens]
-        if pad_docs and len(doc_ids) < max_doc_tokens:
-            doc_ids = doc_ids + [vocab.pad_id] * (max_doc_tokens - len(doc_ids))
-        ids.extend(doc_ids)
+        ids.extend(vocab.tokenize(doc.text)[:max_doc_tokens])
         emit(_PASSAGE_CLOSE)
     emit(_query_block(request.query))
 

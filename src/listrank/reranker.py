@@ -143,18 +143,20 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
     for lineno, line in read_lines(path):
         try:
             rec = parse_json(line, f"{path} line {lineno}", lineno)
+            _require(isinstance(rec["query_id"], str), "query_id must be a string")
             _require(isinstance(rec["query_text"], str), "query_text must be a string")
             _require(isinstance(rec["documents"], list), "documents must be a list")
             docs = []
             for d in rec["documents"]:
+                _require(isinstance(d["doc_id"], str), "doc_id must be a string")
                 _require(isinstance(d["text"], str), "document text must be a string")
                 first_stage = d.get("first_stage_score")
                 # bool is an int subclass, but JSON true/false is not a score
                 _require(first_stage is None or (isinstance(first_stage, (int, float))
                                                  and not isinstance(first_stage, bool)),
                          "first_stage_score must be a number or null")
-                docs.append(Document(str(d["doc_id"]), d["text"], first_stage))
-            query_id = str(rec["query_id"])
+                docs.append(Document(d["doc_id"], d["text"], first_stage))
+            query_id = rec["query_id"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
         if first_line.setdefault(query_id, lineno) != lineno:  # results are keyed by it

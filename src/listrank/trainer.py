@@ -28,7 +28,8 @@ from .prompt import Document, RerankRequest, build_prompt
 class StageConfig:
     """One training stage. Defaults follow the foundation stage: adapters
     plus word embeddings trainable, 15 negatives, temperature 0.25,
-    learning rate 5e-5."""
+    learning rate 5e-5. AdamW runs with its own defaults (weight decay
+    0.01, betas 0.9 and 0.999) in every stage."""
 
     mode: str = "adapters"  # adapters | full
     steps: int = 100
@@ -39,16 +40,12 @@ class StageConfig:
     temperature: float = 0.25
     max_doc_tokens: int = 768
     max_seq_tokens: Optional[int] = None  # defaults to backbone effective_seq_len
-    pad_docs: bool = False
     w_disperse: float = 0.45
     w_dual: float = 0.85
     w_similar: float = 0.85
     lora_rank: int = 16
     lora_alpha: float = 32.0
     train_embeddings: bool = True
-    weight_decay: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
     seed: int = 0
 
     def __post_init__(self):
@@ -56,6 +53,9 @@ class StageConfig:
             raise ConfigError(f"unknown training mode {self.mode!r}")
         if self.steps < 0 or self.batch_size < 1 or self.n_negatives < 1:
             raise ConfigError("steps/batch_size/n_negatives out of range")
+        if self.seed < 0 or self.n_inbatch_negatives < 0:
+            raise ConfigError(f"seed and n_inbatch_negatives must be >= 0, got "
+                              f"{self.seed} and {self.n_inbatch_negatives}")
         if self.learning_rate <= 0 or self.temperature <= 0:
             raise ConfigError("learning_rate and temperature must be positive")
         if self.lora_rank < 1:
@@ -213,20 +213,15 @@ def augment_text(text: str, rng: np.random.Generator,
 
 def _trainable_params(
     model: RerankModel,
-    adapters: Optional[dict[str, tuple[Tensor, Tensor]]],
+    adapters: dict[str, tuple[Tensor, Tensor]],
     stage: StageConfig,
 ) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {
-        k: v for k, v in model.weights.items() if k.startswith("projector.")
-    }
-    if stage.mode == "full":
-        params.update({k: v for k, v in model.weights.items() if not k.startswith("projector.")})
-    else:
-        if stage.train_embeddings:
-            params["embed.weight"] = model.weights["embed.weight"]
-        for name, (a, b) in adapters.items():
-            params[f"{name}.lora.A"] = a
-            params[f"{name}.lora.B"] = b
+    params = {k: v for k, v in model.weights.items()
+              if stage.mode == "full" or k.startswith("projector.")
+              or (k == "embed.weight" and stage.train_embeddings)}
+    for name, (a, b) in adapters.items():
+        params[f"{name}.lora.A"] = a
+        params[f"{name}.lora.B"] = b
     return params
 
 
@@ -258,7 +253,6 @@ def _encode_group(
         request, model.vocab, stage.max_doc_tokens,
         insert_dual_query_marker=True,
         max_context=min(max_seq, model.backbone_config.max_context),
-        pad_docs=stage.pad_docs,
     )
     hidden = bb.forward(layout.token_ids, model.backbone_config, weights)
     # rows: positive, negatives, augmented positive, query, dual query
@@ -291,26 +285,22 @@ def train_stage(
                 f"stage needs {stage.n_negatives}"
             )
     rng = np.random.default_rng(stage.seed)
-    adapters = None
-    if stage.mode == "adapters":
-        targets = lora_target_names(model.backbone_config.n_layers)
-        adapters = create_adapters(model.weights, targets, stage.lora_rank, stage.seed)
+    # full mode is the adapter path with no adapters
+    targets = (lora_target_names(model.backbone_config.n_layers)
+               if stage.mode == "adapters" else [])
+    adapters = create_adapters(model.weights, targets, stage.lora_rank, stage.seed)
     params = _trainable_params(model, adapters, stage)
     for name, w in model.weights.items():
         w.requires_grad = name in params
     for p in params.values():
         p.requires_grad = True
-    opt = AdamW(params, stage.learning_rate, stage.weight_decay,
-                stage.adam_beta1, stage.adam_beta2)
+    opt = AdamW(params, stage.learning_rate)
 
     trace: list[dict] = []
     for step in range(stage.steps):
         idx = rng.choice(len(dataset), size=stage.batch_size, replace=False)
         with Tape():
-            weights = (
-                apply_lora(model.weights, adapters, stage.lora_rank, stage.lora_alpha)
-                if adapters is not None else model.weights
-            )
+            weights = apply_lora(model.weights, adapters, stage.lora_rank, stage.lora_alpha)
             raw, groups = [], []
             for i in idx:
                 ex = dataset[int(i)]
@@ -345,10 +335,10 @@ def train_stage(
         opt.zero_grad()
         trace.append(record)
 
-    if adapters is not None:
-        folded = fold_adapters(model.weights, adapters, stage.lora_rank, stage.lora_alpha)
-        for name in adapters:
-            model.weights[name].data = folded[name].data
+    # outside a tape, so the view records nothing; fold only the adapted weights
+    folded = apply_lora(model.weights, adapters, stage.lora_rank, stage.lora_alpha)
+    for name in adapters:
+        model.weights[name].data = folded[name].data
     for w in model.weights.values():
         w.requires_grad = False
         w.grad = None

@@ -187,11 +187,14 @@ class TestExitCodes:
         (b"[1]", "StageConfig must be a JSON object, got list"),
         (b'{"bogus": 1}', "unknown StageConfig keys: bogus"),
         (b'{"steps": "3"}', "StageConfig.steps must be int, got '3'"),
-        (b'{"pad_docs": 1}', "StageConfig.pad_docs must be bool"),
+        (b'{"train_embeddings": 1}', "StageConfig.train_embeddings must be bool"),
         (b'{"learning_rate": true}', "StageConfig.learning_rate must be float or int"),
         (b'{"max_seq_tokens": 1.5}', "StageConfig.max_seq_tokens must be int or NoneType"),
+        (b'{"seed": -1}', "seed and n_inbatch_negatives must be >= 0, got -1 and 3"),
+        (b'{"n_inbatch_negatives": -5}',
+         "seed and n_inbatch_negatives must be >= 0, got 0 and -5"),
     ], ids=["not json", "not utf-8", "list", "unknown key", "string steps", "int bool",
-            "bool float", "float optional int"])
+            "bool float", "float optional int", "negative seed", "negative in-batch negatives"])
     def test_malformed_stage_config(self, data_dir, tmp_path, capsys, content, message):
         stage_path = tmp_path / "stage.json"
         stage_path.write_bytes(content)
@@ -290,6 +293,32 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("error: ") and str(tmp_path / Path(bad).parent) in err
 
+    @pytest.mark.parametrize("command, extra, env_seed", [
+        ("synth", ["--seed", "-1"], None),
+        ("rerank", ["--ordering", "random", "--seed", "-1"], None),
+        ("rerank", ["--ordering", "random"], "-3"),
+        ("gradcheck", ["--seed", "-1"], None),
+        ("train", ["--seed", "-1"], None),
+    ], ids=["synth", "rerank", "rerank LISTRANK_SEED", "gradcheck", "train"])
+    def test_negative_seed(self, model_path, data_dir, tmp_path, capsys, monkeypatch,
+                           command, extra, env_seed):
+        """numpy refuses a negative seed with a traceback, so the CLI refuses it first."""
+        if env_seed is not None:
+            monkeypatch.setenv("LISTRANK_SEED", env_seed)
+        stage_path, out = tmp_path / "stage.json", tmp_path / "out"
+        StageConfig(steps=1, n_negatives=7, max_doc_tokens=16, lora_rank=4).save(stage_path)
+        args = {"synth": ["--out", out],
+                "rerank": ["--model", model_path, "--input", data_dir / "requests.jsonl",
+                           "--output", out],
+                "gradcheck": ["--component", "losses"],
+                "train": ["--stage-config", stage_path, "--data", data_dir,
+                          "--out-checkpoint", out]}[command]
+        rc = main([command, *map(str, args), *extra])
+        assert rc == 2
+        assert f"--seed/LISTRANK_SEED must be >= 0, got {env_seed or -1}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_max_doc_tokens_below_one(self, model_path, data_dir, tmp_path, capsys, value):
         rc = main(["rerank", "--model", str(model_path),
@@ -302,11 +331,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("token, value", [
         ("QTEXT", '"a \\ud800 b"'), ("DTEXT", '"a \\ud800 b"'), ("DID", '"\\ud800"'),
         ("QID", '"\\ud800"'), ("DID", '"\\udc80"'), ("QTEXT", '"a \\udc80 b"'),
-        ("SCORE", "NaN"), ("SCORE", "-Infinity"),
+        ("SCORE", "NaN"), ("SCORE", "-Infinity"), ("SCORE", "1e400"), ("SCORE", "-1e400"),
     ], ids=["high surrogate in query_text", "high surrogate in text",
             "high surrogate in doc_id", "high surrogate in query_id",
             "low surrogate in doc_id", "low surrogate in query_text",
-            "NaN first_stage_score", "-Infinity first_stage_score"])
+            "NaN first_stage_score", "-Infinity first_stage_score",
+            "1e400 first_stage_score", "-1e400 first_stage_score"])
     def test_request_not_strict_json(self, model_path, tmp_path, capsys, token, value):
         """A lone surrogate has no UTF-8 form, and NaN is no number to order by."""
         req, out = tmp_path / "req.jsonl", tmp_path / "run.txt"
@@ -335,7 +365,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", "NaN"), ("lora_alpha", "NaN"), ("w_dual", "NaN"),
-        ("temperature", "Infinity"),
+        ("temperature", "Infinity"), ("temperature", "1e400"),
     ])
     def test_stage_config_not_strict_json(self, data_dir, tmp_path, capsys, field, value):
         stage_path, out_ckpt = tmp_path / "stage.json", tmp_path / "m.ckpt"

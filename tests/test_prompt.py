@@ -178,14 +178,6 @@ class TestBuildPrompt:
         assert docs == layout.doc_marker_positions
         assert queries == [layout.dual_query_marker_position, layout.query_marker_position]
 
-    def test_pad_docs(self, vocab):
-        req = RerankRequest("alpha", [Document("a", "beta")])
-        layout = build_prompt(req, vocab, max_doc_tokens=10, pad_docs=True)
-        pad = vocab.pad_id
-        marker = layout.doc_marker_positions[0]
-        assert layout.token_ids[marker - 1] == pad
-        assert sum(1 for t in layout.token_ids if t == pad) == 9
-
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_golden_files(self, vocab, k):
         docs = [Document(f"d{i}", f"alpha beta doc{i} body") for i in range(k)]

@@ -198,6 +198,9 @@ class TestRequestFile:
         ("text", None),
         ("first_stage_score", "high"),
         ("first_stage_score", True),
+        ("query_id", None),
+        ("doc_id", None),
+        ("doc_id", 7),
     ])
     def test_read_requests_wrong_field_type(self, tmp_path, field, value):
         doc = {"doc_id": "d1", "text": "aaa", "first_stage_score": 0.5}

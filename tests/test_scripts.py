@@ -34,5 +34,6 @@ def test_fingerprint_is_reproducible(tmp_path):
         assert done.returncode == 0, done.stderr
     assert outs[0].read_bytes() == outs[1].read_bytes()
     fingerprint = json.loads(outs[0].read_text())
-    assert sorted(fingerprint["stages"]) == ["adapters", "frozen_embeddings", "full"]
+    assert sorted(fingerprint["stages"]) == ["adapters", "frozen_embeddings", "full",
+                                             "no_inbatch_negatives"]
     assert len(fingerprint["rankings"]) == 4

@@ -240,6 +240,25 @@ class TestTrainStage:
         train_stage(model, corpus_dataset(synth_corpus), stage)
         assert (model.weights["layers.0.attn_norm.gain"].data != before).any()
 
+    @pytest.mark.parametrize("mode, train_embeddings", [
+        ("adapters", True), ("adapters", False), ("full", True),
+    ])
+    def test_trainable_set(self, synth_corpus, synth_vocab, mode, train_embeddings):
+        """A stage moves the weights it trains and the ones its adapters fold
+        into; every other weight keeps its bytes."""
+        cfg = tiny_backbone_config(vocab_size=len(synth_vocab), d_ffn=64)
+        model = RerankModel.create(synth_vocab, cfg, seed=3)
+        before = {k: v.data.copy() for k, v in model.weights.items()}
+        stage = dataclasses.replace(overfit_stage_config(steps=2), mode=mode,
+                                    train_embeddings=train_embeddings)
+        train_stage(model, corpus_dataset(synth_corpus), stage)
+        targets = lora_target_names(cfg.n_layers)
+        for k, w in model.weights.items():
+            trained = (mode == "full" or k in targets or k.startswith("projector.")
+                       or (k == "embed.weight" and train_embeddings))
+            assert (w.data.tobytes() != before[k].tobytes()) == trained, k
+            assert w.requires_grad is False and w.grad is None
+
     def test_loss_trace_file(self, tmp_path):
         trace = [{"step": 0, "total": 1.5}, {"step": 1, "total": 1.2}]
         p = tmp_path / "trace.jsonl"
