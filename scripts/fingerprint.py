@@ -15,13 +15,21 @@ The script imports only the listrank package, with the model recipe and
 stage of ``overfit_experiment.py`` written out, so it runs unchanged when
 copied into an older checkout.
 
+A change that is exact only up to rounding writes other bytes. ``--compare
+OLD NEW`` checks two fingerprints: it exits 0 only when the rankings and
+batch indices are identical and every score and loss value agrees within
+``TOLERANCE`` (relative to max(1, |x|)). It prints the largest difference and
+counts the tensor digests that differ, which it does not judge.
+
 Example:
     OPENBLAS_NUM_THREADS=1 python3 scripts/fingerprint.py --out /tmp/fp.json
+    python3 scripts/fingerprint.py --compare /tmp/old.json /tmp/fp.json
 """
 
 import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +46,7 @@ STAGES = {  # name -> fields that differ from the overfit experiment's stage
     "frozen_embeddings": {"train_embeddings": False},
     "no_inbatch_negatives": {"n_inbatch_negatives": 0},
 }
+TOLERANCE = 1e-12  # largest relative difference --compare allows
 
 
 def hex_floats(record: dict) -> dict:
@@ -49,14 +58,59 @@ def tensor_digests(model: RerankModel) -> dict:
             for name, t in model.weights.items()}
 
 
+def compare(old: dict, new: dict, tol: float) -> int:
+    """Print how far two fingerprints differ; 0 if they agree within ``tol``."""
+    worst, where, mismatches = 0.0, None, []
+
+    def walk(a, b, at: str):
+        nonlocal worst, where
+        if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+            for key in a:
+                walk(a[key], b[key], f"{at}/{key}")
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(x, y, f"{at}/{i}")
+        elif all(isinstance(t, str) and t.startswith(("0x", "-0x")) for t in (a, b)):
+            x, y = float.fromhex(a), float.fromhex(b)
+            diff = abs(x - y) / max(1.0, abs(x))
+            if where is None or diff > worst:
+                worst, where = diff, at
+            if not diff <= tol:
+                mismatches.append(f"{at}: {x!r} vs {y!r}")
+        elif a != b:  # a document, a batch index, a step or the shape differs
+            mismatches.append(f"{at}: {a!r} vs {b!r}")
+
+    def losses(fingerprint):
+        return {name: stage["loss_trace"] for name, stage in fingerprint["stages"].items()}
+
+    walk(old["rankings"], new["rankings"], "rankings")
+    walk(losses(old), losses(new), "loss_trace")
+    digests = [(digest, new["stages"].get(name, {}).get("tensors", {}).get(tensor))
+               for name, stage in old["stages"].items()
+               for tensor, digest in stage["tensors"].items()]
+    differ = sum(a != b for a, b in digests)
+    print(f"largest difference: {worst:.3g} ({where}), tolerance {tol:g}")
+    print(f"tensor digests: {len(digests) - differ} equal, {differ} different")
+    for line in mismatches[:20]:
+        print(f"MISMATCH {line}")
+    print(f"{len(mismatches)} mismatches" if mismatches else "clean")
+    return 1 if mismatches else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", type=Path, required=True, help="fingerprint JSON path")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path, help="fingerprint JSON path")
+    mode.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                      help="compare two fingerprint files instead of writing one")
     parser.add_argument("--steps", type=int, default=30, help="steps of each stage")
     parser.add_argument("--n-queries", type=int, default=20)
     parser.add_argument("--docs-per-query", type=int, default=64)
     args = parser.parse_args()
+    if args.compare:
+        old, new = (json.loads(p.read_text()) for p in args.compare)
+        sys.exit(compare(old, new, TOLERANCE))
 
     corpus = generate_synthetic_corpus(args.n_queries, args.docs_per_query, seed=7)
     vocab = Vocabulary(corpus.words())

@@ -363,63 +363,73 @@ def rope(x: Tensor, positions: Sequence[int], base: float, head_dim: int | None 
 
 
 ATTENTION_BLOCK = 64  # query rows per block of causal_attention
-_ABOVE_DIAGONAL = np.triu(np.ones((ATTENTION_BLOCK, ATTENTION_BLOCK), dtype=bool), k=1)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_q_heads: int, n_kv_heads: int) -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_q_heads: int, n_kv_heads: int,
+                     positions: Sequence[int] | None = None) -> Tensor:
     """Causal scaled dot-product attention over all heads in one op.
 
-    ``q`` is (L, n_q_heads*hd) and ``k``, ``v`` are (L, n_kv_heads*hd);
+    ``q`` is (m, n_q_heads*hd) and ``k``, ``v`` are (L, n_kv_heads*hd);
     query head i reads KV head i // (n_q_heads / n_kv_heads), and K and V
-    are never repeated. Query rows run in blocks of ``ATTENTION_BLOCK``:
-    block [r0, r1) scores only keys [0, r1) and masks only its diagonal
-    tile, so masked keys get weight exactly 0. Backward walks the same blocks.
+    are never repeated. Query row i sits at sequence position
+    ``positions[i]`` (row i itself by default, where m = L) and reads
+    keys [0, positions[i]]. Query rows run in blocks of ``ATTENTION_BLOCK``:
+    a block scores only keys [0, max position + 1) and masks only the keys
+    past its least position, so masked keys get weight exactly 0. Backward
+    walks the same blocks.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if n_kv_heads < 1 or n_q_heads % n_kv_heads != 0:
         raise ConfigError(f"incompatible head counts: {n_q_heads} query vs {n_kv_heads} kv heads")
-    length, width = q.shape
+    (rows, width), length = q.shape, k.shape[0]
     hd, group = width // n_q_heads, n_q_heads // n_kv_heads
     if width != n_q_heads * hd or k.shape != (length, n_kv_heads * hd) or v.shape != k.shape:
         raise DimensionError(f"attention shapes {q.shape}, {k.shape}, {v.shape} do not split "
                              f"into {n_q_heads} query and {n_kv_heads} kv heads")
+    pos = np.arange(length) if positions is None else np.asarray(positions, dtype=np.int64)
+    if pos.shape != (rows,) or ((pos < 0) | (pos >= length)).any():
+        raise DimensionError(f"{rows} query rows need as many positions in [0, {length}), "
+                             f"got {pos.tolist()}")
     inv_sqrt = 1.0 / np.sqrt(hd)
 
-    def heads(x, n):  # (L, n_kv*n*hd) -> (n_kv, n, L, hd); K and V broadcast with n = 1
-        return np.ascontiguousarray(x.reshape(length, n_kv_heads, n, hd).transpose(1, 2, 0, 3))
+    def heads(x, n):  # (rows, n_kv*n*hd) -> (n_kv, n, rows, hd); K and V broadcast with n = 1
+        return np.ascontiguousarray(x.reshape(len(x), n_kv_heads, n, hd).transpose(1, 2, 0, 3))
 
     qh, kh, vh = heads(q.data, group), heads(k.data, 1), heads(v.data, 1)
-    out = np.empty((length, n_kv_heads, group, hd))
-    blocks = [(r0, min(r0 + ATTENTION_BLOCK, length)) for r0 in range(0, length, ATTENTION_BLOCK)]
+    out = np.empty((rows, n_kv_heads, group, hd))
+    blocks = []  # (first row, end row, first masked key, end key)
+    for r0 in range(0, rows, ATTENTION_BLOCK):
+        p = pos[r0 : r0 + ATTENTION_BLOCK]
+        blocks.append((r0, r0 + len(p), p.min() + 1, p.max() + 1))
     weights = [] if _recording((q, k, v)) else None  # kept for the backward only
-    for r0, r1 in blocks:
-        s = qh[:, :, r0:r1] @ kh[:, :, :r1].swapaxes(-1, -2)
+    for r0, r1, c0, c1 in blocks:
+        s = qh[:, :, r0:r1] @ kh[:, :, :c1].swapaxes(-1, -2)
         s *= inv_sqrt
-        np.copyto(s[..., r0:], -np.inf, where=_ABOVE_DIAGONAL[: r1 - r0, : r1 - r0])
+        np.copyto(s[..., c0:], -np.inf, where=np.arange(c0, c1) > pos[r0:r1, None])
         s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         s /= s.sum(axis=-1, keepdims=True)
-        out[r0:r1] = (s @ vh[:, :, :r1]).transpose(2, 0, 1, 3)
+        out[r0:r1] = (s @ vh[:, :, :c1]).transpose(2, 0, 1, 3)
         if weights is not None:
             weights.append(s)
 
     def bwd(g):
         gh, oh = heads(g, group), heads(out, group)
         dq, dk, dv = np.empty_like(qh), np.zeros_like(kh), np.zeros_like(vh)
-        for (r0, r1), w in zip(blocks, weights):
+        for (r0, r1, _, c1), w in zip(blocks, weights):
             go = gh[:, :, r0:r1]
-            dv[:, :, :r1] += (w.swapaxes(-1, -2) @ go).sum(axis=1, keepdims=True)
+            dv[:, :, :c1] += (w.swapaxes(-1, -2) @ go).sum(axis=1, keepdims=True)
             # softmax backward; the row sums of dP * P equal those of dO * O
-            ds = go @ vh[:, :, :r1].swapaxes(-1, -2)
+            ds = go @ vh[:, :, :c1].swapaxes(-1, -2)
             ds -= (go * oh[:, :, r0:r1]).sum(axis=-1, keepdims=True)
             ds *= w
             ds *= inv_sqrt
-            dq[:, :, r0:r1] = ds @ kh[:, :, :r1]
-            dk[:, :, :r1] += (ds.swapaxes(-1, -2) @ qh[:, :, r0:r1]).sum(axis=1, keepdims=True)
+            dq[:, :, r0:r1] = ds @ kh[:, :, :c1]
+            dk[:, :, :c1] += (ds.swapaxes(-1, -2) @ qh[:, :, r0:r1]).sum(axis=1, keepdims=True)
         return tuple(gt.transpose(2, 0, 1, 3).reshape(t.data.shape)
                      for t, gt in ((q, dq), (k, dk), (v, dv)))
 
-    return _record(Tensor(out.reshape(length, width)), (q, k, v), bwd)
+    return _record(Tensor(out.reshape(rows, width)), (q, k, v), bwd)
 
 
 # ----------------------------------------------------------------------
@@ -436,8 +446,9 @@ def finite_diff_check(
     """Compare taped gradients of ``f`` at ``x`` against central differences.
 
     Returns the worst relative error with denominator
-    max(|analytic|, |numeric|, 1e-8). ``coords`` restricts the check to a
-    subset of flat coordinates (all of them by default).
+    max(|analytic|, |numeric|, 1e-8), or NaN when a gradient or a
+    difference is not finite. ``coords`` restricts the check to a subset
+    of flat coordinates (all of them by default).
     """
     if not (1e-7 <= h <= 1e-4):
         raise ValueError(f"step size {h} outside the supported range [1e-7, 1e-4]")
@@ -460,5 +471,8 @@ def finite_diff_check(
         flat[i] = orig
         numeric = (fp - fm) / (2.0 * h)
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic[i] - numeric) / denom)
+        err = abs(analytic[i] - numeric) / denom
+        if not np.isfinite(err):  # max() would drop a NaN
+            return float("nan")
+        worst = max(worst, err)
     return worst

@@ -1,9 +1,11 @@
 """Tiny causal transformer: GQA attention, rotary positions, RMS norm,
-SiLU-gated FFN. Final-layer hidden states are the only output; there is
-no LM head and no KV cache because reranking is a single full-sequence
-pass. Attention is one fused, row-blocked op over all heads
-(``autodiff.causal_attention``) that masks only its diagonal tiles, so
-no mask tensor is ever built.
+SiLU-gated FFN. Final-layer hidden states at the rows a caller reads
+(the marker tokens) are the only output; the last layer runs only at
+those rows, apart from its K and V. There is no LM head and no KV cache
+because reranking is a single full-sequence pass. Attention is one fused,
+row-blocked op over all heads (``autodiff.causal_attention``) that masks
+only the keys past each block's least position, so no (L, L) mask is
+ever built.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import from_json_object
-from .errors import ConfigError, ContextLengthError, VocabularyError
+from .errors import ConfigError, ContextLengthError, DimensionError, VocabularyError
 
 
 @dataclass
@@ -103,10 +105,16 @@ def forward(
     tokens: Sequence[int],
     config: BackboneConfig,
     weights: dict[str, Tensor],
+    rows: Sequence[int] | None = None,
 ) -> Tensor:
-    """Run the full stack, returning final-layer hidden states (L, d_hidden).
+    """Run the full stack, returning the final-layer hidden states at
+    ``rows``, in the order given, as a (len(rows), d_hidden) matrix; every
+    row, (L, d_hidden), by default.
 
-    Strictly causal: position p is a function of tokens[0..p] only.
+    Strictly causal: position p is a function of tokens[0..p] only. So the
+    last layer needs K and V at every row, but its query, residual, output
+    projection, FFN and final norm only at ``rows``: the rows it skips
+    feed nothing that is returned, and skipping them changes no value.
     """
     length = len(tokens)
     if length == 0:
@@ -120,17 +128,25 @@ def forward(
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         bad = ids[(ids < 0) | (ids >= config.vocab_size)][0]
         raise VocabularyError(f"token id {bad} outside vocabulary of {config.vocab_size}")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1:
+            raise DimensionError(f"rows must be a flat list of positions, got {rows.tolist()}")
+        if ((rows < 0) | (rows >= length)).any():
+            raise DimensionError(f"rows {rows.tolist()} outside a sequence of {length} tokens")
 
-    positions = list(range(length))
+    positions = np.arange(length)
     hd = config.head_dim
     x = ad.gather_rows(weights["embed.weight"], ids)
     for i in range(config.n_layers):
         p = f"layers.{i}"
         h = ad.rms_norm(x, weights[f"{p}.attn_norm.gain"], config.rms_eps)
-        q = ad.rope(ad.matmul(h, weights[f"{p}.attn.wq"]), positions, config.rope_base, hd)
         k = ad.rope(ad.matmul(h, weights[f"{p}.attn.wk"]), positions, config.rope_base, hd)
         v = ad.matmul(h, weights[f"{p}.attn.wv"])
-        attn = ad.causal_attention(q, k, v, config.n_q_heads, config.n_kv_heads)
+        if rows is not None and i == config.n_layers - 1:
+            x, h, positions = ad.gather_rows(x, rows), ad.gather_rows(h, rows), rows
+        q = ad.rope(ad.matmul(h, weights[f"{p}.attn.wq"]), positions, config.rope_base, hd)
+        attn = ad.causal_attention(q, k, v, config.n_q_heads, config.n_kv_heads, positions)
         x = ad.add(x, ad.matmul(attn, weights[f"{p}.attn.wo"]))
 
         h2 = ad.rms_norm(x, weights[f"{p}.ffn_norm.gain"], config.rms_eps)

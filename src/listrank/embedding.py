@@ -50,10 +50,10 @@ def init_projector(config: ProjectorConfig, seed: int) -> dict[str, Tensor]:
     }
 
 
-def extract(hidden: Tensor, layout: PromptLayout, include_dual: bool = False) -> Tensor:
-    """One gather of the rows at the recorded marker positions: the
-    documents in original order (the presentation permutation is inverted
-    here), then the query, then the dual query if asked for."""
+def extract(layout: PromptLayout, include_dual: bool = False) -> list[int]:
+    """The marker positions whose hidden states are read, in row order:
+    the documents in original order (the presentation permutation is
+    inverted here), then the query, then the dual query if asked for."""
     positions = [pos for _, pos in sorted(zip(layout.doc_presentation_order,
                                               layout.doc_marker_positions))]
     positions.append(layout.query_marker_position)
@@ -61,11 +61,7 @@ def extract(hidden: Tensor, layout: PromptLayout, include_dual: bool = False) ->
         if layout.dual_query_marker_position is None:
             raise DimensionError("layout has no dual query marker")
         positions.append(layout.dual_query_marker_position)
-    if max(positions) >= hidden.shape[0]:
-        raise DimensionError(
-            f"marker position {max(positions)} outside hidden states with {hidden.shape[0]} rows"
-        )
-    return ad.gather_rows(hidden, positions)
+    return positions
 
 
 def project(raw: Tensor, weights: dict[str, Tensor]) -> Tensor:

@@ -5,8 +5,9 @@ documents are packed into batches in order and the query is re-encoded
 within each batch, so every batch is scored against its own query
 embedding; raw cosine scores are pooled across batches and sorted
 globally (cosine normalization keeps them commensurable). A batch is one
-``extract`` of its marker rows, one ``project`` of that matrix and one
-``score`` of its document rows against the query row.
+forward that runs its last layer only at the marker rows ``extract``
+names, one ``project`` of those rows and one ``score`` of its document
+rows against the query row.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .model import RerankModel
 from .prompt import Document, RerankRequest, apply_ordering, build_prompt, chunk_into_batches
 
 
-@dataclass
+@dataclass(slots=True)
 class RankedEntry:
     doc_id: str
     score: Optional[float]  # None when the embedding was degenerate
@@ -35,7 +36,7 @@ class RankedEntry:
     error: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RankedResult:
     entries: list[RankedEntry]
     ordering: str
@@ -74,8 +75,9 @@ def rerank(
             batch, model.vocab, max_doc_tokens,
             max_context=model.backbone_config.max_context,
         )
-        hidden = bb.forward(layout.token_ids, model.backbone_config, model.weights)
-        emb = project(extract(hidden, layout), model.weights).data  # documents, then the query
+        hidden = bb.forward(layout.token_ids, model.backbone_config, model.weights,
+                            rows=extract(layout))
+        emb = project(hidden, model.weights).data  # documents, then the query
         if not np.isfinite(emb).all():
             # broken weights, not one bad document: fail the whole request
             raise DegenerateEmbeddingError("non-finite embedding: the model weights are broken")

@@ -254,14 +254,15 @@ def _encode_group(
         insert_dual_query_marker=True,
         max_context=min(max_seq, model.backbone_config.max_context),
     )
-    hidden = bb.forward(layout.token_ids, model.backbone_config, weights)
     # rows: positive, negatives, augmented positive, query, dual query
+    hidden = bb.forward(layout.token_ids, model.backbone_config, weights,
+                        rows=extract(layout, include_dual=True))
     k = len(negatives)
     group = QueryGroup(
         query=first_row + k + 2, dual_query=first_row + k + 3, positive=first_row,
         negatives=list(range(first_row + 1, first_row + 1 + k)), augmented=first_row + k + 1,
     )
-    return extract(hidden, layout, include_dual=True), group
+    return hidden, group
 
 
 def train_stage(

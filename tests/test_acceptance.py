@@ -308,8 +308,8 @@ class TestAcceptance:
         from listrank.backbone import forward
         from listrank.embedding import extract, project, score
 
-        hidden = forward(layout.token_ids, cfg, model.weights)
-        emb = project(extract(hidden, layout), model.weights).data
+        hidden = forward(layout.token_ids, cfg, model.weights, rows=extract(layout))
+        emb = project(hidden, model.weights).data
         sims = score(Tensor(emb[-1:]), Tensor(emb[:-1])).data[0]
         manual = sorted(
             (

@@ -37,6 +37,11 @@ class TestMatmul:
         assert finite_diff_check(lambda t: ad.tsum(ad.matmul(t, b)), a) < 1e-6
         assert finite_diff_check(lambda t: ad.tsum(ad.matmul(a, t)), b) < 1e-6
 
+    def test_finite_diff_check_reports_a_nan_gradient(self):
+        x = Tensor(np.ones((1, 3)), requires_grad=True)
+        w = Tensor([[1.0, np.nan, 1.0]])
+        assert np.isnan(finite_diff_check(lambda t: ad.tsum(ad.mul(t, w)), x))
+
 
 def attention_weights(scores: np.ndarray) -> np.ndarray:
     """The row softmax inside ``causal_attention``, read out through

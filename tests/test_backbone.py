@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listrank import autodiff as ad
 from listrank import backbone as bb
@@ -93,6 +95,47 @@ class TestForward:
             changed = bb.forward(mutated, cfg, weights).data
             assert (base[:p] == changed[:p]).all()
             assert (base[p:] != changed[p:]).any()
+
+    def test_rows_outside_the_sequence(self, cfg, weights):
+        for rows in ([0, 5], [-1]):
+            with pytest.raises(DimensionError, match="outside"):
+                bb.forward([1, 2, 3, 4, 5], cfg, weights, rows=rows)
+        with pytest.raises(DimensionError, match="flat list of positions"):
+            bb.forward([1, 2, 3, 4, 5], cfg, weights, rows=[[0]])
+
+
+@st.composite
+def _tokens_and_rows(draw):
+    """A sequence of up to 200 tokens and the rows to read: unsorted, with
+    repeats, always holding row 0, the last row and rows 63/64/65 where
+    they exist (the edge of the first attention block)."""
+    length = draw(st.integers(1, 200))
+    tokens = draw(st.lists(st.integers(0, 49), min_size=length, max_size=length))
+    fixed = [r for r in (0, length - 1, 63, 64, 65) if r < length]
+    drawn = draw(st.lists(st.integers(0, length - 1), max_size=80))
+    return tokens, draw(st.permutations(fixed + drawn))
+
+
+class TestForwardAtRows:
+    @pytest.fixture(scope="class")
+    def big(self):
+        """Weights x10, so rows differ by far more than roundoff."""
+        cfg = tiny_backbone_config(max_context=256)
+        weights = bb.init_weights(cfg, seed=4)
+        for w in weights.values():
+            w.data = w.data * 10.0
+        return cfg, weights
+
+    @settings(max_examples=40, deadline=None)
+    @given(_tokens_and_rows())
+    def test_equals_the_full_forward_at_those_rows(self, big, case):
+        cfg, weights = big
+        tokens, rows = case
+        full = bb.forward(tokens, cfg, weights).data
+        assert np.isfinite(full).all()
+        at_rows = bb.forward(tokens, cfg, weights, rows=rows).data
+        assert at_rows.shape == (len(rows), cfg.d_hidden)
+        np.testing.assert_allclose(at_rows, full[rows], rtol=0, atol=1e-12)
 
 
 def _reference_mha(q, k, v, n_heads, n_kv_heads):
@@ -195,6 +238,72 @@ class TestCausalAttention:
         with ad.Tape() as tape:
             ad.causal_attention(q, k, v, 4, 2)
         assert len(tape) == 1
+
+    # two blocks of query rows over 67 keys, with positions on both sides of
+    # the first block edge; position 0 opens each block
+    POSITIONS = np.array([0, 66, 63, 64, 65, 5, 40, 64, 1, 30] * 6 + [0, 64, 63, 66, 2, 50, 50])
+
+    def test_positions_equal_the_reference_at_those_rows(self):
+        rng = np.random.default_rng(20)
+        q, k, v = _qkv(rng, 67, scl=3.0)
+        at = ad.causal_attention(Tensor(q[self.POSITIONS]), Tensor(k), Tensor(v), 4, 2,
+                                 positions=self.POSITIONS).data
+        np.testing.assert_allclose(at, _reference_mha(q, k, v, 4, 2)[self.POSITIONS], atol=1e-12)
+
+    def test_masked_weights_exactly_zero_at_positions(self):
+        rng = np.random.default_rng(21)
+        pos = self.POSITIONS
+        q, k = rng.normal(size=(len(pos), 67)), rng.normal(size=(67, 67))
+        w = ad.causal_attention(Tensor(q), Tensor(k), Tensor(np.eye(67)), 1, 1, positions=pos).data
+        future = np.arange(67)[None, :] > pos[:, None]
+        assert (w[future] == 0.0).all()
+        assert (w[~future] > 0.0).all()
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 6, BLOCK - 1, BLOCK, BLOCK + 2])
+    def test_future_keys_and_values_do_not_leak_at_positions(self, p):
+        rng = np.random.default_rng(30 + p)
+        q, k, v = _qkv(rng, 67)
+        pos = self.POSITIONS
+        q = q[pos]
+
+        def attend(k, v):
+            return ad.causal_attention(Tensor(q), Tensor(k), Tensor(v), 4, 2, positions=pos).data
+
+        base = attend(k, v)
+        k2, v2 = k.copy(), v.copy()
+        k2[p:] += rng.normal(size=k2[p:].shape) * 10.0
+        v2[p:] += rng.normal(size=v2[p:].shape) * 10.0
+        changed = attend(k2, v2)
+        assert (base[pos < p] == changed[pos < p]).all()
+        assert (base[pos >= p] != changed[pos >= p]).any(axis=1).all()
+        # a huge future value would swamp any weight that is not exactly 0
+        v2[p] = 1e300
+        assert (attend(k, v2)[pos < p] == base[pos < p]).all()
+
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    def test_gradient_at_positions_across_a_block_boundary(self, arg):
+        rng = np.random.default_rng(40 + arg)
+        q, k, v = _qkv(rng, 67)
+        inputs = [Tensor(q[self.POSITIONS]), Tensor(k), Tensor(v)]
+        inputs[arg].requires_grad = True
+        w = Tensor(rng.normal(size=(len(self.POSITIONS), 16)))
+
+        def f(t):
+            args = list(inputs)
+            args[arg] = t
+            return ad.tsum(ad.mul(ad.causal_attention(*args, 4, 2, positions=self.POSITIONS), w))
+
+        # the largest step: some keys are read by few rows, so their small
+        # gradients need it to rise above the roundoff of a 77-row sum
+        assert finite_diff_check(f, inputs[arg], h=1e-4) < 1e-6
+
+    @pytest.mark.parametrize("positions", [[0, 3], [0, -1, 2], [0, 1], [0, 1, 2, 3]])
+    def test_positions_outside_the_keys_or_miscounted(self, positions):
+        rng = np.random.default_rng(5)
+        q, k, v = (Tensor(a) for a in _qkv(rng, 3))
+        with pytest.raises(DimensionError, match="positions"):
+            ad.causal_attention(q, k, v, 4, 2, positions=positions)
 
     def test_head_count_mismatch(self):
         t = Tensor(np.ones((2, 4)))

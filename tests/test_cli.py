@@ -167,9 +167,11 @@ class TestExitCodes:
         (lambda m: m["backbone"].update(n_layers=True), "BackboneConfig.n_layers must be int"),
         (lambda m: m["backbone"].update(rope_base=0), "rope_base must be positive"),
         (lambda m: m["projector"].update(d_mid=16.0), "ProjectorConfig.d_mid must be int"),
+        (lambda m: m["backbone"].update(rms_eps=10 ** 400),
+         "BackboneConfig.rms_eps must fit a float, got an integer of 401 digits"),
     ], ids=["no vocab", "no projector", "unknown backbone key", "backbone list",
             "vocab object", "string vocab id", "repeated vocab id", "string n_layers",
-            "bool n_layers", "zero rope base", "float d_mid"])
+            "bool n_layers", "zero rope base", "float d_mid", "rms_eps beyond a float"])
     def test_malformed_bundle_meta(self, model_path, data_dir, tmp_path, capsys, edit, message):
         tensors, meta = load_checkpoint(model_path)
         edit(meta)
@@ -193,8 +195,11 @@ class TestExitCodes:
         (b'{"seed": -1}', "seed and n_inbatch_negatives must be >= 0, got -1 and 3"),
         (b'{"n_inbatch_negatives": -5}',
          "seed and n_inbatch_negatives must be >= 0, got 0 and -5"),
+        (b'{"steps": 1, "temperature": 1' + b"0" * 400 + b"}",
+         "StageConfig.temperature must fit a float, got an integer of 401 digits"),
     ], ids=["not json", "not utf-8", "list", "unknown key", "string steps", "int bool",
-            "bool float", "float optional int", "negative seed", "negative in-batch negatives"])
+            "bool float", "float optional int", "negative seed", "negative in-batch negatives",
+            "temperature beyond a float"])
     def test_malformed_stage_config(self, data_dir, tmp_path, capsys, content, message):
         stage_path = tmp_path / "stage.json"
         stage_path.write_bytes(content)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from listrank import autodiff as ad
+from listrank import backbone as bb
 from listrank.autodiff import Tensor, backward, finite_diff_check
 from listrank.embedding import (
     ProjectorConfig,
@@ -12,6 +13,8 @@ from listrank.embedding import (
 )
 from listrank.errors import ConfigError, DimensionError
 from listrank.prompt import PromptLayout
+
+from conftest import tiny_backbone_config
 
 
 def _layout(doc_positions, query_position, order=None, dual=None):
@@ -30,7 +33,7 @@ class TestExtract:
         rng = np.random.default_rng(0)
         hidden = Tensor(rng.normal(size=(10, 4)))
         layout = _layout([2, 5, 7], 9)
-        emb = extract(hidden, layout).data
+        emb = ad.gather_rows(hidden, extract(layout)).data
         for i, pos in enumerate([2, 5, 7]):
             np.testing.assert_array_equal(emb[i], hidden.data[pos])
         np.testing.assert_array_equal(emb[3], hidden.data[9])
@@ -41,7 +44,7 @@ class TestExtract:
         hidden = Tensor(rng.normal(size=(10, 4)))
         # slot 0 shows original doc 2, slot 1 shows doc 0, slot 2 shows doc 1
         layout = _layout([2, 5, 7], 9, order=[2, 0, 1])
-        emb = extract(hidden, layout).data
+        emb = ad.gather_rows(hidden, extract(layout)).data
         np.testing.assert_array_equal(emb[2], hidden.data[2])
         np.testing.assert_array_equal(emb[0], hidden.data[5])
         np.testing.assert_array_equal(emb[1], hidden.data[7])
@@ -50,24 +53,23 @@ class TestExtract:
         rng = np.random.default_rng(2)
         hidden = Tensor(rng.normal(size=(8, 3)))
         layout = _layout([4], 6, dual=1)
-        emb = extract(hidden, layout, include_dual=True)
+        emb = ad.gather_rows(hidden, extract(layout, include_dual=True))
         np.testing.assert_array_equal(emb.data[-1], hidden.data[1])
 
     def test_missing_dual_raises(self):
-        hidden = Tensor(np.zeros((8, 3)))
         with pytest.raises(DimensionError, match="dual"):
-            extract(hidden, _layout([4], 6), include_dual=True)
+            extract(_layout([4], 6), include_dual=True)
 
     def test_position_out_of_range(self):
-        hidden = Tensor(np.zeros((5, 3)))
-        with pytest.raises(DimensionError, match="outside"):
-            extract(hidden, _layout([2], 6))
+        cfg = tiny_backbone_config()
+        with pytest.raises(DimensionError, match="outside"):  # 5 tokens, query marker at 6
+            bb.forward([0] * 5, cfg, bb.init_weights(cfg, seed=0), rows=extract(_layout([2], 6)))
 
     def test_gradient_flows_only_to_selected_rows(self):
         hidden = Tensor(np.random.default_rng(3).normal(size=(6, 3)), requires_grad=True)
         layout = _layout([1], 4)
         with ad.Tape():
-            backward(ad.tsum(extract(hidden, layout)))  # the document and the query row
+            backward(ad.tsum(ad.gather_rows(hidden, extract(layout))))  # the document and the query row
         touched = np.zeros((6, 3))
         touched[[1, 4]] = 1.0
         np.testing.assert_array_equal(hidden.grad, touched)

@@ -1,5 +1,6 @@
 """The experiment scripts, run as a user runs them, on tiny settings."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -37,3 +38,19 @@ def test_fingerprint_is_reproducible(tmp_path):
     assert sorted(fingerprint["stages"]) == ["adapters", "frozen_embeddings", "full",
                                              "no_inbatch_negatives"]
     assert len(fingerprint["rankings"]) == 4
+
+    done = _run("fingerprint.py", "--compare", *outs)
+    assert done.returncode == 0, done.stdout
+    assert "largest difference: 0 " in done.stdout and "clean" in done.stdout
+    # a hand-edited score, 1e-9 away from the first run's
+    entry = next(iter(fingerprint["rankings"].values()))[0]
+    entry[1] = (float.fromhex(entry[1]) + 1e-9).hex()
+    outs[1].write_text(json.dumps(fingerprint))
+    done = _run("fingerprint.py", "--compare", *outs)
+    assert done.returncode == 1
+    assert "MISMATCH rankings/" in done.stdout
+    spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "scripts" / "fingerprint.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    first, second = (json.loads(out.read_text()) for out in outs)
+    assert script.compare(first, second, 1e-8) == 0

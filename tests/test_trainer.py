@@ -205,6 +205,40 @@ class TestTrainStage:
             train_stage(model, corpus_dataset(synth_corpus), stage)
         assert nodes[0] == nodes[1]
 
+    @pytest.mark.parametrize("mode", ["adapters", "full"])
+    def test_step_matches_the_full_forward_at_the_marker_rows(self, synth_corpus, synth_vocab,
+                                                              monkeypatch, mode):
+        """The last layer runs only at the marker rows; the loss and every
+        trainable gradient of a step equal those read from the full forward."""
+        cfg = tiny_backbone_config(vocab_size=len(synth_vocab), d_ffn=64)
+        stage = dataclasses.replace(overfit_stage_config(steps=1), mode=mode)
+        step = trainer.AdamW.step
+
+        def run():
+            grads = {}
+
+            def record(opt):
+                grads.update({k: p.grad.copy() for k, p in opt.params.items()})
+                step(opt)
+
+            with monkeypatch.context() as m:
+                m.setattr(trainer.AdamW, "step", record)
+                model = RerankModel.create(synth_vocab, cfg, seed=3)
+                trace = train_stage(model, corpus_dataset(synth_corpus), stage)
+            return trace[0], grads
+
+        loss, grads = run()
+        forward = trainer.bb.forward
+        monkeypatch.setattr(trainer.bb, "forward", lambda tokens, config, weights, rows:
+                            ad.gather_rows(forward(tokens, config, weights), rows))
+        ref_loss, ref_grads = run()
+        for k in loss:
+            assert loss[k] == pytest.approx(ref_loss[k], rel=0, abs=1e-12), k
+        assert sorted(grads) == sorted(ref_grads)
+        for k, g in grads.items():
+            scale = max(1.0, float(np.abs(ref_grads[k]).max()))
+            np.testing.assert_allclose(g, ref_grads[k], rtol=0, atol=1e-12 * scale, err_msg=k)
+
     def test_loss_decreases_over_training(self, trained_model):
         _, trace, _ = trained_model
         early = np.mean([r["total"] for r in trace[:40]])
