@@ -327,39 +327,28 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
     return _record(Tensor(c), (a, b), bwd)
 
 
-def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Turn each pair (x[2i], x[2i+1]) of every row by the angle whose
-    cosine and sine are given."""
-    even, odd = x[:, 0::2], x[:, 1::2]
-    y = np.empty_like(x)
-    y[:, 0::2] = even * cos - odd * sin
-    y[:, 1::2] = even * sin + odd * cos
-    return y
+def rope_table(length: int, head_dim: int, base: float) -> np.ndarray:
+    """Unit turns exp(1j * p * base^(-2i/head_dim)) for positions p in [0, length)
+    and pairs i of a head, as a (length, head_dim/2) complex array."""
+    freqs = base ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
+    return np.exp(1j * np.outer(np.arange(length), freqs))
 
 
-def rope(x: Tensor, positions: Sequence[int], base: float, head_dim: int | None = None) -> Tensor:
-    """Rotary position transform over rows split into heads of even width
-    ``head_dim`` (the whole row by default). Pair (h[2i], h[2i+1]) of each
-    head in row p rotates by angle p * base^(-2i/head_dim).
-    """
+def rope(x: Tensor, turns: np.ndarray) -> Tensor:
+    """Rotary positions: pair (h[2i], h[2i+1]) of each head in row r, read as a
+    complex number, times ``turns[r, i]`` (see ``rope_table``); one table serves
+    every head. The backward turns by the conjugate, the opposite angle."""
     x = _as_tensor(x)
     length, width = x.shape
-    head_dim = width if head_dim is None else head_dim
-    if head_dim % 2 != 0 or width % head_dim != 0:
-        raise DimensionError(f"rope requires even heads dividing width {width}, got {head_dim}")
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape != (length,):
-        raise DimensionError("rope positions must match row count")
-    freqs = np.tile(base ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim),
-                    width // head_dim)
-    angles = pos[:, None] * freqs[None, :]
-    cos, sin = np.cos(angles), np.sin(angles)
+    half = turns.shape[1]
+    if turns.shape[0] != length or width % (2 * half) != 0:
+        raise DimensionError(f"rope turns of shape {turns.shape} do not fit rows {x.shape}")
 
-    def bwd(g):
-        # the transpose of a rotation turns by the opposite angle
-        return (_rotate(g, cos, -sin),)
+    def turn(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        z = np.ascontiguousarray(a).view(np.complex128).reshape(length, -1, half)
+        return (z * t[:, None]).view(np.float64).reshape(length, width)
 
-    return _record(Tensor(_rotate(x.data, cos, sin)), (x,), bwd)
+    return _record(Tensor(turn(x.data, turns)), (x,), lambda g: (turn(g, turns.conj()),))
 
 
 ATTENTION_BLOCK = 64  # query rows per block of causal_attention

@@ -2,10 +2,11 @@
 SiLU-gated FFN. Final-layer hidden states at the rows a caller reads
 (the marker tokens) are the only output; the last layer runs only at
 those rows, apart from its K and V. There is no LM head and no KV cache
-because reranking is a single full-sequence pass. Attention is one fused,
-row-blocked op over all heads (``autodiff.causal_attention``) that masks
-only the keys past each block's least position, so no (L, L) mask is
-ever built.
+because reranking is a single full-sequence pass. Rotary positions are one
+complex table per forward (``autodiff.rope_table``) that ``autodiff.rope``
+multiplies into every head of K and Q. Attention is one fused, row-blocked
+op over all heads (``autodiff.causal_attention``) that masks only the keys
+past each block's least position, so no (L, L) mask is ever built.
 """
 
 from __future__ import annotations
@@ -136,16 +137,17 @@ def forward(
             raise DimensionError(f"rows {rows.tolist()} outside a sequence of {length} tokens")
 
     positions = np.arange(length)
-    hd = config.head_dim
+    turns = ad.rope_table(length, config.head_dim, config.rope_base)
     x = ad.gather_rows(weights["embed.weight"], ids)
     for i in range(config.n_layers):
         p = f"layers.{i}"
         h = ad.rms_norm(x, weights[f"{p}.attn_norm.gain"], config.rms_eps)
-        k = ad.rope(ad.matmul(h, weights[f"{p}.attn.wk"]), positions, config.rope_base, hd)
+        k = ad.rope(ad.matmul(h, weights[f"{p}.attn.wk"]), turns)
         v = ad.matmul(h, weights[f"{p}.attn.wv"])
         if rows is not None and i == config.n_layers - 1:
-            x, h, positions = ad.gather_rows(x, rows), ad.gather_rows(h, rows), rows
-        q = ad.rope(ad.matmul(h, weights[f"{p}.attn.wq"]), positions, config.rope_base, hd)
+            positions = rows
+            x, h, turns = ad.gather_rows(x, rows), ad.gather_rows(h, rows), turns[rows]
+        q = ad.rope(ad.matmul(h, weights[f"{p}.attn.wq"]), turns)
         attn = ad.causal_attention(q, k, v, config.n_q_heads, config.n_kv_heads, positions)
         x = ad.add(x, ad.matmul(attn, weights[f"{p}.attn.wo"]))
 

@@ -41,7 +41,7 @@ from .evaluation import (
 )
 from .losses import LossWeights, QueryGroup, TrainingBatch, total_loss
 from .model import RerankModel
-from .prompt import Document, RerankRequest, Vocabulary
+from .prompt import Document, RerankRequest, Vocabulary, check_limits
 from .reranker import read_requests, rerank, write_run
 from .trainer import (
     MergeSpec,
@@ -87,6 +87,7 @@ def _require_file(path: str, what: str):
 
 def cmd_rerank(args) -> int:
     _print_config("rerank", args)
+    check_limits(args.max_doc_tokens, args.max_docs_per_pass)
     _require_file(args.model, "model")
     _require_file(args.input, "input")
     model = RerankModel.load(args.model)
@@ -256,7 +257,7 @@ def _gradcheck_lora(seed: int) -> float:
     x = Tensor(rng.normal(size=(3, 6)))
 
     def f(_):
-        eff = apply_lora(base, adapters, rank=2, alpha=4.0)
+        eff = apply_lora(base, adapters, alpha=4.0)
         return ad.tmean(ad.matmul(x, eff["w"]))
 
     err_a = finite_diff_check(f, a)

@@ -12,9 +12,9 @@ _LARGEST_FLOAT = int(sys.float_info.max)
 
 
 def from_json_object(cls, obj):
-    """``cls(**obj)`` once ``obj`` is known to be a JSON object whose keys
-    types. An int is a valid float if a float can hold it; JSON true/false
-    are not numbers."""
+    """``cls(**obj)`` once ``obj`` is a JSON object whose keys are fields of the
+    dataclass ``cls`` and whose values each have their field's type. An int is
+    a valid float if a float can hold it; JSON true/false are not numbers."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(cls)})

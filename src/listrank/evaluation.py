@@ -14,12 +14,16 @@ from .checkpoint import parse_json, write_atomic, write_jsonl
 from .errors import ParseError, ValidationError
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+
+
 def ndcg_at_k(ranking: Sequence[str], qrels: dict[str, int], k: int = 10) -> float:
     """nDCG@k with exponential gain (2^rel - 1) and log2(rank+1) discount.
 
     Queries with no relevant documents (or an empty ranking) score 0."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _check_k(k)
     ideal = sorted((r for r in qrels.values() if r > 0), reverse=True)[:k]
     idcg = sum((2.0 ** rel - 1.0) / math.log2(p + 2) for p, rel in enumerate(ideal))
     if idcg == 0.0 or not ranking:
@@ -33,8 +37,7 @@ def ndcg_at_k(ranking: Sequence[str], qrels: dict[str, int], k: int = 10) -> flo
 
 def recall_at_k(ranking: Sequence[str], qrels: dict[str, int], k: int = 10) -> float:
     """|relevant in top-k| / |relevant|; graded rel > 0 counts as relevant."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _check_k(k)
     relevant = {d for d, r in qrels.items() if r > 0}
     if not relevant:
         return 0.0
@@ -123,6 +126,7 @@ def evaluate_run(run_path, qrels_path, metric: str = "ndcg", k: int = 10) -> Met
     """Per-query metric plus macro average over the run file's queries."""
     if metric not in ("ndcg", "recall"):
         raise ValidationError(f"unknown metric {metric!r}")
+    _check_k(k)  # before the files are read, so an empty run cannot hide a bad k
     fn = ndcg_at_k if metric == "ndcg" else recall_at_k
     run = load_run(run_path)
     qrels = load_qrels(qrels_path)

@@ -224,11 +224,18 @@ def _query_block(query: str) -> list[str]:
     return ["\n<query>\n" + query, QUERY_EMB, "\n</query>\n", IM_END]
 
 
-def _check_inputs(query: str, max_doc_tokens: int) -> None:
-    if not query.strip():
-        raise ValidationError("empty query")
+def check_limits(max_doc_tokens: int, max_docs_per_pass: int = 1) -> None:
+    """Refuse a per-pass limit below 1; reads no input, so callers can check first."""
+    if max_docs_per_pass < 1:
+        raise ValidationError(f"max_docs_per_pass must be >= 1, got {max_docs_per_pass}")
     if max_doc_tokens < 1:  # a slice to 0 or below would drop tokens silently
         raise ValidationError(f"max_doc_tokens must be >= 1, got {max_doc_tokens}")
+
+
+def _check_inputs(query: str, max_doc_tokens: int, max_docs_per_pass: int = 1) -> None:
+    check_limits(max_doc_tokens, max_docs_per_pass)
+    if not query.strip():
+        raise ValidationError("empty query")
 
 
 def build_prompt(
@@ -297,9 +304,7 @@ def chunk_into_batches(
 
     Each document is tokenized once: a batch's prompt length is the sum of
     its template segments and its truncated passages."""
-    if max_docs_per_pass < 1:
-        raise ValidationError("max_docs_per_pass must be >= 1")
-    _check_inputs(query, max_doc_tokens)
+    _check_inputs(query, max_doc_tokens, max_docs_per_pass)
 
     @functools.cache
     def length(segment: str) -> int:

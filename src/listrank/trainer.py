@@ -120,12 +120,10 @@ def create_adapters(
 def apply_lora(
     base_weights: dict[str, Tensor],
     adapters: dict[str, tuple[Tensor, Tensor]],
-    rank: int,
     alpha: float,
 ) -> dict[str, Tensor]:
-    """Effective-weight view W + (alpha/rank) * B @ A; gradients flow to
-    A and B only when the base weights are frozen."""
-    scale_factor = alpha / rank
+    """Effective-weight view W + (alpha/rank) * B @ A, rank being the rows of
+    each A; gradients flow to A and B only when the base weights are frozen."""
     eff = dict(base_weights)
     for name, (a, b) in adapters.items():
         w = base_weights[name]
@@ -134,19 +132,18 @@ def apply_lora(
                 f"adapter shapes {tuple(b.shape)}x{tuple(a.shape)} incompatible "
                 f"with {name} of shape {tuple(w.shape)}"
             )
-        eff[name] = ad.add(w, ad.mul(ad.matmul(b, a), scale_factor))
+        eff[name] = ad.add(w, ad.mul(ad.matmul(b, a), alpha / a.shape[0]))
     return eff
 
 
 def fold_adapters(
     base_weights: dict[str, Tensor],
     adapters: dict[str, tuple[Tensor, Tensor]],
-    rank: int,
     alpha: float,
 ) -> dict[str, Tensor]:
     """Materialize adapters into plain weights (for saving and merging):
     copies of the ``apply_lora`` view, which records nothing outside a tape."""
-    eff = apply_lora(base_weights, adapters, rank, alpha)
+    eff = apply_lora(base_weights, adapters, alpha)
     return {k: Tensor(v.data.copy()) for k, v in eff.items()}
 
 
@@ -301,7 +298,7 @@ def train_stage(
     for step in range(stage.steps):
         idx = rng.choice(len(dataset), size=stage.batch_size, replace=False)
         with Tape():
-            weights = apply_lora(model.weights, adapters, stage.lora_rank, stage.lora_alpha)
+            weights = apply_lora(model.weights, adapters, stage.lora_alpha)
             raw, groups = [], []
             for i in idx:
                 ex = dataset[int(i)]
@@ -337,7 +334,7 @@ def train_stage(
         trace.append(record)
 
     # outside a tape, so the view records nothing; fold only the adapted weights
-    folded = apply_lora(model.weights, adapters, stage.lora_rank, stage.lora_alpha)
+    folded = apply_lora(model.weights, adapters, stage.lora_alpha)
     for name in adapters:
         model.weights[name].data = folded[name].data
     for w in model.weights.values():

@@ -200,7 +200,7 @@ class TestAcceptance:
         base = untrained_model
         targets = lora_target_names(base.backbone_config.n_layers)
         adapters = create_adapters(base.weights, targets, rank=8, seed=42)
-        folded = fold_adapters(base.weights, adapters, rank=8, alpha=16.0)
+        folded = fold_adapters(base.weights, adapters, alpha=16.0)
         with_adapters = RerankModel(
             vocab=base.vocab,
             backbone_config=base.backbone_config,

@@ -316,21 +316,72 @@ class TestCausalAttention:
             ad.causal_attention(q, k, k, 2, 1)
 
 
+def _reference_rotate(x, positions, base, head_dim, sign=1.0):
+    """rope as it was before the table: angles, cosines and sines built per
+    call and tiled per head, with the even and odd columns written through
+    strided slices. ``sign=-1`` turns by the opposite angle."""
+    freqs = np.tile(base ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim),
+                    x.shape[1] // head_dim)
+    angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
+    cos, sin = np.cos(angles), sign * np.sin(angles)
+    even, odd = x[:, 0::2], x[:, 1::2]
+    y = np.empty_like(x)
+    y[:, 0::2] = even * cos - odd * sin
+    y[:, 1::2] = even * sin + odd * cos
+    return y
+
+
 class TestRope:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        length=st.integers(1, 600),
+        head_dim=st.sampled_from([2, 4, 8, 16, 64]),
+        n_heads=st.integers(1, 8),
+        picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=40),
+        magnitude=st.floats(1e-5, 1e5),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_the_per_call_formula(self, length, head_dim, n_heads, picks, magnitude,
+                                          seed):
+        positions = [p % length for p in picks]  # unsorted, with repeats
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(len(positions), n_heads * head_dim)) * magnitude,
+                   requires_grad=True)
+        g = rng.normal(size=x.shape) * magnitude
+        with ad.Tape():
+            out = ad.rope(x, ad.rope_table(length, head_dim, 10000.0)[positions])
+            ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
+        expected = _reference_rotate(x.data, positions, 10000.0, head_dim)
+        assert np.abs(out.data - expected).max() <= 1e-15 * np.abs(x.data).max()
+        expected_grad = _reference_rotate(g, positions, 10000.0, head_dim, sign=-1.0)
+        assert np.abs(x.grad - expected_grad).max() <= 1e-15 * np.abs(g).max()
+
+    @pytest.mark.parametrize("shape, turns_shape", [
+        ((3, 8), (4, 4)),  # one turn row too many
+        ((3, 8), (2, 4)),  # one too few
+        ((3, 12), (3, 4)),  # width 12 is not a multiple of 2 * 4
+        ((3, 6), (3, 4)),  # narrower than one head
+    ])
+    def test_turns_that_do_not_fit(self, shape, turns_shape):
+        turns = ad.rope_table(turns_shape[0], 2 * turns_shape[1], 10000.0)
+        with pytest.raises(DimensionError, match="rope turns"):
+            ad.rope(Tensor(np.ones(shape)), turns)
+
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 8))
-        out = ad.rope(Tensor(x), [0], 10000.0)
+        out = ad.rope(Tensor(x), ad.rope_table(1, 8, 10000.0)[[0]])
         np.testing.assert_allclose(out.data, x, atol=1e-15)
 
     def test_relative_position_dependence(self):
         rng = np.random.default_rng(4)
         q = rng.normal(size=(1, 8))
         k = rng.normal(size=(1, 8))
+        turns = ad.rope_table(15, 8, 10000.0)
         dots = []
         for m, n in [(0, 3), (2, 5), (7, 10), (11, 14)]:  # constant m - n
-            qr = ad.rope(Tensor(q), [m], 10000.0).data
-            kr = ad.rope(Tensor(k), [n], 10000.0).data
+            qr = ad.rope(Tensor(q), turns[[m]]).data
+            kr = ad.rope(Tensor(k), turns[[n]]).data
             dots.append(float((qr @ kr.T)[0, 0]))
         assert np.var(dots) < 1e-10
 
@@ -338,9 +389,10 @@ class TestRope:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 24))
         positions = [0, 1, 2, 7, 30, 100]
-        whole = ad.rope(Tensor(x), positions, 10000.0, head_dim=8).data
+        turns = ad.rope_table(101, 8, 10000.0)[positions]
+        whole = ad.rope(Tensor(x), turns).data
         for j in range(3):
-            head = ad.rope(Tensor(x[:, j * 8 : (j + 1) * 8]), positions, 10000.0).data
+            head = ad.rope(Tensor(x[:, j * 8 : (j + 1) * 8]), turns).data
             np.testing.assert_array_equal(whole[:, j * 8 : (j + 1) * 8], head)
 
     def test_odd_head_dim(self):

@@ -333,6 +333,32 @@ class TestExitCodes:
         assert f"max_doc_tokens must be >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "run.txt").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-docs-per-pass", "0"], "max_docs_per_pass must be >= 1, got 0"),
+        (["--max-docs-per-pass", "-2"], "max_docs_per_pass must be >= 1, got -2"),
+        (["--max-doc-tokens", "-5"], "max_doc_tokens must be >= 1, got -5"),
+        (["--max-docs-per-pass", "0", "--max-doc-tokens", "-5"],
+         "max_docs_per_pass must be >= 1, got 0"),
+    ])
+    def test_bad_limit_on_an_empty_request_file(self, model_path, tmp_path, capsys, flags,
+                                                message):
+        (tmp_path / "requests.jsonl").write_text("")
+        rc = main(["rerank", "--model", str(model_path),
+                   "--input", str(tmp_path / "requests.jsonl"),
+                   "--output", str(tmp_path / "run.txt"), *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run.txt").exists()
+
+    @pytest.mark.parametrize("metric, k", [("ndcg", "0"), ("ndcg", "-3"), ("recall", "-3")])
+    def test_bad_k_on_an_empty_run_file(self, tmp_path, capsys, metric, k):
+        (tmp_path / "run.txt").write_text("")
+        (tmp_path / "qrels.txt").write_text("q1 0 d1 1\n")
+        rc = main(["eval", "--run", str(tmp_path / "run.txt"),
+                   "--qrels", str(tmp_path / "qrels.txt"), "--metric", metric, "--k", k])
+        assert rc == 2
+        assert f"k must be >= 1, got {k}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("token, value", [
         ("QTEXT", '"a \\ud800 b"'), ("DTEXT", '"a \\ud800 b"'), ("DID", '"\\ud800"'),
         ("QID", '"\\ud800"'), ("DID", '"\\udc80"'), ("QTEXT", '"a \\udc80 b"'),

@@ -73,7 +73,7 @@ class TestLora:
     def test_zero_init_is_identity(self):
         cfg, base = self._base()
         adapters = create_adapters(base, lora_target_names(cfg.n_layers), rank=4, seed=1)
-        eff = apply_lora(base, adapters, rank=4, alpha=8.0)
+        eff = apply_lora(base, adapters, alpha=8.0)
         for name in lora_target_names(cfg.n_layers):
             np.testing.assert_array_equal(eff[name].data, base[name].data)
 
@@ -84,8 +84,8 @@ class TestLora:
         rng = np.random.default_rng(2)
         for a, b in adapters.values():
             b.data = rng.normal(0.0, 0.1, b.data.shape)
-        eff = apply_lora(base, adapters, rank=4, alpha=8.0)
-        folded = fold_adapters(base, adapters, rank=4, alpha=8.0)
+        eff = apply_lora(base, adapters, alpha=8.0)
+        folded = fold_adapters(base, adapters, alpha=8.0)
         for name in names:
             np.testing.assert_allclose(folded[name].data, eff[name].data, atol=1e-15)
             assert (folded[name].data != base[name].data).any()
@@ -94,16 +94,25 @@ class TestLora:
         w = {"m": Tensor(np.zeros((3, 3)))}
         a = Tensor(np.ones((2, 3)))
         b = Tensor(np.ones((3, 2)))
-        eff = apply_lora(w, {"m": (a, b)}, rank=2, alpha=6.0)
+        eff = apply_lora(w, {"m": (a, b)}, alpha=6.0)
         # B@A has every entry 2; scale alpha/rank = 3
         np.testing.assert_allclose(eff["m"].data, 6.0)
+
+    @pytest.mark.parametrize("rank", [1, 4, 8])
+    def test_scale_reads_the_adapters_rank(self, rank):
+        w = {"m": Tensor(np.zeros((3, 3)))}
+        a = Tensor(np.ones((rank, 3)))
+        b = Tensor(np.ones((3, rank)))
+        # B@A has every entry ``rank``; scale alpha/rank = 6 / rank
+        np.testing.assert_allclose(apply_lora(w, {"m": (a, b)}, alpha=6.0)["m"].data, 6.0)
+        np.testing.assert_allclose(fold_adapters(w, {"m": (a, b)}, alpha=6.0)["m"].data, 6.0)
 
     def test_shape_mismatch(self):
         w = {"m": Tensor(np.zeros((3, 4)))}
         a = Tensor(np.ones((2, 3)))
         b = Tensor(np.ones((3, 2)))
         with pytest.raises(ConfigError, match="incompatible"):
-            apply_lora(w, {"m": (a, b)}, rank=2, alpha=4.0)
+            apply_lora(w, {"m": (a, b)}, alpha=4.0)
 
 
 class TestAdamW:
