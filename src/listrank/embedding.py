@@ -52,11 +52,9 @@ def init_projector(config: ProjectorConfig, seed: int) -> dict[str, Tensor]:
 
 def extract(layout: PromptLayout, include_dual: bool = False) -> list[int]:
     """The marker positions whose hidden states are read, in row order:
-    the documents in original order (the presentation permutation is
-    inverted here), then the query, then the dual query if asked for."""
-    positions = [pos for _, pos in sorted(zip(layout.doc_presentation_order,
-                                              layout.doc_marker_positions))]
-    positions.append(layout.query_marker_position)
+    the documents in the order presented, then the query, then the dual
+    query if asked for."""
+    positions = [*layout.doc_marker_positions, layout.query_marker_position]
     if include_dual:
         if layout.dual_query_marker_position is None:
             raise DimensionError("layout has no dual query marker")

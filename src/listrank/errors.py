@@ -3,7 +3,7 @@
 Exit-code mapping used by the CLI:
   2 -> validation / configuration / parse errors
   3 -> numeric failures during inference (degenerate embeddings etc.)
-  4 -> training divergence (non-finite loss)
+  4 -> training divergence (non-finite loss or weights)
 """
 
 
@@ -66,7 +66,8 @@ class ParseError(ListrankError):
 
 
 class NonFiniteLossError(ListrankError):
-    """Training loss became NaN/Inf; carries step diagnostics."""
+    """Training loss or weights became NaN/Inf; a loss carries its step
+    diagnostics."""
 
     def __init__(self, message, step=None, components=None):
         super().__init__(message)

@@ -172,7 +172,6 @@ class PromptLayout:
     doc_marker_positions: list[int]
     query_marker_position: int
     dual_query_marker_position: Optional[int]
-    doc_presentation_order: list[int]  # slot -> original document index
 
 
 def apply_ordering(
@@ -232,30 +231,25 @@ def check_limits(max_doc_tokens: int, max_docs_per_pass: int = 1) -> None:
         raise ValidationError(f"max_doc_tokens must be >= 1, got {max_doc_tokens}")
 
 
-def _check_inputs(query: str, max_doc_tokens: int, max_docs_per_pass: int = 1) -> None:
-    check_limits(max_doc_tokens, max_docs_per_pass)
-    if not query.strip():
-        raise ValidationError("empty query")
-
-
 def build_prompt(
-    request: RerankRequest,
+    query: str,
     vocab: Vocabulary,
-    max_doc_tokens: int,
+    passages: Sequence[list[int]],
     insert_dual_query_marker: bool = False,
     max_context: Optional[int] = None,
 ) -> PromptLayout:
     """Assemble the listwise prompt and record every marker position.
 
-    Structure: system block, user block with instruction + query, one
-    ``<passage id="n">`` block per document (content truncated to
-    ``max_doc_tokens``, marker as final document token), then the trailing
-    ``<query>`` block with the query marker, closed by the end-of-turn
-    token. The dual query marker, when requested, lands immediately after
-    the first query occurrence.
+    ``passages`` are the passages' token ids, already truncated, in the
+    order they are shown; the prompt emits them as given. Structure:
+    system block, user block with instruction + query, one
+    ``<passage id="n">`` block per passage (its tokens, marker as final
+    passage token), then the trailing ``<query>`` block with the query
+    marker, closed by the end-of-turn token. The dual query marker, when
+    requested, lands immediately after the first query occurrence.
     """
-    _check_inputs(request.query, max_doc_tokens)
-    docs, perm = apply_ordering(request.documents, request.ordering, request.ordering_seed)
+    if not query.strip():
+        raise ValidationError("empty query")
 
     ids: list[int] = []
     markers: dict[str, list[int]] = {DOC_EMB: [], QUERY_EMB: []}
@@ -270,12 +264,12 @@ def build_prompt(
                 ids.extend(vocab.tokenize(segment))
 
     emit(_SYSTEM_BLOCK)
-    emit(_user_header(len(docs), request.query, insert_dual_query_marker))
-    for slot, doc in enumerate(docs, start=1):
+    emit(_user_header(len(passages), query, insert_dual_query_marker))
+    for slot, tokens in enumerate(passages, start=1):
         emit([_passage_open(slot)])
-        ids.extend(vocab.tokenize(doc.text)[:max_doc_tokens])
+        ids.extend(tokens)
         emit(_PASSAGE_CLOSE)
-    emit(_query_block(request.query))
+    emit(_query_block(query))
 
     if max_context is not None and len(ids) > max_context:
         raise ContextLengthError(
@@ -287,7 +281,6 @@ def build_prompt(
         doc_marker_positions=markers[DOC_EMB],
         query_marker_position=markers[QUERY_EMB][-1],
         dual_query_marker_position=markers[QUERY_EMB][0] if insert_dual_query_marker else None,
-        doc_presentation_order=perm,
     )
 
 
@@ -298,13 +291,16 @@ def chunk_into_batches(
     max_docs_per_pass: int,
     max_context: int,
     max_doc_tokens: int,
-) -> list[RerankRequest]:
+) -> list[list[tuple[Document, list[int]]]]:
     """Greedy in-order packing under both the per-pass document cap and the
     assembled token budget. Passage ids restart at 1 within each batch.
 
-    Each document is tokenized once: a batch's prompt length is the sum of
-    its template segments and its truncated passages."""
-    _check_inputs(query, max_doc_tokens, max_docs_per_pass)
+    Each document is tokenized and truncated to ``max_doc_tokens`` once; a
+    batch is its ``(document, tokens)`` pairs, and its prompt length is the
+    sum of its template segments and its passages' tokens."""
+    check_limits(max_doc_tokens, max_docs_per_pass)
+    if not query.strip():
+        raise ValidationError("empty query")
 
     @functools.cache
     def length(segment: str) -> int:
@@ -316,19 +312,19 @@ def chunk_into_batches(
     def passage(slot: int, n_tokens: int) -> int:
         return sum(map(length, [_passage_open(slot), *_PASSAGE_CLOSE])) + n_tokens
 
-    batches: list[list[Document]] = []
-    current: list[Document] = []
+    batches: list[list[tuple[Document, list[int]]]] = []
+    current: list[tuple[Document, list[int]]] = []
     body = 0  # tokens of the passages in ``current``
     for doc in documents:
-        n_tokens = len(vocab.tokenize(doc.text)[:max_doc_tokens])
+        tokens = vocab.tokenize(doc.text)[:max_doc_tokens]
         k = len(current) + 1
-        if k <= max_docs_per_pass and template(k) + body + passage(k, n_tokens) <= max_context:
-            current.append(doc)
-            body += passage(k, n_tokens)
+        if k <= max_docs_per_pass and template(k) + body + passage(k, len(tokens)) <= max_context:
+            current.append((doc, tokens))
+            body += passage(k, len(tokens))
             continue
         if current:
             batches.append(current)
-        current, body = [doc], passage(1, n_tokens)
+        current, body = [(doc, tokens)], passage(1, len(tokens))
         if template(1) + body > max_context:
             raise ChunkingError(
                 f"document {doc.doc_id!r} plus template overhead exceeds "
@@ -336,4 +332,4 @@ def chunk_into_batches(
             )
     if current:
         batches.append(current)
-    return [RerankRequest(query=query, documents=b) for b in batches]
+    return batches

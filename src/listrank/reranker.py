@@ -1,13 +1,15 @@
 """End-to-end inference: request -> prompt(s) -> forward -> scores -> ranking.
 
-When the candidate set exceeds the per-pass cap or the context budget,
-documents are packed into batches in order and the query is re-encoded
-within each batch, so every batch is scored against its own query
-embedding; raw cosine scores are pooled across batches and sorted
-globally (cosine normalization keeps them commensurable). A batch is one
-forward that runs its last layer only at the marker rows ``extract``
-names, one ``project`` of those rows and one ``score`` of its document
-rows against the query row.
+The request's ordering is applied once. The packer then tokenizes and
+truncates each passage once and packs the passages into batches in that
+order; each batch's prompt is built from those token lists. When the
+candidate set exceeds the per-pass cap or the context budget, the query
+is re-encoded within each batch, so every batch is scored against its
+own query embedding; raw cosine scores are pooled across batches and
+sorted globally (cosine normalization keeps them commensurable). A batch
+is one forward that runs its last layer only at the marker rows
+``extract`` names, one ``project`` of those rows and one ``score`` of its
+document rows against the query row.
 """
 
 from __future__ import annotations
@@ -71,10 +73,7 @@ def rerank(
 
     scored: list[tuple[str, Optional[float], int, Optional[str]]] = []
     for batch_idx, batch in enumerate(batches):
-        layout = build_prompt(
-            batch, model.vocab, max_doc_tokens,
-            max_context=model.backbone_config.max_context,
-        )
+        layout = build_prompt(request.query, model.vocab, [tokens for _, tokens in batch])
         hidden = bb.forward(layout.token_ids, model.backbone_config, model.weights,
                             rows=extract(layout))
         emb = project(hidden, model.weights).data  # documents, then the query
@@ -86,7 +85,7 @@ def rerank(
         live = np.flatnonzero(emb[:-1].any(axis=1) & emb[-1].any())
         sims = score(Tensor(emb[-1:]), Tensor(emb[live])).data[0].tolist() if live.size else []
         by_doc = dict(zip(live.tolist(), sims))
-        for i, doc in enumerate(batch.documents):
+        for i, (doc, _) in enumerate(batch):
             scored.append((doc.doc_id, by_doc.get(i), batch_idx,
                            None if i in by_doc else "zero-norm embedding: cosine is undefined"))
 

@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .embedding import extract, project
 from .errors import ConfigError, DataError, MergeError, NonFiniteLossError
 from .losses import LossWeights, QueryGroup, TrainingBatch, all_losses
 from .model import RerankModel
-from .prompt import Document, RerankRequest, build_prompt
+from .prompt import build_prompt
 
 
 @dataclass
@@ -39,7 +39,6 @@ class StageConfig:
     n_inbatch_negatives: int = 3
     temperature: float = 0.25
     max_doc_tokens: int = 768
-    max_seq_tokens: Optional[int] = None  # defaults to backbone effective_seq_len
     w_disperse: float = 0.45
     w_dual: float = 0.85
     w_similar: float = 0.85
@@ -60,8 +59,8 @@ class StageConfig:
             raise ConfigError("learning_rate and temperature must be positive")
         if self.lora_rank < 1:
             raise ConfigError("lora_rank must be >= 1")
-        if self.max_seq_tokens is not None and self.max_seq_tokens < 1:
-            raise ConfigError(f"max_seq_tokens must be null or >= 1, got {self.max_seq_tokens}")
+        if self.max_doc_tokens < 1:  # a slice to 0 or below would drop tokens silently
+            raise ConfigError(f"max_doc_tokens must be >= 1, got {self.max_doc_tokens}")
 
     @property
     def loss_weights(self) -> LossWeights:
@@ -190,9 +189,9 @@ class AdamW:
 def augment_text(text: str, rng: np.random.Generator,
                  p_drop: float = 0.1, p_swap: float = 0.05) -> str:
     """Semantics-light augmentation: token dropout, adjacent swaps, case
-    fold. Always keeps at least one token."""
+    fold. Keeps at least one word of a text that has any."""
     words = text.split()
-    kept = [w for w in words if rng.random() >= p_drop] or [words[0]]
+    kept = [w for w in words if rng.random() >= p_drop] or words[:1]
     i = 0
     while i < len(kept) - 1:
         if rng.random() < p_swap:
@@ -234,26 +233,20 @@ def _encode_group(
     """One training forward: positive + negatives + augmented positive in a
     shuffled listwise prompt with the dual query marker. Returns the raw
     marker rows and the group naming them, counted from ``first_row``."""
-    augmented = augment_text(example.positive, rng)
-    docs = (
-        [Document("pos", example.positive)]
-        + [Document(f"neg{k}", t) for k, t in enumerate(negatives)]
-        + [Document("aug", augmented)]
-    )
-    request = RerankRequest(
-        query=example.query_text, documents=docs,
-        ordering="random", ordering_seed=int(rng.integers(2 ** 31)),
-    )
-    max_seq = (model.backbone_config.effective_seq_len if stage.max_seq_tokens is None
-               else stage.max_seq_tokens)
+    texts = [example.positive, *negatives, augment_text(example.positive, rng)]
+    order = np.random.default_rng(int(rng.integers(2 ** 31))).permutation(len(texts))
+    config = model.backbone_config
     layout = build_prompt(
-        request, model.vocab, stage.max_doc_tokens,
+        example.query_text, model.vocab,
+        [model.vocab.tokenize(texts[i])[:stage.max_doc_tokens] for i in order],
         insert_dual_query_marker=True,
-        max_context=min(max_seq, model.backbone_config.max_context),
+        max_context=min(config.effective_seq_len, config.max_context),
     )
-    # rows: positive, negatives, augmented positive, query, dual query
-    hidden = bb.forward(layout.token_ids, model.backbone_config, weights,
-                        rows=extract(layout, include_dual=True))
+    # rows: positive, negatives, augmented positive (the order of ``texts``,
+    # not the order shown), query, dual query
+    positions = extract(layout, include_dual=True)
+    rows = [positions[slot] for slot in np.argsort(order)] + positions[len(texts):]
+    hidden = bb.forward(layout.token_ids, config, weights, rows=rows)
     k = len(negatives)
     group = QueryGroup(
         query=first_row + k + 2, dual_query=first_row + k + 3, positive=first_row,
@@ -340,6 +333,11 @@ def train_stage(
     for w in model.weights.values():
         w.requires_grad = False
         w.grad = None
+    # a finite last loss can still take a step to inf or nan: no checkpoint of it
+    broken = [name for name, w in model.weights.items() if not np.isfinite(w.data).all()]
+    if broken:
+        raise NonFiniteLossError(f"training left {len(broken)} non-finite weight tensors: "
+                                 f"{', '.join(broken[:3])}{', ...' if len(broken) > 3 else ''}")
     return trace
 
 

@@ -109,11 +109,8 @@ class TestAcceptance:
         trailing query."""
         vocab = Vocabulary(["alpha", "beta", "gamma", "delta", "epsilon"])
         for k in (1, 2, 5):
-            docs = [Document(f"d{i}", f"alpha beta doc{i} body") for i in range(k)]
-            layout = build_prompt(
-                RerankRequest("what is listwise reranking", docs),
-                vocab, max_doc_tokens=32,
-            )
+            passages = [vocab.tokenize(f"alpha beta doc{i} body")[:32] for i in range(k)]
+            layout = build_prompt("what is listwise reranking", vocab, passages)
             expected = (GOLDEN_DIR / f"prompt_k{k}.txt").read_bytes()
             assert vocab.detokenize(layout.token_ids).encode("utf-8") == expected, f"k={k} drifted"
             assert len(layout.doc_marker_positions) == k
@@ -304,7 +301,9 @@ class TestAcceptance:
         small = RerankRequest("topic000 key000", docs[:20])
         chunked = rerank(model, small, max_docs_per_pass=64, max_doc_tokens=4)
         assert all(e.batch_index == 0 for e in chunked.entries)
-        layout = build_prompt(small, model.vocab, 4, max_context=cfg.max_context)
+        layout = build_prompt(small.query, model.vocab,
+                              [model.vocab.tokenize(d.text)[:4] for d in small.documents],
+                              max_context=cfg.max_context)
         from listrank.backbone import forward
         from listrank.embedding import extract, project, score
 

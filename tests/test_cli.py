@@ -31,7 +31,7 @@ def stage_json_with(field: str, value: str) -> str:
     """A one-step stage config that fits the fixture corpus, with ``field``
     spelled as the raw JSON ``value``."""
     stage = StageConfig(steps=1, n_negatives=7, max_doc_tokens=16, lora_rank=4).to_dict()
-    del stage[field]
+    stage.pop(field, None)
     return json.dumps(stage)[:-1] + f', "{field}": {value}}}'
 
 
@@ -49,6 +49,25 @@ def data_dir(synth_corpus, tmp_path):
     d = tmp_path / "data"
     write_corpus_files(synth_corpus, d)
     return d
+
+
+@pytest.fixture()
+def small_data_dir(tmp_path):
+    """6 queries of 4 candidates, one of them relevant: a one-step stage of
+    batch 2 and 3 negatives fits it."""
+    d = tmp_path / "small"
+    assert main(["synth", "--n-queries", "6", "--docs-per-query", "4", "--out", str(d)]) == 0
+    return d
+
+
+def train_on(data, stage_json: str, tmp_path) -> tuple[int, Path]:
+    """Exit code of ``train`` on ``data`` with the stage ``stage_json``, and
+    the checkpoint path it was given."""
+    stage_path, out_ckpt = tmp_path / "stage.json", tmp_path / "trained.ckpt"
+    stage_path.write_text(stage_json)
+    rc = main(["train", "--stage-config", str(stage_path), "--data", str(data),
+               "--out-checkpoint", str(out_ckpt)])
+    return rc, out_ckpt
 
 
 class TestParser:
@@ -191,14 +210,14 @@ class TestExitCodes:
         (b'{"steps": "3"}', "StageConfig.steps must be int, got '3'"),
         (b'{"train_embeddings": 1}', "StageConfig.train_embeddings must be bool"),
         (b'{"learning_rate": true}', "StageConfig.learning_rate must be float or int"),
-        (b'{"max_seq_tokens": 1.5}', "StageConfig.max_seq_tokens must be int or NoneType"),
+        (b'{"max_doc_tokens": 0}', "max_doc_tokens must be >= 1, got 0"),
         (b'{"seed": -1}', "seed and n_inbatch_negatives must be >= 0, got -1 and 3"),
         (b'{"n_inbatch_negatives": -5}',
          "seed and n_inbatch_negatives must be >= 0, got 0 and -5"),
         (b'{"steps": 1, "temperature": 1' + b"0" * 400 + b"}",
          "StageConfig.temperature must fit a float, got an integer of 401 digits"),
     ], ids=["not json", "not utf-8", "list", "unknown key", "string steps", "int bool",
-            "bool float", "float optional int", "negative seed", "negative in-batch negatives",
+            "bool float", "zero max_doc_tokens", "negative seed", "negative in-batch negatives",
             "temperature beyond a float"])
     def test_malformed_stage_config(self, data_dir, tmp_path, capsys, content, message):
         stage_path = tmp_path / "stage.json"
@@ -408,15 +427,12 @@ class TestExitCodes:
             capsys.readouterr().err
         assert not out_ckpt.exists()
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_max_seq_tokens_below_one(self, data_dir, tmp_path, capsys, value):
-        """0 was silently replaced by the backbone's effective_seq_len."""
-        stage_path, out_ckpt = tmp_path / "stage.json", tmp_path / "m.ckpt"
-        stage_path.write_text(stage_json_with("max_seq_tokens", value))
-        rc = main(["train", "--stage-config", str(stage_path), "--data", str(data_dir),
-                   "--out-checkpoint", str(out_ckpt)])
+    @pytest.mark.parametrize("value", ["null", "0", "-1"])
+    def test_max_seq_tokens_is_an_unknown_key(self, data_dir, tmp_path, capsys, value):
+        """The training length limit is the backbone's; a stage cannot set another."""
+        rc, out_ckpt = train_on(data_dir, stage_json_with("max_seq_tokens", value), tmp_path)
         assert rc == 2
-        assert f"max_seq_tokens must be null or >= 1, got {value}" in capsys.readouterr().err
+        assert "unknown StageConfig keys: max_seq_tokens" in capsys.readouterr().err
         assert not out_ckpt.exists()
 
     @pytest.mark.parametrize("vocab_size, docs_per_query", [(0, 3), (2, 3), (1, 1)])
@@ -456,6 +472,17 @@ class TestNonFiniteWeights:
                    "--out-checkpoint", str(out_ckpt)])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+        assert not out_ckpt.exists()
+
+    # the step overflows the weights to inf and nan
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_last_step_exits_4_without_a_checkpoint(self, small_data_dir, tmp_path,
+                                                              capsys):
+        """The loss of the last step is finite; the weights it leaves are not."""
+        rc, out_ckpt = train_on(small_data_dir, '{"steps": 1, "batch_size": 2, '
+                                '"n_negatives": 3, "learning_rate": 1e308}', tmp_path)
+        assert rc == 4
+        assert "non-finite weight tensors: layers.0.attn.wq" in capsys.readouterr().err
         assert not out_ckpt.exists()
 
 
@@ -554,6 +581,21 @@ class TestTrainAndMergeCommands:
             )
         # merged bundle keeps model metadata and stays loadable
         RerankModel.load(merged_path)
+
+    def test_blank_positive_passage(self, small_data_dir, tmp_path):
+        """Augmenting a positive with no words leaves it empty."""
+        positives = {doc_id for _, _, doc_id, rel in
+                     map(str.split, (small_data_dir / "qrels.txt").read_text().splitlines())
+                     if int(rel) > 0}
+        corpus = small_data_dir / "corpus.jsonl"
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        corpus.write_text("".join(
+            json.dumps({**r, "text": " " if r["doc_id"] in positives else r["text"]}) + "\n"
+            for r in records))
+        rc, out_ckpt = train_on(small_data_dir,
+                                '{"steps": 2, "batch_size": 2, "n_negatives": 3}', tmp_path)
+        assert rc == 0
+        RerankModel.load(out_ckpt)
 
     @pytest.mark.parametrize("other", ["vocabulary", "backbone"])
     def test_merge_refuses_other_bundles(self, untrained_model, model_path, tmp_path, capsys,

@@ -17,14 +17,13 @@ from listrank.prompt import PromptLayout
 from conftest import tiny_backbone_config
 
 
-def _layout(doc_positions, query_position, order=None, dual=None):
+def _layout(doc_positions, query_position, dual=None):
     length = query_position + 2
     return PromptLayout(
         token_ids=[0] * length,
         doc_marker_positions=list(doc_positions),
         query_marker_position=query_position,
         dual_query_marker_position=dual,
-        doc_presentation_order=order or list(range(len(doc_positions))),
     )
 
 
@@ -38,16 +37,6 @@ class TestExtract:
             np.testing.assert_array_equal(emb[i], hidden.data[pos])
         np.testing.assert_array_equal(emb[3], hidden.data[9])
         assert emb.shape == (4, 4)  # no dual query row
-
-    def test_presentation_order_inverted(self):
-        rng = np.random.default_rng(1)
-        hidden = Tensor(rng.normal(size=(10, 4)))
-        # slot 0 shows original doc 2, slot 1 shows doc 0, slot 2 shows doc 1
-        layout = _layout([2, 5, 7], 9, order=[2, 0, 1])
-        emb = ad.gather_rows(hidden, extract(layout)).data
-        np.testing.assert_array_equal(emb[2], hidden.data[2])
-        np.testing.assert_array_equal(emb[0], hidden.data[5])
-        np.testing.assert_array_equal(emb[1], hidden.data[7])
 
     def test_dual_query(self):
         rng = np.random.default_rng(2)

@@ -22,6 +22,7 @@ from listrank.prompt import (
     Vocabulary,
     apply_ordering,
     build_prompt,
+    check_limits,
     chunk_into_batches,
 )
 
@@ -123,10 +124,13 @@ class TestTokenizer:
         assert len(set(surfaces)) == len(surfaces)
 
 
+def _passages(vocab, texts, max_doc_tokens=8):
+    return [vocab.tokenize(t)[:max_doc_tokens] for t in texts]
+
+
 class TestBuildPrompt:
     def test_structure_two_docs(self, vocab):
-        req = RerankRequest("alpha beta", [Document("a", "alpha"), Document("b", "beta")])
-        layout = build_prompt(req, vocab, max_doc_tokens=8)
+        layout = build_prompt("alpha beta", vocab, _passages(vocab, ["alpha", "beta"]))
         assert len(layout.doc_marker_positions) == 2
         assert layout.doc_marker_positions[0] < layout.doc_marker_positions[1]
         assert layout.doc_marker_positions[1] < layout.query_marker_position
@@ -136,41 +140,40 @@ class TestBuildPrompt:
 
     def test_truncation_to_max_doc_tokens(self, vocab):
         long_doc = " ".join(["alpha"] * 1000)
-        req = RerankRequest("beta", [Document("a", long_doc)])
-        layout = build_prompt(req, vocab, max_doc_tokens=768)
+        [[(_, tokens)]] = chunk_into_batches([Document("a", long_doc)], "beta", vocab,
+                                             64, 100_000, 768)
+        layout = build_prompt("beta", vocab, [tokens])
         start = layout.token_ids.index(vocab.tokenize("alpha")[0])
         doc_tokens = layout.doc_marker_positions[0] - start
         assert doc_tokens == 768
 
     def test_dual_marker_placement(self, vocab):
-        req = RerankRequest("alpha", [Document("a", "beta"), Document("b", "gamma")])
-        layout = build_prompt(req, vocab, max_doc_tokens=8, insert_dual_query_marker=True)
+        passages = _passages(vocab, ["beta", "gamma"])
+        layout = build_prompt("alpha", vocab, passages, insert_dual_query_marker=True)
         qe = vocab.special_id(QUERY_EMB)
         positions = [i for i, t in enumerate(layout.token_ids) if t == qe]
         assert positions == [layout.dual_query_marker_position, layout.query_marker_position]
         # the dual marker precedes every passage block
         assert layout.dual_query_marker_position < min(layout.doc_marker_positions)
         # exactly one extra marker relative to the inference prompt
-        plain = build_prompt(req, vocab, max_doc_tokens=8)
+        plain = build_prompt("alpha", vocab, passages)
         assert len(positions) == 1 + sum(
             1 for t in plain.token_ids if t == qe
         )
 
     def test_empty_query(self, vocab):
         with pytest.raises(ValidationError, match="query"):
-            build_prompt(RerankRequest("  ", [Document("a", "alpha")]), vocab, 8)
+            build_prompt("  ", vocab, _passages(vocab, ["alpha"]))
 
     def test_overflow(self, vocab):
-        req = RerankRequest("alpha", [Document("a", "beta gamma " * 50)])
+        passages = _passages(vocab, ["beta gamma " * 50], max_doc_tokens=200)
         with pytest.raises(ContextLengthError) as exc:
-            build_prompt(req, vocab, max_doc_tokens=200, max_context=64)
+            build_prompt("alpha", vocab, passages, max_context=64)
         assert exc.value.measured > 64
 
     def test_marker_self_consistency(self, vocab):
-        req = RerankRequest(
-            "alpha beta", [Document(c, f"{c} gamma") for c in "abcde"]
-        )
-        layout = build_prompt(req, vocab, max_doc_tokens=8, insert_dual_query_marker=True)
+        passages = _passages(vocab, [f"{c} gamma" for c in "abcde"])
+        layout = build_prompt("alpha beta", vocab, passages, insert_dual_query_marker=True)
         # re-derive the marker positions from the raw token ids
         ids = layout.token_ids
         docs = [i for i, t in enumerate(ids) if t == vocab.special_id(DOC_EMB)]
@@ -180,10 +183,8 @@ class TestBuildPrompt:
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_golden_files(self, vocab, k):
-        docs = [Document(f"d{i}", f"alpha beta doc{i} body") for i in range(k)]
-        layout = build_prompt(
-            RerankRequest("what is listwise reranking", docs), vocab, max_doc_tokens=32
-        )
+        passages = _passages(vocab, [f"alpha beta doc{i} body" for i in range(k)], 32)
+        layout = build_prompt("what is listwise reranking", vocab, passages)
         expected = (GOLDEN / f"prompt_k{k}.txt").read_text(encoding="utf-8")
         # detokenizing the ids reproduces the same bytes
         assert vocab.detokenize(layout.token_ids) == expected
@@ -222,22 +223,22 @@ class TestChunking:
     def test_count_cap(self, vocab):
         docs = [Document(f"d{i}", "alpha") for i in range(150)]
         batches = chunk_into_batches(docs, "beta", vocab, 64, 100_000, 8)
-        assert [len(b.documents) for b in batches] == [64, 64, 22]
-        covered = [d.doc_id for b in batches for d in b.documents]
+        assert [len(b) for b in batches] == [64, 64, 22]
+        covered = [d.doc_id for b in batches for d, _ in b]
         assert covered == [f"d{i}" for i in range(150)]
 
     def test_single_doc(self, vocab):
         batches = chunk_into_batches([Document("a", "alpha")], "beta", vocab, 64, 4096, 8)
-        assert len(batches) == 1 and len(batches[0].documents) == 1
+        assert batches == [[(Document("a", "alpha"), vocab.tokenize("alpha"))]]
 
     def test_token_budget_dominates(self, vocab):
         # docs of ~50 tokens against a budget that fits only ~3 per prompt
         docs = [Document(f"d{i}", "gamma " * 50) for i in range(10)]
         batches = chunk_into_batches(docs, "alpha", vocab, 64, 500, 120)
-        assert all(len(b.documents) <= 3 for b in batches)
-        assert sum(len(b.documents) for b in batches) == 10
+        assert all(len(b) <= 3 for b in batches)
+        assert sum(len(b) for b in batches) == 10
         for b in batches:
-            layout = build_prompt(b, vocab, 120)
+            layout = build_prompt("alpha", vocab, [tokens for _, tokens in b])
             assert len(layout.token_ids) <= 500
 
     def test_unsatisfiable(self, vocab):
@@ -255,10 +256,11 @@ class TestChunking:
             return
         seen = []
         for b in batches:
-            assert len(b.documents) <= cap
-            layout = build_prompt(b, vocab, 64, max_context=max_context)
+            assert len(b) <= cap
+            layout = build_prompt("alpha beta", vocab, [tokens for _, tokens in b],
+                                  max_context=max_context)
             assert len(layout.token_ids) <= max_context
-            seen += [d.doc_id for d in b.documents]
+            seen += [d.doc_id for d, _ in b]
         assert seen == [d.doc_id for d in docs]
 
 
@@ -268,11 +270,14 @@ def _reference_chunk_into_batches(documents, query, vocab, max_docs_per_pass,
     the whole prompt for every candidate it tries to add."""
     if max_docs_per_pass < 1:
         raise ValidationError("max_docs_per_pass must be >= 1")
+    check_limits(max_doc_tokens)
+
+    def passages(batch):
+        return [vocab.tokenize(d.text)[:max_doc_tokens] for d in batch]
 
     def fits(batch):
         try:
-            build_prompt(RerankRequest(query=query, documents=batch),
-                         vocab, max_doc_tokens, max_context=max_context)
+            build_prompt(query, vocab, passages(batch), max_context=max_context)
             return True
         except ContextLengthError:
             return False
@@ -293,13 +298,13 @@ def _reference_chunk_into_batches(documents, query, vocab, max_docs_per_pass,
         current = [doc]
     if current:
         batches.append(current)
-    return [RerankRequest(query=query, documents=b) for b in batches]
+    return [list(zip(b, passages(b))) for b in batches]
 
 
 def _packing(chunker, *args):
-    """Doc ids per batch, or the error class and message."""
+    """Doc ids and passage tokens per batch, or the error class and message."""
     try:
-        return [(b.query, [d.doc_id for d in b.documents]) for b in chunker(*args)]
+        return [[(d.doc_id, tokens) for d, tokens in b] for b in chunker(*args)]
     except ListrankError as exc:
         return type(exc), str(exc)
 
@@ -331,18 +336,19 @@ class TestPackingMatchesReference:
     def test_budget_edge_past_one_hundred_passages(self, vocab, slack):
         # numbers from 100 up are byte tokens, in the header and in id="101"
         docs = _word_docs([1] * 150)
-        budget = len(build_prompt(RerankRequest("alpha", docs[:101]), vocab, 8).token_ids)
+        budget = len(build_prompt("alpha", vocab, _passages(vocab, [d.text for d in docs[:101]]))
+                     .token_ids)
         args = (docs, "alpha", vocab, 200, budget + slack, 8)
         packing = _packing(chunk_into_batches, *args)
         assert packing == _packing(_reference_chunk_into_batches, *args)
-        assert len(packing[0][1]) == (100 if slack < 0 else 101)
+        assert len(packing[0]) == (100 if slack < 0 else 101)
 
     @pytest.mark.parametrize("cap, sizes", [(150, [150]), (101, [101, 49]), (64, [64, 64, 22])])
     def test_count_bound_past_one_hundred_passages(self, vocab, cap, sizes):
         args = (_word_docs([2] * 150), "alpha", vocab, cap, 100_000, 8)
         packing = _packing(chunk_into_batches, *args)
         assert packing == _packing(_reference_chunk_into_batches, *args)
-        assert [len(ids) for _, ids in packing] == sizes
+        assert [len(b) for b in packing] == sizes
 
     @pytest.mark.parametrize("where", [0, 5])
     def test_unsatisfiable_document(self, vocab, where):

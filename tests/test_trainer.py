@@ -11,7 +11,7 @@ from listrank.autodiff import Tensor
 from listrank.errors import ConfigError, DataError, MergeError
 from listrank.evaluation import ndcg_at_k
 from listrank.model import RerankModel
-from listrank.prompt import Document, RerankRequest
+from listrank.prompt import DOC_EMB, Document, RerankRequest
 from listrank.reranker import rerank
 from listrank.trainer import (
     AdamW,
@@ -159,6 +159,10 @@ class TestAugmentation:
         out = augment_text(" ".join(words), rng).split()
         assert set(out) <= set(words)
 
+    @pytest.mark.parametrize("text", ["", " ", "\n\t "])
+    def test_text_without_words_stays_empty(self, text):
+        assert augment_text(text, np.random.default_rng(3)) == ""
+
 
 class TestTrainStage:
     def test_dataset_too_small(self, untrained_model):
@@ -247,6 +251,36 @@ class TestTrainStage:
         for k, g in grads.items():
             scale = max(1.0, float(np.abs(ref_grads[k]).max()))
             np.testing.assert_allclose(g, ref_grads[k], rtol=0, atol=1e-12 * scale, err_msg=k)
+
+    def test_rows_follow_the_texts_whatever_the_shuffle(self, untrained_model, monkeypatch):
+        """The passages are shown shuffled; row i of the encoding is the hidden
+        state at the marker of the slot where text i was shown."""
+        model, vocab = untrained_model, untrained_model.vocab
+        stage = dataclasses.replace(overfit_stage_config(), max_doc_tokens=64)
+        # capitalized, so the case-folded augmented positive differs from it
+        example = TrainingExample("q", "topic000 key000", "Alpha Beta Gamma",
+                                  [f"negative passage {k}" for k in range(5)])
+        texts = [example.positive, *example.negatives]
+        prompts = []
+        forward = trainer.bb.forward
+        monkeypatch.setattr(trainer.bb, "forward", lambda tokens, config, weights, rows:
+                            prompts.append(tokens) or forward(tokens, config, weights, rows))
+        positive_slots = set()
+        for seed in range(4):
+            hidden, _ = trainer._encode_group(model, model.weights, example, example.negatives,
+                                              stage, np.random.default_rng(seed), first_row=0)
+            tokens = prompts[-1]
+            full = forward(tokens, model.backbone_config, model.weights).data
+            markers = [i for i, t in enumerate(tokens) if t == vocab.special_id(DOC_EMB)]
+            slots = [next(s for s, m in enumerate(markers)
+                          if vocab.detokenize(tokens[:m]).endswith('">\n' + text))
+                     for text in texts]
+            slots += sorted(set(range(len(markers))) - set(slots))  # the augmented positive
+            positive_slots.add(slots[0])
+            for row, slot in enumerate(slots):
+                np.testing.assert_allclose(hidden.data[row], full[markers[slot]],
+                                           rtol=0, atol=1e-12, err_msg=f"seed {seed} row {row}")
+        assert len(positive_slots) > 1  # the seeds show the positive in different slots
 
     def test_loss_decreases_over_training(self, trained_model):
         _, trace, _ = trained_model
