@@ -5,12 +5,14 @@ checkouts of listrank.
 It builds the model of ``overfit_experiment.py`` on a synthetic corpus of
 Q queries x D candidates and trains it through four stages: adapters,
 full fine-tuning, adapters with frozen word embeddings, and adapters with
-no in-batch negatives. It then reranks
-every query under the 512-token context (3 passes per query at D = 64).
-The output is sorted-key JSON: each stage's loss trace as ``float.hex``,
-a SHA-256 of every tensor after each stage, and each ranking with its
-scores as ``float.hex`` and its batch index. Two checkouts that compute the
-same bits write the same bytes; compare runs made with BLAS on one thread.
+no in-batch negatives. It then reranks every query under the 512-token
+context (3 passes per query at D = 64) in each presentation order of
+``ORDERINGS``, with first-stage scores from ``lexical_overlap_scorer`` and
+random seed ``RANDOM_SEED``. The output is sorted-key JSON: each stage's
+loss trace as ``float.hex``, a SHA-256 of every tensor after each stage,
+and each ranking, keyed ``<ordering>/<query id>``, with its scores as
+``float.hex`` and its batch index. Two checkouts that compute the same
+bits write the same bytes; compare runs made with BLAS on one thread.
 The script imports only the listrank package, with the model recipe and
 stage of ``overfit_experiment.py`` written out, so it runs unchanged when
 copied into an older checkout.
@@ -35,9 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from listrank import BackboneConfig, RerankModel, Vocabulary
-from listrank.evaluation import generate_synthetic_corpus
+from listrank.evaluation import generate_synthetic_corpus, lexical_overlap_scorer
 from listrank.prompt import Document, RerankRequest
-from listrank.reranker import rerank
+from listrank.reranker import rerank_ordered_variants
 from listrank.trainer import StageConfig, TrainingExample, train_stage
 
 STAGES = {  # name -> fields that differ from the overfit experiment's stage
@@ -46,6 +48,8 @@ STAGES = {  # name -> fields that differ from the overfit experiment's stage
     "frozen_embeddings": {"train_embeddings": False},
     "no_inbatch_negatives": {"n_inbatch_negatives": 0},
 }
+ORDERINGS = ("given", "desc", "asc", "random")  # written out: older checkouts lack the constant
+RANDOM_SEED = 5
 TOLERANCE = 1e-12  # largest relative difference --compare allows
 
 
@@ -139,10 +143,14 @@ def main():
 
     rankings = {}
     for qid, qtext in corpus.queries:
-        docs = [Document(d, corpus.docs[d]) for d in corpus.candidates[qid]]
-        result = rerank(model, RerankRequest(qtext, docs), max_doc_tokens=16)
-        rankings[qid] = [[e.doc_id, None if e.score is None else e.score.hex(), e.batch_index]
-                         for e in result.entries]
+        docs = [Document(d, corpus.docs[d], lexical_overlap_scorer(qtext, corpus.docs[d]))
+                for d in corpus.candidates[qid]]
+        results, _ = rerank_ordered_variants(model, RerankRequest(qtext, docs), ORDERINGS,
+                                             RANDOM_SEED, max_doc_tokens=16)
+        for ordering, result in results.items():
+            rankings[f"{ordering}/{qid}"] = [
+                [e.doc_id, None if e.score is None else e.score.hex(), e.batch_index]
+                for e in result.entries]
 
     args.out.write_text(json.dumps({"stages": stages, "rankings": rankings},
                                    sort_keys=True, indent=1) + "\n")

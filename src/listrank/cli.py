@@ -41,7 +41,7 @@ from .evaluation import (
 )
 from .losses import LossWeights, QueryGroup, TrainingBatch, total_loss
 from .model import RerankModel
-from .prompt import Document, RerankRequest, Vocabulary, check_limits
+from .prompt import ORDERINGS, Document, RerankRequest, Vocabulary, check_limits, check_ordering
 from .reranker import read_requests, rerank, write_run
 from .trainer import (
     MergeSpec,
@@ -88,18 +88,18 @@ def _require_file(path: str, what: str):
 def cmd_rerank(args) -> int:
     _print_config("rerank", args)
     check_limits(args.max_doc_tokens, args.max_docs_per_pass)
+    # argparse does not hold a LISTRANK_ORDERING default to its choices
+    check_ordering(args.ordering)
     _require_file(args.model, "model")
     _require_file(args.input, "input")
     model = RerankModel.load(args.model)
     results = {}
     for query_id, request in read_requests(args.input):
-        request.ordering = args.ordering
-        if args.ordering == "random":
-            request.ordering_seed = args.seed
         results[query_id] = rerank(
             model, request,
             max_docs_per_pass=args.max_docs_per_pass,
             max_doc_tokens=args.max_doc_tokens,
+            ordering=args.ordering, seed=args.seed,
         )
     write_run(args.output, results)
     print(f"[rerank] wrote {sum(len(r.entries) for r in results.values())} rows "
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model checkpoint path")
     p.add_argument("--input", required=True, help="JSONL request file")
     p.add_argument("--output", required=True, help="TREC run output path")
-    p.add_argument("--ordering", choices=("given", "desc", "asc", "random"),
+    p.add_argument("--ordering", choices=ORDERINGS,
                    default=_env_default("ordering", "given"))
     p.add_argument("--seed", type=int, default=_env_default("seed", 0))
     p.add_argument("--max-docs-per-pass", type=int,

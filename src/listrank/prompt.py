@@ -153,8 +153,6 @@ class Document:
 class RerankRequest:
     query: str
     documents: list[Document]
-    ordering: str = "given"  # given | desc | asc | random
-    ordering_seed: Optional[int] = None
 
     def __post_init__(self):
         if not self.documents:
@@ -162,8 +160,6 @@ class RerankRequest:
         ids = [d.doc_id for d in self.documents]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate doc_ids in request")
-        if self.ordering not in ("given", "desc", "asc", "random"):
-            raise ValidationError(f"unknown ordering {self.ordering!r}")
 
 
 @dataclass
@@ -174,30 +170,32 @@ class PromptLayout:
     dual_query_marker_position: Optional[int]
 
 
+ORDERINGS = ("given", "desc", "asc", "random")  # orders candidates can be shown in
+
+
+def check_ordering(ordering: str) -> None:
+    """Refuse an unknown ordering; reads no input, so callers can check first."""
+    if ordering not in ORDERINGS:
+        raise ValidationError(f"unknown ordering {ordering!r}, expected one of {ORDERINGS}")
+
+
 def apply_ordering(
     documents: Sequence[Document], ordering: str, seed: Optional[int] = None
-) -> tuple[list[Document], list[int]]:
-    """Permute candidates by first-stage score (or randomly), returning the
-    permuted list and the slot -> original-index mapping."""
-    n = len(documents)
+) -> list[Document]:
+    """The candidates in the order they are shown: as given, by descending
+    or ascending first-stage score (ties keep the given order), or in a
+    seeded random order."""
+    check_ordering(ordering)
     if ordering == "given":
-        perm = list(range(n))
-    elif ordering in ("desc", "asc"):
-        if any(d.first_stage_score is None for d in documents):
-            raise ValidationError(f"ordering {ordering!r} requires first-stage scores")
-        reverse = ordering == "desc"
-        perm = sorted(
-            range(n),
-            key=lambda i: (-documents[i].first_stage_score if reverse
-                           else documents[i].first_stage_score, i),
-        )
-    elif ordering == "random":
+        return list(documents)
+    if ordering == "random":
         if seed is None:
             raise ValidationError("random ordering requires a seed")
-        perm = list(np.random.default_rng(seed).permutation(n))
-    else:
-        raise ValidationError(f"unknown ordering {ordering!r}")
-    return [documents[i] for i in perm], [int(i) for i in perm]
+        return [documents[i] for i in np.random.default_rng(seed).permutation(len(documents))]
+    if any(d.first_stage_score is None for d in documents):
+        raise ValidationError(f"ordering {ordering!r} requires first-stage scores")
+    sign = -1 if ordering == "desc" else 1
+    return sorted(documents, key=lambda d: sign * d.first_stage_score)  # stable
 
 
 # The listwise template, as the segments ``build_prompt`` emits in order: a

@@ -1,15 +1,15 @@
 """End-to-end inference: request -> prompt(s) -> forward -> scores -> ranking.
 
-The request's ordering is applied once. The packer then tokenizes and
-truncates each passage once and packs the passages into batches in that
-order; each batch's prompt is built from those token lists. When the
-candidate set exceeds the per-pass cap or the context budget, the query
-is re-encoded within each batch, so every batch is scored against its
-own query embedding; raw cosine scores are pooled across batches and
-sorted globally (cosine normalization keeps them commensurable). A batch
-is one forward that runs its last layer only at the marker rows
-``extract`` names, one ``project`` of those rows and one ``score`` of its
-document rows against the query row.
+The presentation order (``ordering``) is applied once. The packer then
+tokenizes and truncates each passage once and packs the passages into
+batches in that order; each batch's prompt is built from those token
+lists. When the candidate set exceeds the per-pass cap or the context
+budget, the query is re-encoded within each batch, so every batch is
+scored against its own query embedding; raw cosine scores are pooled
+across batches and sorted globally (cosine normalization keeps them
+commensurable). A batch is one forward that runs its last layer only at
+the marker rows ``extract`` names, one ``project`` of those rows and one
+``score`` of its document rows against the query row.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .embedding import extract, project, score
 from .errors import DegenerateEmbeddingError, ParseError
 from .evaluation import ndcg_at_k, read_lines
 from .model import RerankModel
-from .prompt import Document, RerankRequest, apply_ordering, build_prompt, chunk_into_batches
+from .prompt import (ORDERINGS, Document, RerankRequest, apply_ordering, build_prompt,
+                     chunk_into_batches)
 
 
 @dataclass(slots=True)
@@ -52,18 +53,18 @@ def rerank(
     request: RerankRequest,
     max_docs_per_pass: int = 64,
     max_doc_tokens: int = 256,
+    ordering: str = "given",
+    seed: Optional[int] = None,
 ) -> RankedResult:
-    """Score every candidate and return the globally sorted ranking.
+    """Score every candidate, shown in ``ordering`` (one of ``ORDERINGS``;
+    ``seed`` drives the random one), and return the globally sorted ranking.
 
     Scores are non-increasing with rank; ties break by ascending doc_id;
     zero-norm-embedding documents sink to the bottom with a diagnostic. A
     non-finite embedding raises ``DegenerateEmbeddingError``.
     """
-    ordered_docs, _ = apply_ordering(
-        request.documents, request.ordering, request.ordering_seed
-    )
     batches = chunk_into_batches(
-        ordered_docs,
+        apply_ordering(request.documents, ordering, seed),
         request.query,
         model.vocab,
         max_docs_per_pass=max_docs_per_pass,
@@ -97,13 +98,13 @@ def rerank(
         RankedEntry(doc_id=d, score=s, rank=i + 1, batch_index=b, error=e)
         for i, (d, s, b, e) in enumerate(valid + broken)
     ]
-    return RankedResult(entries=entries, ordering=request.ordering)
+    return RankedResult(entries=entries, ordering=ordering)
 
 
 def rerank_ordered_variants(
     model: RerankModel,
     request: RerankRequest,
-    variants: tuple[str, ...] = ("desc", "asc", "random"),
+    variants: tuple[str, ...] = ORDERINGS[1:],  # every order but the given one
     random_seed: int = 0,
     qrels_for_query: Optional[dict[str, int]] = None,
     **rerank_kwargs,
@@ -116,13 +117,7 @@ def rerank_ordered_variants(
     results: dict[str, RankedResult] = {}
     report: dict[str, Optional[float]] = {}
     for variant in variants:
-        req = RerankRequest(
-            query=request.query,
-            documents=list(request.documents),
-            ordering=variant,
-            ordering_seed=random_seed if variant == "random" else None,
-        )
-        res = rerank(model, req, **rerank_kwargs)
+        res = rerank(model, request, ordering=variant, seed=random_seed, **rerank_kwargs)
         results[variant] = res
         report[variant] = (
             ndcg_at_k(res.doc_ids(), qrels_for_query) if qrels_for_query else None

@@ -21,7 +21,7 @@ from .embedding import extract, project
 from .errors import ConfigError, DataError, MergeError, NonFiniteLossError
 from .losses import LossWeights, QueryGroup, TrainingBatch, all_losses
 from .model import RerankModel
-from .prompt import build_prompt
+from .prompt import build_prompt, check_limits
 
 
 @dataclass
@@ -59,8 +59,8 @@ class StageConfig:
             raise ConfigError("learning_rate and temperature must be positive")
         if self.lora_rank < 1:
             raise ConfigError("lora_rank must be >= 1")
-        if self.max_doc_tokens < 1:  # a slice to 0 or below would drop tokens silently
-            raise ConfigError(f"max_doc_tokens must be >= 1, got {self.max_doc_tokens}")
+        check_limits(self.max_doc_tokens)
+        self.loss_weights  # refuses a negative w_* before any step runs
 
     @property
     def loss_weights(self) -> LossWeights:
@@ -326,13 +326,9 @@ def train_stage(
         opt.zero_grad()
         trace.append(record)
 
-    # outside a tape, so the view records nothing; fold only the adapted weights
-    folded = apply_lora(model.weights, adapters, stage.lora_alpha)
-    for name in adapters:
-        model.weights[name].data = folded[name].data
-    for w in model.weights.values():
-        w.requires_grad = False
-        w.grad = None
+    for name, folded in fold_adapters(model.weights, adapters, stage.lora_alpha).items():
+        w = model.weights[name]
+        w.data, w.requires_grad, w.grad = folded.data, False, None
     # a finite last loss can still take a step to inf or nan: no checkpoint of it
     broken = [name for name, w in model.weights.items() if not np.isfinite(w.data).all()]
     if broken:

@@ -369,6 +369,30 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run.txt").exists()
 
+    def test_bad_env_ordering_on_an_empty_request_file(self, model_path, tmp_path, capsys,
+                                                       monkeypatch):
+        """argparse does not hold an environment default to its choices."""
+        monkeypatch.setenv("LISTRANK_ORDERING", "bogus")
+        (tmp_path / "requests.jsonl").write_text("")
+        rc = main(["rerank", "--model", str(model_path),
+                   "--input", str(tmp_path / "requests.jsonl"),
+                   "--output", str(tmp_path / "run.txt")])
+        assert rc == 2
+        assert "unknown ordering 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "run.txt").exists()
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_negative_loss_weight_refused_at_load(self, tmp_path, capsys, monkeypatch, steps):
+        def read_corpus(_):
+            raise AssertionError("the stage config was accepted")
+
+        monkeypatch.setattr("listrank.cli.load_corpus_files", read_corpus)
+        stage = {"steps": steps, "batch_size": 1, "n_negatives": 1, "w_dual": -1.0}
+        rc, out_ckpt = train_on(tmp_path / "data", json.dumps(stage), tmp_path)
+        assert rc == 2
+        assert "loss weights must be nonnegative" in capsys.readouterr().err
+        assert not out_ckpt.exists()
+
     @pytest.mark.parametrize("metric, k", [("ndcg", "0"), ("ndcg", "-3"), ("recall", "-3")])
     def test_bad_k_on_an_empty_run_file(self, tmp_path, capsys, metric, k):
         (tmp_path / "run.txt").write_text("")

@@ -23,6 +23,7 @@ from listrank.prompt import (
     apply_ordering,
     build_prompt,
     check_limits,
+    check_ordering,
     chunk_into_batches,
 )
 
@@ -194,29 +195,48 @@ class TestApplyOrdering:
     def _docs(self, scores):
         return [Document(f"d{i}", "x", s) for i, s in enumerate(scores)]
 
+    def _ids(self, docs):
+        return [d.doc_id for d in docs]
+
     def test_descending(self):
-        _, perm = apply_ordering(self._docs([0.2, 0.9, 0.5]), "desc")
-        assert perm == [1, 2, 0]
+        assert self._ids(apply_ordering(self._docs([0.2, 0.9, 0.5]), "desc")) == ["d1", "d2", "d0"]
 
     def test_ascending_reverses_descending(self):
         docs = self._docs([0.3, 0.8, 0.1, 0.6])
-        _, desc = apply_ordering(docs, "desc")
-        _, asc = apply_ordering(docs, "asc")
+        desc = self._ids(apply_ordering(docs, "desc"))
+        asc = self._ids(apply_ordering(docs, "asc"))
         assert asc == desc[::-1]
 
     def test_random_deterministic(self):
         docs = self._docs([0.1] * 6)
-        _, a = apply_ordering(docs, "random", seed=7)
-        _, b = apply_ordering(docs, "random", seed=7)
-        assert a == b
+        a = self._ids(apply_ordering(docs, "random", seed=7))
+        b = self._ids(apply_ordering(docs, "random", seed=7))
+        assert a == b and sorted(a) == self._ids(docs)
 
     def test_stable_ties(self):
-        _, perm = apply_ordering(self._docs([0.5, 0.5, 0.5]), "desc")
-        assert perm == [0, 1, 2]
+        docs = self._docs([0.5, 0.5, 0.5])
+        assert self._ids(apply_ordering(docs, "desc")) == ["d0", "d1", "d2"]
+        assert self._ids(apply_ordering(docs, "asc")) == ["d0", "d1", "d2"]
 
     def test_missing_scores(self):
         with pytest.raises(ValidationError, match="scores"):
             apply_ordering([Document("a", "x")], "desc")
+
+    def test_given_is_a_copy(self):
+        docs = self._docs([0.2, 0.9])
+        shown = apply_ordering(docs, "given")
+        assert shown == docs and shown is not docs
+
+    def test_random_needs_a_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            apply_ordering(self._docs([0.1, 0.2]), "random")
+
+    @pytest.mark.parametrize("ordering", ["bogus", "", "DESC"])
+    def test_unknown_ordering(self, ordering):
+        with pytest.raises(ValidationError, match=f"unknown ordering {ordering!r}"):
+            check_ordering(ordering)
+        with pytest.raises(ValidationError, match=f"unknown ordering {ordering!r}"):
+            apply_ordering(self._docs([0.1]), ordering)
 
 
 class TestChunking:

@@ -37,7 +37,9 @@ def test_fingerprint_is_reproducible(tmp_path):
     fingerprint = json.loads(outs[0].read_text())
     assert sorted(fingerprint["stages"]) == ["adapters", "frozen_embeddings", "full",
                                              "no_inbatch_negatives"]
-    assert len(fingerprint["rankings"]) == 4
+    assert len(fingerprint["rankings"]) == 16  # 4 queries under 4 orderings
+    assert sorted({key.split("/")[0] for key in fingerprint["rankings"]}) == \
+        ["asc", "desc", "given", "random"]
 
     done = _run("fingerprint.py", "--compare", *outs)
     assert done.returncode == 0, done.stdout

@@ -56,6 +56,8 @@ class TestStageConfig:
             StageConfig(temperature=0.0)
         with pytest.raises(ConfigError):
             StageConfig(lora_rank=0)
+        with pytest.raises(ConfigError, match="nonnegative"):
+            StageConfig(w_dual=-1.0)
 
 
 class TestLora:
