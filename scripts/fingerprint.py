@@ -15,7 +15,7 @@ and each ranking, keyed ``<ordering>/<query id>``, with its scores as
 bits write the same bytes; compare runs made with BLAS on one thread.
 The script imports only the listrank package, with the model recipe and
 stage of ``overfit_experiment.py`` written out, so it runs unchanged when
-copied into an older checkout.
+copied into an older checkout whose ``rerank`` takes ``ordering`` and ``seed``.
 
 A change that is exact only up to rounding writes other bytes. ``--compare
 OLD NEW`` checks two fingerprints: it exits 0 only when the rankings and
@@ -39,7 +39,7 @@ import numpy as np
 from listrank import BackboneConfig, RerankModel, Vocabulary
 from listrank.evaluation import generate_synthetic_corpus, lexical_overlap_scorer
 from listrank.prompt import Document, RerankRequest
-from listrank.reranker import rerank_ordered_variants
+from listrank.reranker import rerank
 from listrank.trainer import StageConfig, TrainingExample, train_stage
 
 STAGES = {  # name -> fields that differ from the overfit experiment's stage
@@ -145,9 +145,9 @@ def main():
     for qid, qtext in corpus.queries:
         docs = [Document(d, corpus.docs[d], lexical_overlap_scorer(qtext, corpus.docs[d]))
                 for d in corpus.candidates[qid]]
-        results, _ = rerank_ordered_variants(model, RerankRequest(qtext, docs), ORDERINGS,
-                                             RANDOM_SEED, max_doc_tokens=16)
-        for ordering, result in results.items():
+        for ordering in ORDERINGS:
+            result = rerank(model, RerankRequest(qtext, docs), max_doc_tokens=16,
+                            ordering=ordering, seed=RANDOM_SEED)
             rankings[f"{ordering}/{qid}"] = [
                 [e.doc_id, None if e.score is None else e.score.hex(), e.batch_index]
                 for e in result.entries]

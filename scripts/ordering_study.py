@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from listrank.evaluation import generate_synthetic_corpus, lexical_overlap_scorer
+from listrank.evaluation import generate_synthetic_corpus, lexical_overlap_scorer, ndcg_at_k
 from listrank.model import RerankModel
 from listrank.prompt import Document, RerankRequest
-from listrank.reranker import rerank_ordered_variants
+from listrank.reranker import rerank
 
 
 def main():
@@ -48,12 +48,10 @@ def main():
                      first_stage_score=lexical_overlap_scorer(qtext, corpus.docs[d]))
             for d in corpus.candidates[qid]
         ]
-        _, report = rerank_ordered_variants(
-            model, RerankRequest(qtext, docs), random_seed=args.random_seed,
-            qrels_for_query=corpus.qrels[qid], max_doc_tokens=16,
-        )
-        for variant in sums:
-            sums[variant] += report[variant]
+        for ordering in sums:
+            result = rerank(model, RerankRequest(qtext, docs), max_doc_tokens=16,
+                            ordering=ordering, seed=args.random_seed)
+            sums[ordering] += ndcg_at_k(result.doc_ids(), corpus.qrels[qid])
 
     means = {v: s / n for v, s in sums.items()}
     spread = max(means.values()) - min(means.values())

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from listrank import BackboneConfig, RerankModel, Vocabulary
+from listrank.checkpoint import write_jsonl
 from listrank.evaluation import generate_synthetic_corpus, ndcg_at_k
 from listrank.prompt import Document, RerankRequest
 from listrank.reranker import rerank
-from listrank.trainer import StageConfig, TrainingExample, train_stage, write_loss_trace
+from listrank.trainer import StageConfig, TrainingExample, train_stage
 
 
 def mean_train_ndcg(model, corpus, max_doc_tokens=16):
@@ -75,7 +76,7 @@ def main():
     print(f"loss: first={trace[0]['total']:.4f} last={trace[-1]['total']:.4f}")
 
     model.save(args.out_dir / "model.ckpt")
-    write_loss_trace(args.out_dir / "loss_trace.jsonl", trace)
+    write_jsonl(args.out_dir / "loss_trace.jsonl", trace)
     summary = {
         "baseline_ndcg10": baseline,
         "trained_ndcg10": trained,

@@ -15,7 +15,7 @@ from .evaluation import generate_synthetic_corpus, ndcg_at_k, recall_at_k
 from .losses import LossWeights, QueryGroup, TrainingBatch, total_loss
 from .model import RerankModel
 from .prompt import Document, PromptLayout, RerankRequest, Vocabulary, build_prompt
-from .reranker import RankedResult, rerank, rerank_ordered_variants
+from .reranker import RankedResult, rerank
 from .trainer import MergeSpec, StageConfig, TrainingExample, merge_models, train_stage
 
 __version__ = "0.1.0"
@@ -26,6 +26,6 @@ __all__ = [
     "StageConfig", "Tape", "Tensor", "TrainingBatch", "TrainingExample",
     "Vocabulary", "backward", "build_prompt", "extract", "finite_diff_check",
     "forward", "generate_synthetic_corpus", "init_weights", "merge_models",
-    "ndcg_at_k", "project", "recall_at_k", "rerank", "rerank_ordered_variants",
-    "score", "total_loss", "train_stage",
+    "ndcg_at_k", "project", "recall_at_k", "rerank", "score", "total_loss",
+    "train_stage",
 ]

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +51,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
-_STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
+def _float_sized_int(text: str) -> int:
+    value = int(text)
+    if abs(value) > sys.float_info.max:  # int and float compare exactly
+        raise ValueError(f"an integer of {len(text.lstrip('-'))} digits does not fit a float")
+    return value
+
+
+_STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float,
+                                parse_int=_float_sized_int)
 
 
 def parse_json(data, where: str, line_number: int | None = None):
     """Decode UTF-8 JSON (bytes or text) as RFC 8259 has it: ``NaN``, ``Infinity``,
-    ``-Infinity``, numbers too large for a float and strings holding a lone surrogate
-    are refused. Every failure is a ``ParseError`` reading "<where>: <reason>"."""
+    ``-Infinity``, numbers beyond float range (integers too) and strings holding a
+    lone surrogate are refused. Every failure is a ``ParseError`` reading
+    "<where>: <reason>"."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         value = _STRICT_JSON.decode(text)
@@ -116,14 +126,21 @@ def load_checkpoint(path):
     blob = raw[8 + hlen :]
     tensors = {}
     for entry in entries:
+        if entry["name"] in tensors:
+            raise ParseError(f"{path}: malformed checkpoint header: tensor "
+                             f"{entry['name']!r} is listed twice")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: np.prod wraps around in int64
         start = entry["offset"]
         if start < 0 or start + 8 * count > len(blob):
             raise ParseError(f"{path}: truncated checkpoint: tensor {entry['name']!r} "
                              f"at bytes {start}..{start + 8 * count} overruns the "
                              f"{len(blob)}-byte data blob")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        try:
+            tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        except ValueError as exc:  # too many dimensions, or an empty one numpy cannot size
+            raise ParseError(f"{path}: malformed checkpoint header: tensor "
+                             f"{entry['name']!r} of shape {list(shape)}: {exc}") from exc
     return tensors, header.get("meta", {})
 

@@ -2,8 +2,8 @@
 
 Every flag's default may be overridden by an environment variable named
 ``LISTRANK_<FLAG>`` (resolved before parsing, so explicit flags win).
-Exit codes: 0 ok, 2 validation/config, 3 numeric inference failure,
-4 training divergence.
+Exit codes: 0 ok, 2 validation/config or a missing or unreadable file,
+3 numeric inference failure, 4 training divergence.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, finite_diff_check
-from .checkpoint import parse_json
+from .checkpoint import parse_json, write_jsonl
 from .embedding import ProjectorConfig, init_projector, project
 from .errors import (
     ConfigError,
@@ -51,7 +51,6 @@ from .trainer import (
     create_adapters,
     merge_models,
     train_stage,
-    write_loss_trace,
 )
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -75,11 +74,6 @@ def _print_config(name: str, args: argparse.Namespace):
     print(f"[{name}] resolved config: {json.dumps(resolved, sort_keys=True, default=str)}")
 
 
-def _require_file(path: str, what: str):
-    if not Path(path).exists():
-        raise ValidationError(f"{what} not found: {path}")
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -90,8 +84,6 @@ def cmd_rerank(args) -> int:
     check_limits(args.max_doc_tokens, args.max_docs_per_pass)
     # argparse does not hold a LISTRANK_ORDERING default to its choices
     check_ordering(args.ordering)
-    _require_file(args.model, "model")
-    _require_file(args.input, "input")
     model = RerankModel.load(args.model)
     results = {}
     for query_id, request in read_requests(args.input):
@@ -127,21 +119,19 @@ def _training_examples(corpus: SyntheticCorpus, data_dir: str) -> list[TrainingE
 
 def cmd_train(args) -> int:
     _print_config("train", args)
-    _require_file(args.stage_config, "stage config")
     stage = StageConfig.load(args.stage_config)
     if args.seed is not None:
         stage = replace(stage, seed=args.seed)  # runs the StageConfig checks
     corpus = load_corpus_files(args.data)
     dataset = _training_examples(corpus, args.data)
     if args.init_checkpoint:
-        _require_file(args.init_checkpoint, "initial checkpoint")
         model = RerankModel.load(args.init_checkpoint)
     else:
         model = RerankModel.create(Vocabulary(corpus.words()), seed=stage.seed)
     trace = train_stage(model, dataset, stage)
     model.save(args.out_checkpoint)
     if args.trace_out:
-        write_loss_trace(args.trace_out, trace)
+        write_jsonl(args.trace_out, trace)
     # training-set ranking report
     values = []
     for qid, qtext in corpus.queries:
@@ -159,7 +149,6 @@ def cmd_train(args) -> int:
 
 def cmd_merge(args) -> int:
     _print_config("merge", args)
-    _require_file(args.spec, "merge spec")
     spec_doc = parse_json(Path(args.spec).read_bytes(), f"merge spec {args.spec} is not JSON")
     # type() rather than isinstance: JSON true/false is not a weight
     if not (isinstance(spec_doc, list) and all(
@@ -169,7 +158,6 @@ def cmd_merge(args) -> int:
                               '{"checkpoint": string, "weight": number} objects')
     models = []
     for item in spec_doc:
-        _require_file(item["checkpoint"], "checkpoint")
         models.append(RerankModel.load(item["checkpoint"]))
         if models[-1].meta() != models[0].meta():
             raise MergeError(f"{item['checkpoint']} has another vocabulary, backbone or "
@@ -183,8 +171,6 @@ def cmd_merge(args) -> int:
 
 def cmd_eval(args) -> int:
     _print_config("eval", args)
-    _require_file(args.run, "run file")
-    _require_file(args.qrels, "qrels file")
     report = evaluate_run(args.run, args.qrels, metric=args.metric, k=args.k)
     if not report.per_query:
         print("[eval] warning: empty run file (0 queries)")

@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
-import sys
 import typing
 
 from .errors import ConfigError
-
-_LARGEST_FLOAT = int(sys.float_info.max)
 
 
 def from_json_object(cls, obj):
     """``cls(**obj)`` once ``obj`` is a JSON object whose keys are fields of the
     dataclass ``cls`` and whose values each have their field's type. An int is
-    a valid float if a float can hold it; JSON true/false are not numbers."""
+    a valid float (``parse_json`` refuses one a float cannot hold); JSON
+    true/false are not numbers."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(cls)})
@@ -28,7 +26,4 @@ def from_json_object(cls, obj):
         if type(value) not in allowed:
             raise ConfigError(f"{cls.__name__}.{name} must be "
                               f"{' or '.join(t.__name__ for t in allowed)}, got {value!r}")
-        if type(value) is int and float in allowed and abs(value) > _LARGEST_FLOAT:
-            raise ConfigError(f"{cls.__name__}.{name} must fit a float, got an integer "
-                              f"of {len(str(abs(value)))} digits")
     return cls(**obj)

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 Exit-code mapping used by the CLI:
-  2 -> validation / configuration / parse errors
+  2 -> validation / configuration / parse errors, and a missing or
+       unreadable file (``OSError``)
   3 -> numeric failures during inference (degenerate embeddings etc.)
   4 -> training divergence (non-finite loss or weights)
 """

@@ -24,10 +24,9 @@ from .autodiff import Tensor
 from .checkpoint import parse_json, write_atomic
 from .embedding import extract, project, score
 from .errors import DegenerateEmbeddingError, ParseError
-from .evaluation import ndcg_at_k, read_lines
+from .evaluation import read_lines
 from .model import RerankModel
-from .prompt import (ORDERINGS, Document, RerankRequest, apply_ordering, build_prompt,
-                     chunk_into_batches)
+from .prompt import Document, RerankRequest, apply_ordering, build_prompt, chunk_into_batches
 
 
 @dataclass(slots=True)
@@ -99,30 +98,6 @@ def rerank(
         for i, (d, s, b, e) in enumerate(valid + broken)
     ]
     return RankedResult(entries=entries, ordering=ordering)
-
-
-def rerank_ordered_variants(
-    model: RerankModel,
-    request: RerankRequest,
-    variants: tuple[str, ...] = ORDERINGS[1:],  # every order but the given one
-    random_seed: int = 0,
-    qrels_for_query: Optional[dict[str, int]] = None,
-    **rerank_kwargs,
-) -> tuple[dict[str, RankedResult], dict[str, Optional[float]]]:
-    """Run the same request under multiple presentation orderings.
-
-    Returns per-variant results and, when qrels are supplied, a per-variant
-    nDCG@10 comparison report.
-    """
-    results: dict[str, RankedResult] = {}
-    report: dict[str, Optional[float]] = {}
-    for variant in variants:
-        res = rerank(model, request, ordering=variant, seed=random_seed, **rerank_kwargs)
-        results[variant] = res
-        report[variant] = (
-            ndcg_at_k(res.doc_ids(), qrels_for_query) if qrels_for_query else None
-        )
-    return results, report
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, backward
 from .backbone import ATTN_MATS, FFN_MATS
-from .checkpoint import parse_json, write_atomic, write_jsonl
+from .checkpoint import parse_json, write_atomic
 from .config import from_json_object
 from .embedding import extract, project
 from .errors import ConfigError, DataError, MergeError, NonFiniteLossError
@@ -39,9 +39,9 @@ class StageConfig:
     n_inbatch_negatives: int = 3
     temperature: float = 0.25
     max_doc_tokens: int = 768
-    w_disperse: float = 0.45
-    w_dual: float = 0.85
-    w_similar: float = 0.85
+    w_disperse: float = LossWeights.disperse
+    w_dual: float = LossWeights.dual
+    w_similar: float = LossWeights.similar
     lora_rank: int = 16
     lora_alpha: float = 32.0
     train_embeddings: bool = True
@@ -336,8 +336,6 @@ def train_stage(
                                  f"{', '.join(broken[:3])}{', ...' if len(broken) > 3 else ''}")
     return trace
 
-
-write_loss_trace = write_jsonl  # one record per step
 
 
 # ----------------------------------------------------------------------

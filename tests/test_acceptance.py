@@ -25,7 +25,7 @@ from listrank.losses import (
 )
 from listrank.model import RerankModel
 from listrank.prompt import Document, RerankRequest, Vocabulary, build_prompt
-from listrank.reranker import rerank, rerank_ordered_variants
+from listrank.reranker import rerank
 from listrank.trainer import (
     MergeSpec,
     create_adapters,
@@ -178,12 +178,10 @@ class TestAcceptance:
                              qtext, synth_corpus.docs[d]))
                 for d in synth_corpus.candidates[qid]
             ]
-            _, report = rerank_ordered_variants(
-                model, RerankRequest(qtext, docs), random_seed=5,
-                qrels_for_query=synth_corpus.qrels[qid], max_doc_tokens=16,
-            )
-            for variant in sums:
-                sums[variant] += report[variant]
+            for ordering in sums:
+                result = rerank(model, RerankRequest(qtext, docs), max_doc_tokens=16,
+                                ordering=ordering, seed=5)
+                sums[ordering] += ndcg_at_k(result.doc_ids(), synth_corpus.qrels[qid])
         means = {v: s / n for v, s in sums.items()}
         spread = max(means.values()) - min(means.values())
         assert spread <= 0.05, means

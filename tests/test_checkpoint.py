@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from listrank.autodiff import Tensor
-from listrank.checkpoint import load_checkpoint, save_checkpoint
+from listrank.checkpoint import load_checkpoint, save_checkpoint, write_jsonl
 from listrank.errors import ParseError
 from listrank.reranker import RankedEntry, RankedResult, write_run
-from listrank.trainer import StageConfig, write_loss_trace
+from listrank.trainer import StageConfig
 
 
 @pytest.fixture
@@ -93,7 +93,7 @@ WRITERS = {
     "checkpoint": lambda path, v: save_checkpoint(path, {"w": np.full(4, v)}),
     "run": lambda path, v: write_run(
         path, {"q1": RankedResult([RankedEntry("d1", v, 1, 0)], "given")}),
-    "loss trace": lambda path, v: write_loss_trace(path, [{"step": 0, "total": v}]),
+    "loss trace": lambda path, v: write_jsonl(path, [{"step": 0, "total": v}]),
     "stage config": lambda path, v: StageConfig(temperature=v).save(path),
 }
 

@@ -94,7 +94,7 @@ class TestExitCodes:
                    "--input", str(tmp_path / "nope.jsonl"),
                    "--output", str(tmp_path / "run.txt")])
         assert rc == 2
-        assert "not found" in capsys.readouterr().err
+        assert str(tmp_path / "nope.ckpt") in capsys.readouterr().err
 
     def test_malformed_run_file(self, tmp_path, capsys):
         (tmp_path / "run.txt").write_text("not a run line\n")
@@ -141,8 +141,13 @@ class TestExitCodes:
         lambda h: {**h, "tensors": [{"name": "w", "shape": [1.5], "offset": 0}]},
         lambda h: {**h, "tensors": [{"name": "w", "shape": [1], "offset": "0"}]},
         lambda h: {**h, "tensors": ["w"]},
+        lambda h: {**h, "tensors": [{"name": "w", "shape": [2**40, 2**40], "offset": 0}]},
+        lambda h: {**h, "tensors": [{"name": "w", "shape": [0, 2**62], "offset": 0}]},
+        lambda h: {**h, "tensors": [{"name": "w", "shape": [1] * 70, "offset": 0}]},
+        lambda h: {**h, "tensors": h["tensors"] + h["tensors"][:1]},
     ], ids=["list", "tensors object", "meta list", "no shape", "int name", "negative dim",
-            "float dim", "string offset", "entry string"])
+            "float dim", "string offset", "entry string", "2**80 elements",
+            "empty but too large", "70 dimensions", "repeated name"])
     def test_malformed_checkpoint_header(self, model_path, data_dir, tmp_path, capsys, edit):
         raw = model_path.read_bytes()
         header_end = 8 + struct.unpack(">Q", raw[:8])[0]
@@ -187,7 +192,7 @@ class TestExitCodes:
         (lambda m: m["backbone"].update(rope_base=0), "rope_base must be positive"),
         (lambda m: m["projector"].update(d_mid=16.0), "ProjectorConfig.d_mid must be int"),
         (lambda m: m["backbone"].update(rms_eps=10 ** 400),
-         "BackboneConfig.rms_eps must fit a float, got an integer of 401 digits"),
+         "an integer of 401 digits does not fit a float"),
     ], ids=["no vocab", "no projector", "unknown backbone key", "backbone list",
             "vocab object", "string vocab id", "repeated vocab id", "string n_layers",
             "bool n_layers", "zero rope base", "float d_mid", "rms_eps beyond a float"])
@@ -215,7 +220,7 @@ class TestExitCodes:
         (b'{"n_inbatch_negatives": -5}',
          "seed and n_inbatch_negatives must be >= 0, got 0 and -5"),
         (b'{"steps": 1, "temperature": 1' + b"0" * 400 + b"}",
-         "StageConfig.temperature must fit a float, got an integer of 401 digits"),
+         "an integer of 401 digits does not fit a float"),
     ], ids=["not json", "not utf-8", "list", "unknown key", "string steps", "int bool",
             "bool float", "zero max_doc_tokens", "negative seed", "negative in-batch negatives",
             "temperature beyond a float"])
@@ -392,6 +397,32 @@ class TestExitCodes:
         assert rc == 2
         assert "loss weights must be nonnegative" in capsys.readouterr().err
         assert not out_ckpt.exists()
+
+    @pytest.mark.parametrize("where", ["merge spec weight", "first_stage_score",
+                                       "stage file", "bundle meta"])
+    def test_integer_beyond_float_range(self, model_path, data_dir, tmp_path, capsys, where):
+        """A float cannot hold 10**400, so every JSON input refuses it as it is read."""
+        big = "1" + "0" * 400
+        path, out = tmp_path / "input.json", tmp_path / "out"
+        if where == "merge spec weight":
+            path.write_text(f'[{{"checkpoint": {json.dumps(str(model_path))}, "weight": {big}}}]')
+            argv = ["merge", "--spec", path, "--out", out]
+        elif where == "first_stage_score":
+            path.write_text(strict_json_request(SCORE=big) + "\n")
+            argv = ["rerank", "--model", model_path, "--input", path, "--output", out]
+        elif where == "stage file":
+            path.write_text(stage_json_with("temperature", big))
+            argv = ["train", "--stage-config", path, "--data", data_dir, "--out-checkpoint", out]
+        else:
+            tensors, meta = load_checkpoint(model_path)
+            meta["backbone"]["rms_eps"] = int(big)
+            save_checkpoint(path, tensors, meta)
+            argv = ["rerank", "--model", path, "--input", data_dir / "requests.jsonl",
+                    "--output", out]
+        rc = main([str(a) for a in argv])
+        assert rc == 2
+        assert "an integer of 401 digits does not fit a float" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("metric, k", [("ndcg", "0"), ("ndcg", "-3"), ("recall", "-3")])
     def test_bad_k_on_an_empty_run_file(self, tmp_path, capsys, metric, k):

@@ -7,7 +7,7 @@ import pytest
 from listrank import reranker
 from listrank.autodiff import Tensor
 from listrank.errors import DegenerateEmbeddingError, ParseError, ValidationError
-from listrank.evaluation import load_run
+from listrank.evaluation import load_run, ndcg_at_k
 from listrank.model import RerankModel
 from listrank.prompt import Document, RerankRequest, Vocabulary
 from listrank.reranker import (
@@ -15,7 +15,6 @@ from listrank.reranker import (
     RankedResult,
     read_requests,
     rerank,
-    rerank_ordered_variants,
     write_run,
 )
 
@@ -110,14 +109,11 @@ class TestRerank:
             for i, d in enumerate(synth_corpus.candidates[qid])
         ]
         req = RerankRequest(qtext, docs)
-        results, report = rerank_ordered_variants(
-            untrained_model, req, random_seed=3,
-            qrels_for_query=synth_corpus.qrels[qid], max_doc_tokens=16,
-        )
-        assert set(results) == {"desc", "asc", "random"}
-        for variant, res in results.items():
+        for ordering in ("desc", "asc", "random"):
+            res = rerank(untrained_model, req, max_doc_tokens=16, ordering=ordering, seed=3)
+            assert res.ordering == ordering
             assert sorted(res.doc_ids()) == sorted(synth_corpus.candidates[qid])
-            assert 0.0 <= report[variant] <= 1.0
+            assert 0.0 <= ndcg_at_k(res.doc_ids(), synth_corpus.qrels[qid]) <= 1.0
 
 
 class TestDegenerateEmbeddings:

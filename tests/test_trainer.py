@@ -8,6 +8,7 @@ import pytest
 from listrank import autodiff as ad
 from listrank import trainer
 from listrank.autodiff import Tensor
+from listrank.checkpoint import write_jsonl
 from listrank.errors import ConfigError, DataError, MergeError
 from listrank.evaluation import ndcg_at_k
 from listrank.model import RerankModel
@@ -25,7 +26,6 @@ from listrank.trainer import (
     lora_target_names,
     merge_models,
     train_stage,
-    write_loss_trace,
 )
 
 from conftest import corpus_dataset, overfit_stage_config, tiny_backbone_config
@@ -341,7 +341,7 @@ class TestTrainStage:
     def test_loss_trace_file(self, tmp_path):
         trace = [{"step": 0, "total": 1.5}, {"step": 1, "total": 1.2}]
         p = tmp_path / "trace.jsonl"
-        write_loss_trace(p, trace)
+        write_jsonl(p, trace)
         lines = [json.loads(l) for l in p.read_text().splitlines()]
         assert lines == trace
 
