@@ -39,7 +39,7 @@ from .evaluation import (
     ndcg_at_k,
     write_corpus_files,
 )
-from .losses import LossWeights, QueryGroup, TrainingBatch, total_loss
+from .losses import QueryGroup, TrainingBatch, all_losses
 from .model import RerankModel
 from .prompt import ORDERINGS, Document, RerankRequest, Vocabulary, check_limits, check_ordering
 from .reranker import read_requests, rerank, write_run
@@ -149,7 +149,7 @@ def cmd_train(args) -> int:
 
 def cmd_merge(args) -> int:
     _print_config("merge", args)
-    spec_doc = parse_json(Path(args.spec).read_bytes(), f"merge spec {args.spec} is not JSON")
+    spec_doc = parse_json(Path(args.spec).read_bytes(), f"merge spec {args.spec}")
     # type() rather than isinstance: JSON true/false is not a weight
     if not (isinstance(spec_doc, list) and all(
             isinstance(e, dict) and isinstance(e.get("checkpoint"), str)
@@ -189,7 +189,7 @@ def _gradcheck_losses(seed: int) -> float:
                          negatives=list(range(r + 4, r + width)))
               for r in range(0, n_queries * width, width)]
     return finite_diff_check(
-        lambda x: total_loss(TrainingBatch(x, groups, temperature=0.25), LossWeights()), X)
+        lambda x: all_losses(TrainingBatch(x, groups, temperature=0.25))[0], X)
 
 
 def _gradcheck_projector(seed: int) -> float:

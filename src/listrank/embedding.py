@@ -9,7 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import from_json_object
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .prompt import PromptLayout
 
 
@@ -50,14 +50,12 @@ def init_projector(config: ProjectorConfig, seed: int) -> dict[str, Tensor]:
     }
 
 
-def extract(layout: PromptLayout, include_dual: bool = False) -> list[int]:
+def extract(layout: PromptLayout) -> list[int]:
     """The marker positions whose hidden states are read, in row order:
     the documents in the order presented, then the query, then the dual
-    query if asked for."""
+    query when the layout has one."""
     positions = [*layout.doc_marker_positions, layout.query_marker_position]
-    if include_dual:
-        if layout.dual_query_marker_position is None:
-            raise DimensionError("layout has no dual query marker")
+    if layout.dual_query_marker_position is not None:
         positions.append(layout.dual_query_marker_position)
     return positions
 

@@ -67,10 +67,5 @@ class ParseError(ListrankError):
 
 
 class NonFiniteLossError(ListrankError):
-    """Training loss or weights became NaN/Inf; a loss carries its step
-    diagnostics."""
-
-    def __init__(self, message, step=None, components=None):
-        super().__init__(message)
-        self.step = step
-        self.components = components
+    """Training loss or weights became NaN/Inf; the message names the step
+    and its loss components."""

@@ -84,9 +84,18 @@ def read_lines(path):
             yield lineno, line
 
 
+def refuse_repeat(first_line: dict, key, what: str, path, lineno: int) -> None:
+    """Remember the line ``key`` first appears on; a later line with the same
+    key raises ``ParseError`` naming both lines."""
+    if first_line.setdefault(key, lineno) != lineno:
+        raise ParseError(f"{path} line {lineno}: duplicate {what}, first on line "
+                         f"{first_line[key]}", lineno)
+
+
 def load_qrels(path) -> dict[str, dict[str, int]]:
     """TREC qrels: ``query_id 0 doc_id rel``."""
     qrels: dict[str, dict[str, int]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, line in read_lines(path):
         fields = line.split()
         if len(fields) != 4:
@@ -98,8 +107,7 @@ def load_qrels(path) -> dict[str, dict[str, int]]:
             raise ParseError(f"{path} line {lineno}: bad relevance {rel!r}", lineno) from exc
         if rel > 1023:  # the nDCG gain 2.0 ** rel overflows a float
             raise ParseError(f"{path} line {lineno}: relevance above 1023", lineno)
-        if did in qrels.get(qid, {}):
-            raise ParseError(f"{path} line {lineno}: duplicate ({qid}, {did})", lineno)
+        refuse_repeat(first_line, (qid, did), f"({qid}, {did})", path, lineno)
         qrels.setdefault(qid, {})[did] = rel
     return qrels
 
@@ -108,11 +116,13 @@ def load_run(path) -> dict[str, list[tuple[str, float]]]:
     """TREC run: ``query_id Q0 doc_id rank score tag``; returns doc lists
     sorted by the recorded rank."""
     raw: dict[str, list[tuple[int, str, float]]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, line in read_lines(path):
         fields = line.split()
         if len(fields) != 6:
             raise ParseError(f"{path} line {lineno}: expected 6 fields", lineno)
         qid, _, did, rank, score_, _tag = fields
+        refuse_repeat(first_line, (qid, did), f"({qid}, {did})", path, lineno)
         try:
             raw.setdefault(qid, []).append((int(rank), did, float(score_)))
         except ValueError as exc:
@@ -233,7 +243,9 @@ def write_corpus_files(corpus: SyntheticCorpus, out_dir) -> None:
 
 def _string_records(path, keys: tuple[str, ...]):
     """Yield ``(line number, values)`` for the string fields ``keys`` of each
-    JSON line of ``path``; anything else raises ``ParseError``."""
+    JSON line of ``path``; anything else, or a repeat of the first field,
+    raises ``ParseError``."""
+    first_line: dict[str, int] = {}
     for lineno, line in read_lines(path):
         try:
             rec = parse_json(line, f"{path} line {lineno}", lineno)
@@ -242,6 +254,7 @@ def _string_records(path, keys: tuple[str, ...]):
                 raise TypeError(f"{', '.join(keys)} must be strings")
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
+        refuse_repeat(first_line, values[0], f"{keys[0]} {values[0]!r}", path, lineno)
         yield lineno, values
 
 

@@ -1,10 +1,12 @@
 """The four-part training objective, over one similarity matrix.
 
-A batch holds one matrix E of projected embeddings; each query group names
-rows of it. Every loss is a row-logsumexp over entries of the flattened
-cos(E, E) / tau, one row per query, padded with -inf where a group has
-fewer negatives: the losses' tape nodes do not grow with the batch or its
-negatives, and the forms stay finite even at the lowest temperature (0.05).
+The total is rank + 0.45 disperse + 0.85 dual + 0.85 similar: the
+weights are fixed. A batch holds one matrix E of projected embeddings;
+each query group names rows of it. Every loss is a row-logsumexp over
+entries of the flattened cos(E, E) / tau, one row per query, padded with
+-inf where a group has fewer negatives: the losses' tape nodes do not grow
+with the batch or its negatives, and the forms stay finite even at the
+lowest temperature (0.05).
 """
 
 from __future__ import annotations
@@ -51,17 +53,6 @@ class TrainingBatch:
             named = [g.query, g.positive, *g.negatives, g.dual_query, g.augmented]
             if not all(i is None or 0 <= i < rows for i in named):
                 raise ValidationError(f"query group {g} names a row outside 0..{rows - 1}")
-
-
-@dataclass
-class LossWeights:
-    disperse: float = 0.45
-    dual: float = 0.85
-    similar: float = 0.85
-
-    def __post_init__(self):
-        if min(self.disperse, self.dual, self.similar) < 0:
-            raise ConfigError("loss weights must be nonnegative")
 
 
 def similarities(batch: TrainingBatch) -> Tensor:
@@ -132,17 +123,13 @@ def disperse_loss(batch: TrainingBatch, sims: Optional[Tensor] = None) -> Tensor
     return ad.tmean(ad.sub(_logsumexp_rows(sims, batch.embeddings.shape[0], pairs), log_k))
 
 
-def all_losses(batch: TrainingBatch, weights: LossWeights = LossWeights()):
+def all_losses(batch: TrainingBatch):
     """Compute every component once, from one similarity matrix; returns
-    (total, components dict)."""
+    (rank + 0.45 disperse + 0.85 dual + 0.85 similar, components dict)."""
     sims = similarities(batch)
     c = {"rank": rank_loss(batch, sims), "disperse": disperse_loss(batch, sims),
          "dual": dual_loss(batch, sims), "similar": similar_loss(batch, sims)}
-    total = ad.add(c["rank"], ad.add(ad.mul(c["disperse"], weights.disperse),
-                                     ad.add(ad.mul(c["dual"], weights.dual),
-                                            ad.mul(c["similar"], weights.similar))))
+    total = ad.add(c["rank"], ad.add(ad.mul(c["disperse"], 0.45),
+                                     ad.add(ad.mul(c["dual"], 0.85),
+                                            ad.mul(c["similar"], 0.85))))
     return total, c
-
-
-def total_loss(batch: TrainingBatch, weights: LossWeights = LossWeights()) -> Tensor:
-    return all_losses(batch, weights)[0]

@@ -27,6 +27,10 @@ class RerankModel:
             )
         if self.projector_config.d_in != self.backbone_config.d_hidden:
             raise ConfigError("projector d_in must equal backbone d_hidden")
+        # each layer holds several tensors: refuse before building a table per layer
+        if self.backbone_config.n_layers > len(self.weights):
+            raise ConfigError(f"backbone declares {self.backbone_config.n_layers} layers but "
+                              f"the bundle holds {len(self.weights)} tensors")
         want = weight_shapes(self.backbone_config) | projector_shapes(self.projector_config)
         have = {name: t.shape for name, t in self.weights.items()}
         bad = sorted(n for n in want.keys() | have.keys() if have.get(n) != want.get(n))

@@ -24,7 +24,7 @@ from .autodiff import Tensor
 from .checkpoint import parse_json, write_atomic
 from .embedding import extract, project, score
 from .errors import DegenerateEmbeddingError, ParseError
-from .evaluation import read_lines
+from .evaluation import read_lines, refuse_repeat
 from .model import RerankModel
 from .prompt import Document, RerankRequest, apply_ordering, build_prompt, chunk_into_batches
 
@@ -110,7 +110,7 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
     {"query_id", "query_text", "documents": [{"doc_id", "text",
     "first_stage_score"?}]}."""
     out = []
-    first_line: dict[str, int] = {}
+    first_line: dict[str, int] = {}  # results are keyed by query_id
     for lineno, line in read_lines(path):
         try:
             rec = parse_json(line, f"{path} line {lineno}", lineno)
@@ -130,9 +130,7 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
             query_id = rec["query_id"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
-        if first_line.setdefault(query_id, lineno) != lineno:  # results are keyed by it
-            raise ParseError(f"{path} line {lineno}: query_id {query_id!r} repeats "
-                             f"line {first_line[query_id]}", lineno)
+        refuse_repeat(first_line, query_id, f"query_id {query_id!r}", path, lineno)
         out.append((query_id, RerankRequest(rec["query_text"], docs)))
     return out
 
@@ -142,11 +140,11 @@ def _require(ok: bool, message: str) -> None:
         raise TypeError(message)
 
 
-def write_run(path, results: dict[str, RankedResult], tag: str = "listrank") -> None:
-    """TREC run format: query_id Q0 doc_id rank score tag."""
+def write_run(path, results: dict[str, RankedResult]) -> None:
+    """TREC run format: query_id Q0 doc_id rank score listrank."""
     lines = []
     for query_id in results:
         for e in results[query_id].entries:
             s = e.score if e.score is not None else -2.0
-            lines.append(f"{query_id} Q0 {e.doc_id} {e.rank} {s:.6f} {tag}")
+            lines.append(f"{query_id} Q0 {e.doc_id} {e.rank} {s:.6f} listrank")
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -19,7 +19,7 @@ from .checkpoint import parse_json, write_atomic
 from .config import from_json_object
 from .embedding import extract, project
 from .errors import ConfigError, DataError, MergeError, NonFiniteLossError
-from .losses import LossWeights, QueryGroup, TrainingBatch, all_losses
+from .losses import QueryGroup, TrainingBatch, all_losses
 from .model import RerankModel
 from .prompt import build_prompt, check_limits
 
@@ -28,8 +28,9 @@ from .prompt import build_prompt, check_limits
 class StageConfig:
     """One training stage. Defaults follow the foundation stage: adapters
     plus word embeddings trainable, 15 negatives, temperature 0.25,
-    learning rate 5e-5. AdamW runs with its own defaults (weight decay
-    0.01, betas 0.9 and 0.999) in every stage."""
+    learning rate 5e-5. Every stage minimizes the same objective, with
+    the fixed weights of ``all_losses``, and AdamW runs with its own
+    defaults (weight decay 0.01, betas 0.9 and 0.999)."""
 
     mode: str = "adapters"  # adapters | full
     steps: int = 100
@@ -39,9 +40,6 @@ class StageConfig:
     n_inbatch_negatives: int = 3
     temperature: float = 0.25
     max_doc_tokens: int = 768
-    w_disperse: float = LossWeights.disperse
-    w_dual: float = LossWeights.dual
-    w_similar: float = LossWeights.similar
     lora_rank: int = 16
     lora_alpha: float = 32.0
     train_embeddings: bool = True
@@ -60,11 +58,6 @@ class StageConfig:
         if self.lora_rank < 1:
             raise ConfigError("lora_rank must be >= 1")
         check_limits(self.max_doc_tokens)
-        self.loss_weights  # refuses a negative w_* before any step runs
-
-    @property
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(self.w_disperse, self.w_dual, self.w_similar)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -73,8 +66,7 @@ class StageConfig:
 
     @classmethod
     def load(cls, path) -> "StageConfig":
-        return cls.from_dict(parse_json(Path(path).read_bytes(),
-                                        f"stage config {path} is not UTF-8 JSON"))
+        return cls.from_dict(parse_json(Path(path).read_bytes(), f"stage config {path}"))
 
     def save(self, path) -> None:
         write_atomic(path, (json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -186,15 +178,15 @@ class AdamW:
 # ----------------------------------------------------------------------
 
 
-def augment_text(text: str, rng: np.random.Generator,
-                 p_drop: float = 0.1, p_swap: float = 0.05) -> str:
-    """Semantics-light augmentation: token dropout, adjacent swaps, case
-    fold. Keeps at least one word of a text that has any."""
+def augment_text(text: str, rng: np.random.Generator) -> str:
+    """Semantics-light augmentation: drops each word with probability 0.1,
+    swaps adjacent words with probability 0.05, folds case. Keeps at least
+    one word of a text that has any."""
     words = text.split()
-    kept = [w for w in words if rng.random() >= p_drop] or words[:1]
+    kept = [w for w in words if rng.random() >= 0.1] or words[:1]
     i = 0
     while i < len(kept) - 1:
-        if rng.random() < p_swap:
+        if rng.random() < 0.05:
             kept[i], kept[i + 1] = kept[i + 1], kept[i]
             i += 2
         else:
@@ -244,7 +236,7 @@ def _encode_group(
     )
     # rows: positive, negatives, augmented positive (the order of ``texts``,
     # not the order shown), query, dual query
-    positions = extract(layout, include_dual=True)
+    positions = extract(layout)
     rows = [positions[slot] for slot in np.argsort(order)] + positions[len(texts):]
     hidden = bb.forward(layout.token_ids, config, weights, rows=rows)
     k = len(negatives)
@@ -310,17 +302,14 @@ def train_stage(
                     g.negatives = g.negatives + [groups[int(j)].positive for j in pick]
             embeddings = project(ad.concat_rows(raw), weights)
             batch = TrainingBatch(embeddings, groups, stage.temperature)
-            total, components = all_losses(batch, stage.loss_weights)
+            total, components = all_losses(batch)
             record = {
                 "step": step,
                 **{k: float(v.data) for k, v in components.items()},
                 "total": float(total.data),
             }
             if not math.isfinite(record["total"]):
-                raise NonFiniteLossError(
-                    f"non-finite loss at step {step}: {record}",
-                    step=step, components=record,
-                )
+                raise NonFiniteLossError(f"non-finite loss at step {step}: {record}")
             backward(total)
         opt.step()
         opt.zero_grad()

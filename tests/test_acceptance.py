@@ -18,7 +18,6 @@ from listrank.evaluation import (
     recall_at_k,
 )
 from listrank.losses import (
-    LossWeights,
     all_losses,
     disperse_loss,
     rank_loss,
@@ -93,7 +92,7 @@ class TestAcceptance:
                     negatives=[mk() for _ in range(4)],
                 ))
             batch = stacked_batch(groups, temperature=0.25)
-            total, parts = all_losses(batch, LossWeights(0.45, 0.85, 0.85))
+            total, parts = all_losses(batch)
             expected = (
                 float(parts["rank"].data)
                 + 0.45 * float(parts["disperse"].data)

@@ -193,9 +193,13 @@ class TestExitCodes:
         (lambda m: m["projector"].update(d_mid=16.0), "ProjectorConfig.d_mid must be int"),
         (lambda m: m["backbone"].update(rms_eps=10 ** 400),
          "an integer of 401 digits does not fit a float"),
+        # refused before a table of every declared layer's shapes is built
+        (lambda m: m["backbone"].update(n_layers=10 ** 5),
+         "backbone declares 100000 layers but the bundle holds"),
     ], ids=["no vocab", "no projector", "unknown backbone key", "backbone list",
             "vocab object", "string vocab id", "repeated vocab id", "string n_layers",
-            "bool n_layers", "zero rope base", "float d_mid", "rms_eps beyond a float"])
+            "bool n_layers", "zero rope base", "float d_mid", "rms_eps beyond a float",
+            "more layers than tensors"])
     def test_malformed_bundle_meta(self, model_path, data_dir, tmp_path, capsys, edit, message):
         tensors, meta = load_checkpoint(model_path)
         edit(meta)
@@ -208,8 +212,8 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("content, message", [
-        (b"{steps: 3}", "is not UTF-8 JSON"),
-        (b'\xff\xfe{"steps": 3}', "is not UTF-8 JSON"),
+        (b"{steps: 3}", "stage.json: Expecting property name"),
+        (b'\xff\xfe{"steps": 3}', "stage.json: 'utf-8' codec can't decode byte 0xff"),
         (b"[1]", "StageConfig must be a JSON object, got list"),
         (b'{"bogus": 1}', "unknown StageConfig keys: bogus"),
         (b'{"steps": "3"}', "StageConfig.steps must be int, got '3'"),
@@ -255,7 +259,7 @@ class TestExitCodes:
         assert "corpus.jsonl line 401" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec, message", [
-        ("[{", "not JSON"),
+        ("[{", "spec.json: Expecting property name"),
         ('{"checkpoint": "MODEL", "weight": 1.0}', "must be a JSON list"),
         ('[{"weight": 1.0}]', "must be a JSON list"),
         ('[{"checkpoint": "MODEL", "weight": "half"}]', "must be a JSON list"),
@@ -386,16 +390,18 @@ class TestExitCodes:
         assert "unknown ordering 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "run.txt").exists()
 
-    @pytest.mark.parametrize("steps", [0, 1])
-    def test_negative_loss_weight_refused_at_load(self, tmp_path, capsys, monkeypatch, steps):
+    @pytest.mark.parametrize("key", ["w_disperse", "w_dual", "w_similar"])
+    def test_loss_weight_is_an_unknown_key(self, tmp_path, capsys, monkeypatch, key):
+        """The objective's weights are fixed, so a stage file that names one
+        (as older stage files do) is refused before the corpus is read."""
         def read_corpus(_):
             raise AssertionError("the stage config was accepted")
 
         monkeypatch.setattr("listrank.cli.load_corpus_files", read_corpus)
-        stage = {"steps": steps, "batch_size": 1, "n_negatives": 1, "w_dual": -1.0}
+        stage = {"steps": 1, "batch_size": 1, "n_negatives": 1, key: 0.5}
         rc, out_ckpt = train_on(tmp_path / "data", json.dumps(stage), tmp_path)
         assert rc == 2
-        assert "loss weights must be nonnegative" in capsys.readouterr().err
+        assert f"unknown StageConfig keys: {key}" in capsys.readouterr().err
         assert not out_ckpt.exists()
 
     @pytest.mark.parametrize("where", ["merge spec weight", "first_stage_score",
@@ -469,7 +475,7 @@ class TestExitCodes:
         assert len(load_run(out)["q1"]) == 2
 
     @pytest.mark.parametrize("field, value", [
-        ("learning_rate", "NaN"), ("lora_alpha", "NaN"), ("w_dual", "NaN"),
+        ("learning_rate", "NaN"), ("lora_alpha", "NaN"), ("temperature", "NaN"),
         ("temperature", "Infinity"), ("temperature", "1e400"),
     ])
     def test_stage_config_not_strict_json(self, data_dir, tmp_path, capsys, field, value):
@@ -478,8 +484,7 @@ class TestExitCodes:
         rc = main(["train", "--stage-config", str(stage_path), "--data", str(data_dir),
                    "--out-checkpoint", str(out_ckpt)])
         assert rc == 2
-        assert f"stage.json is not UTF-8 JSON: {value} is not a JSON number" in \
-            capsys.readouterr().err
+        assert f"stage.json: {value} is not a JSON number" in capsys.readouterr().err
         assert not out_ckpt.exists()
 
     @pytest.mark.parametrize("value", ["null", "0", "-1"])

@@ -42,12 +42,12 @@ class TestExtract:
         rng = np.random.default_rng(2)
         hidden = Tensor(rng.normal(size=(8, 3)))
         layout = _layout([4], 6, dual=1)
-        emb = ad.gather_rows(hidden, extract(layout, include_dual=True))
+        assert extract(layout) == [4, 6, 1]  # the dual query row comes last
+        emb = ad.gather_rows(hidden, extract(layout))
         np.testing.assert_array_equal(emb.data[-1], hidden.data[1])
 
-    def test_missing_dual_raises(self):
-        with pytest.raises(DimensionError, match="dual"):
-            extract(_layout([4], 6), include_dual=True)
+    def test_no_dual_marker_no_dual_row(self):
+        assert extract(_layout([4], 6)) == [4, 6]
 
     def test_position_out_of_range(self):
         cfg = tiny_backbone_config()

@@ -116,7 +116,7 @@ class TestTrecFiles:
     def test_qrels_duplicate(self, tmp_path):
         p = tmp_path / "qrels.txt"
         p.write_text("q1 0 d1 2\nq1 0 d1 1\n")
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ParseError, match=r"line 2: duplicate \(q1, d1\), first on line 1"):
             load_qrels(p)
 
     def test_qrels_bad_relevance(self, tmp_path):
@@ -149,6 +149,13 @@ class TestTrecFiles:
         )
         run = load_run(p)
         assert [d for d, _ in run["q1"]] == ["d1", "d2", "d3"]
+
+    def test_run_duplicate(self, tmp_path):
+        """A document listed twice would count its gain twice: nDCG above 1."""
+        p = tmp_path / "run.txt"
+        p.write_text("q1 Q0 d1 1 0.9 t\nq2 Q0 d1 1 0.9 t\nq1 Q0 d1 2 0.5 t\n")
+        with pytest.raises(ParseError, match=r"line 3: duplicate \(q1, d1\), first on line 1"):
+            load_run(p)
 
     def test_run_bad_line(self, tmp_path):
         p = tmp_path / "run.txt"
@@ -231,7 +238,12 @@ class TestSyntheticCorpus:
         ("corpus.jsonl", b'["x", "text"]', "corpus.jsonl line 3"),
         ("queries.jsonl", b'{"query_id": 7, "text": "a"}', "must be strings"),
         ("queries.jsonl", b'{"query_id": "q9", "text": "a"}', "'q9' needs qrels"),
-    ], ids=["not utf-8", "not json", "no text", "not an object", "int id", "no qrels"])
+        ("corpus.jsonl", b'{"doc_id": "q000_d00", "text": "a"}',
+         "line 3: duplicate doc_id 'q000_d00', first on line 1"),
+        ("queries.jsonl", b'{"query_id": "q000", "text": "a"}',
+         "line 3: duplicate query_id 'q000', first on line 1"),
+    ], ids=["not utf-8", "not json", "no text", "not an object", "int id", "no qrels",
+            "repeated doc_id", "repeated query_id"])
     def test_corpus_files_bad_line(self, tmp_path, name, line, message):
         corpus = generate_synthetic_corpus(n_queries=2, docs_per_query=4, seed=0)
         write_corpus_files(corpus, tmp_path)

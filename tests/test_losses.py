@@ -9,7 +9,6 @@ from listrank import autodiff as ad
 from listrank.autodiff import Tensor, backward
 from listrank.errors import ConfigError, ValidationError
 from listrank.losses import (
-    LossWeights,
     QueryGroup,
     TrainingBatch,
     all_losses,
@@ -17,7 +16,6 @@ from listrank.losses import (
     dual_loss,
     rank_loss,
     similar_loss,
-    total_loss,
 )
 
 from conftest import stacked_batch
@@ -157,8 +155,7 @@ class TestAgainstReference:
     def test_total_is_weighted_sum(self):
         rng = np.random.default_rng(2)
         batch, _ = _random_batch(rng)
-        w = LossWeights(disperse=0.45, dual=0.85, similar=0.85)
-        total, parts = all_losses(batch, w)
+        total, parts = all_losses(batch)
         expected = (
             float(parts["rank"].data)
             + 0.45 * float(parts["disperse"].data)
@@ -166,10 +163,6 @@ class TestAgainstReference:
             + 0.85 * float(parts["similar"].data)
         )
         assert float(total.data) == pytest.approx(expected, abs=1e-12)
-
-    def test_default_weights(self):
-        w = LossWeights()
-        assert (w.disperse, w.dual, w.similar) == (0.45, 0.85, 0.85)
 
 
 class TestProperties:
@@ -189,7 +182,7 @@ class TestProperties:
         batch, _ = _random_batch(rng, n_groups=2, k=3)
         batch.embeddings.requires_grad = True
         with ad.Tape():
-            backward(total_loss(batch))
+            backward(all_losses(batch)[0])
         for g in batch.groups:
             assert batch.embeddings.grad is not None
             assert np.linalg.norm(batch.embeddings.grad[g.query]) > 0
@@ -280,7 +273,3 @@ class TestValidation:
         g = dict(query=eye[0], positive=eye[1], negatives=[eye[2]])
         with pytest.raises(ValidationError, match="augmented|similarity"):
             similar_loss(stacked_batch([g], temperature=0.25))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            LossWeights(disperse=-0.1)

@@ -222,10 +222,10 @@ class TestRunFile:
             )
         }
         p = tmp_path / "run.txt"
-        write_run(p, results, tag="mytag")
+        write_run(p, results)
         lines = p.read_text().splitlines()
-        assert lines[0] == "q1 Q0 d2 1 0.750000 mytag"
+        assert lines[0] == "q1 Q0 d2 1 0.750000 listrank"
         # unscorable documents sink with the sentinel score
-        assert lines[2] == "q1 Q0 d3 3 -2.000000 mytag"
+        assert lines[2] == "q1 Q0 d3 3 -2.000000 listrank"
         run = load_run(p)
         assert [d for d, _ in run["q1"]] == ["d2", "d1", "d3"]

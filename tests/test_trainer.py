@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,13 +43,20 @@ class TestStageConfig:
         assert s.n_negatives == 15
         assert s.temperature == 0.25
         assert s.learning_rate == 5e-5
-        assert (s.w_disperse, s.w_dual, s.w_similar) == (0.45, 0.85, 0.85)
 
     def test_json_roundtrip(self, tmp_path):
         s = StageConfig(mode="full", steps=7, temperature=0.05, n_negatives=25)
         p = tmp_path / "stage.json"
         s.save(p)
         assert StageConfig.load(p) == s
+
+    def test_readme_table_names_every_field(self):
+        """The README's table of stage keys lists exactly the fields, in order."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| Key | Default | Meaning |\n")[1].split("\n\n")[0]
+        keys = [key for row in table.splitlines()[1:]
+                for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert keys == [f.name for f in dataclasses.fields(StageConfig)]
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -56,8 +65,6 @@ class TestStageConfig:
             StageConfig(temperature=0.0)
         with pytest.raises(ConfigError):
             StageConfig(lora_rank=0)
-        with pytest.raises(ConfigError, match="nonnegative"):
-            StageConfig(w_dual=-1.0)
 
 
 class TestLora:
