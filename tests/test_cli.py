@@ -404,6 +404,20 @@ class TestExitCodes:
         assert f"unknown StageConfig keys: {key}" in capsys.readouterr().err
         assert not out_ckpt.exists()
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_negative_loss_weight_refused_at_load(self, tmp_path, capsys, monkeypatch, steps):
+        """A negative weight is refused before the corpus is read, whatever the
+        step count; the weights are no stage field, so the key itself is refused."""
+        def read_corpus(_):
+            raise AssertionError("the stage config was accepted")
+
+        monkeypatch.setattr("listrank.cli.load_corpus_files", read_corpus)
+        stage = {"steps": steps, "batch_size": 1, "n_negatives": 1, "w_dual": -1.0}
+        rc, out_ckpt = train_on(tmp_path / "data", json.dumps(stage), tmp_path)
+        assert rc == 2
+        assert "unknown StageConfig keys: w_dual" in capsys.readouterr().err
+        assert not out_ckpt.exists()
+
     @pytest.mark.parametrize("where", ["merge spec weight", "first_stage_score",
                                        "stage file", "bundle meta"])
     def test_integer_beyond_float_range(self, model_path, data_dir, tmp_path, capsys, where):
