@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Time ``autodiff.causal_attention`` at the benchmark's shapes, with BLAS on
+one thread.
+
+The heads are those of the benchmark's model (d_hidden 32, 4 query heads
+over 2 KV heads, head width 8). For each query-row block size in
+``--blocks`` and each context length L in ``--lengths``, it times the op
+over all L rows (as every layer but the last runs) and over 24 marker rows
+spread over the passages (as the last layer of a rows-cut forward runs).
+It prints the median forward ms, and the median ms of a forward plus
+backward recorded on a tape. The default lengths are those of the
+benchmark's passes: 242 (``rerank_short``), 414 and 497 (``rerank_wide``)
+and 258 (``train``).
+
+Example:
+    python3 scripts/attention_timing.py --blocks 64 32
+"""
+
+import os
+
+# set before numpy loads BLAS, so every matmul runs on one thread
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from listrank import autodiff as ad  # noqa: E402
+
+N_Q_HEADS, N_KV_HEADS, HEAD_DIM = 4, 2, 8
+MARKER_ROWS = 24
+
+
+def median_ms(fn, repeats: int) -> float:
+    fn()  # warm-up
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def time_case(length: int, positions: np.ndarray, repeats: int) -> tuple[float, float]:
+    rng = np.random.default_rng(length)
+    q = ad.Tensor(rng.normal(size=(len(positions), N_Q_HEADS * HEAD_DIM)), requires_grad=True)
+    k, v = (ad.Tensor(rng.normal(size=(length, N_KV_HEADS * HEAD_DIM)), requires_grad=True)
+            for _ in range(2))
+    w = ad.Tensor(rng.normal(size=q.shape))
+
+    def forward():
+        return ad.causal_attention(q, k, v, N_Q_HEADS, N_KV_HEADS, positions)
+
+    def forward_backward():
+        with ad.Tape():
+            ad.backward(ad.tsum(ad.mul(forward(), w)))
+
+    return median_ms(forward, repeats), median_ms(forward_backward, repeats)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--blocks", type=int, nargs="+", default=[ad.ATTENTION_BLOCK],
+                        help="query rows per block (default: ATTENTION_BLOCK)")
+    parser.add_argument("--lengths", type=int, nargs="+", default=[242, 258, 414, 497])
+    parser.add_argument("--repeats", type=int, default=50, help="timed calls per median")
+    args = parser.parse_args()
+    if min(args.blocks) < 1 or min(args.lengths) < 1 or args.repeats < 1:
+        parser.error("blocks, lengths and repeats must be positive")
+
+    print(f"{'block':>5} {'L':>5} {'rows':>5} {'forward ms':>11} {'fwd+bwd ms':>11}")
+    for block in args.blocks:
+        ad.ATTENTION_BLOCK = block  # the op reads the module constant at each call
+        for length in args.lengths:
+            markers = np.unique(np.linspace(length // 5, length - 1, MARKER_ROWS).astype(int))
+            for positions in (np.arange(length), markers):
+                fwd, both = time_case(length, positions, args.repeats)
+                print(f"{block:>5} {length:>5} {len(positions):>5} {fwd:>11.3f} {both:>11.3f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -364,8 +364,13 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_q_heads: int, n_kv_heads
     ``positions[i]`` (row i itself by default, where m = L) and reads
     keys [0, positions[i]]. Query rows run in blocks of ``ATTENTION_BLOCK``:
     a block scores only keys [0, max position + 1) and masks only the keys
-    past its least position, so masked keys get weight exactly 0. Backward
-    walks the same blocks.
+    past its least position, so masked keys get weight exactly 0.
+
+    1/sqrt(hd) is folded into q once, and K is transposed once, so each
+    block's scores are one matmul. A block takes its max-shifted exps times V
+    and divides that (rows, hd) output by the exps' row sums; no normalised
+    weight matrix is formed. Backward walks the same blocks from the kept
+    exps and row sums (FlashAttention-2's deferred rescaling).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if n_kv_heads < 1 or n_q_heads % n_kv_heads != 0:
@@ -384,37 +389,39 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_q_heads: int, n_kv_heads
     def heads(x, n):  # (rows, n_kv*n*hd) -> (n_kv, n, rows, hd); K and V broadcast with n = 1
         return np.ascontiguousarray(x.reshape(len(x), n_kv_heads, n, hd).transpose(1, 2, 0, 3))
 
-    qh, kh, vh = heads(q.data, group), heads(k.data, 1), heads(v.data, 1)
+    qh, vh = heads(q.data * inv_sqrt, group), heads(v.data, 1)
+    kt = np.ascontiguousarray(k.data.reshape(length, n_kv_heads, 1, hd).transpose(1, 2, 3, 0))
     out = np.empty((rows, n_kv_heads, group, hd))
     blocks = []  # (first row, end row, first masked key, end key)
     for r0 in range(0, rows, ATTENTION_BLOCK):
         p = pos[r0 : r0 + ATTENTION_BLOCK]
         blocks.append((r0, r0 + len(p), p.min() + 1, p.max() + 1))
-    weights = [] if _recording((q, k, v)) else None  # kept for the backward only
+    kept = [] if _recording((q, k, v)) else None  # (exps, row sums) for the backward only
     for r0, r1, c0, c1 in blocks:
-        s = qh[:, :, r0:r1] @ kh[:, :, :c1].swapaxes(-1, -2)
-        s *= inv_sqrt
-        np.copyto(s[..., c0:], -np.inf, where=np.arange(c0, c1) > pos[r0:r1, None])
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        out[r0:r1] = (s @ vh[:, :, :c1]).transpose(2, 0, 1, 3)
-        if weights is not None:
-            weights.append(s)
+        e = qh[:, :, r0:r1] @ kt[..., :c1]
+        np.copyto(e[..., c0:], -np.inf, where=np.arange(c0, c1) > pos[r0:r1, None])
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        total = e.sum(axis=-1, keepdims=True)
+        o = e @ vh[:, :, :c1]
+        o /= total
+        out[r0:r1] = o.transpose(2, 0, 1, 3)
+        if kept is not None:
+            kept.append((e, total))
 
     def bwd(g):
-        gh, oh = heads(g, group), heads(out, group)
+        gh, oh, kh = heads(g, group), heads(out, group), heads(k.data, 1)
         dq, dk, dv = np.empty_like(qh), np.zeros_like(kh), np.zeros_like(vh)
-        for (r0, r1, _, c1), w in zip(blocks, weights):
-            go = gh[:, :, r0:r1]
-            dv[:, :, :c1] += (w.swapaxes(-1, -2) @ go).sum(axis=1, keepdims=True)
+        for (r0, r1, _, c1), (e, total) in zip(blocks, kept):
+            go = gh[:, :, r0:r1] / total  # dO over the row sums, so e.T @ go = P.T @ dO
+            dv[:, :, :c1] += (e.swapaxes(-1, -2) @ go).sum(axis=1, keepdims=True)
             # softmax backward; the row sums of dP * P equal those of dO * O
             ds = go @ vh[:, :, :c1].swapaxes(-1, -2)
             ds -= (go * oh[:, :, r0:r1]).sum(axis=-1, keepdims=True)
-            ds *= w
-            ds *= inv_sqrt
+            ds *= e
             dq[:, :, r0:r1] = ds @ kh[:, :, :c1]
             dk[:, :, :c1] += (ds.swapaxes(-1, -2) @ qh[:, :, r0:r1]).sum(axis=1, keepdims=True)
+        dq *= inv_sqrt
         return tuple(gt.transpose(2, 0, 1, 3).reshape(t.data.shape)
                      for t, gt in ((q, dq), (k, dk), (v, dv)))
 

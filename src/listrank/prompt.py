@@ -304,11 +304,16 @@ def chunk_into_batches(
     def length(segment: str) -> int:
         return 1 if segment in SPECIALS else len(vocab.tokenize(segment))
 
+    # templates for different passage counts differ only in the segment str(k)
+    fixed = sum(map(length, [*_SYSTEM_BLOCK, *_user_header(1, query), *_query_block(query)]))
+    fixed -= length("1")
+    close = sum(map(length, _PASSAGE_CLOSE))
+
     def template(k: int) -> int:
-        return sum(map(length, [*_SYSTEM_BLOCK, *_user_header(k, query), *_query_block(query)]))
+        return fixed + length(str(k))
 
     def passage(slot: int, n_tokens: int) -> int:
-        return sum(map(length, [_passage_open(slot), *_PASSAGE_CLOSE])) + n_tokens
+        return length(_passage_open(slot)) + close + n_tokens
 
     batches: list[list[tuple[Document, list[int]]]] = []
     current: list[tuple[Document, list[int]]] = []

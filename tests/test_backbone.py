@@ -159,6 +159,27 @@ def _reference_mha(q, k, v, n_heads, n_kv_heads):
     return out
 
 
+def _reference_mha_grads(q, k, v, g, n_heads, n_kv_heads, positions):
+    """Closed-form gradients of sum(g * attention) over full score matrices,
+    head by head: P = softmax(S), dV = P^T dO, dS = P * (dP - rowsum(dP * P))."""
+    hd = q.shape[1] // n_heads
+    group = n_heads // n_kv_heads
+    future = np.arange(len(k))[None, :] > positions[:, None]
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for h in range(n_heads):
+        qs, ks = slice(h * hd, (h + 1) * hd), slice(h // group * hd, (h // group + 1) * hd)
+        s = q[:, qs] @ k[:, ks].T / np.sqrt(hd)
+        s[future] = -np.inf
+        p = np.exp(s - s.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        dp = g[:, qs] @ v[:, ks].T
+        ds = p * (dp - (dp * p).sum(axis=1, keepdims=True)) / np.sqrt(hd)
+        dq[:, qs] = ds @ k[:, ks]
+        dk[:, ks] += ds.T @ q[:, qs]
+        dv[:, ks] += p.T @ g[:, qs]
+    return dq, dk, dv
+
+
 BLOCK = ad.ATTENTION_BLOCK
 
 
@@ -186,11 +207,38 @@ class TestCausalAttention:
         np.testing.assert_allclose(_attend(q, k, v, 4, 4), _reference_mha(q, k, v, 4, 4),
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("length", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 512])
-    def test_gqa_equals_reference(self, length):
+    # at scl=100 the scores reach about 1e4, where an unshifted exp overflows
+    @pytest.mark.parametrize("length, scl", [
+        *(pytest.param(n, 3.0, id=str(n)) for n in (1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 512)),
+        *(pytest.param(n, 100.0, id=f"{n}-scl100") for n in (BLOCK + 1, 2 * BLOCK + 3))])
+    def test_gqa_equals_reference(self, length, scl):
         rng = np.random.default_rng(length)
-        q, k, v = _qkv(rng, length, scl=3.0)
+        q, k, v = _qkv(rng, length, scl=scl)
         np.testing.assert_allclose(_attend(q, k, v), _reference_mha(q, k, v, 4, 2), atol=1e-12)
+
+    @staticmethod
+    def _check_gradients_against_the_closed_form(rng, length, positions):
+        q, k, v = _qkv(rng, length, scl=3.0)
+        q = q[positions]
+        g = rng.normal(size=q.shape)
+        inputs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        with ad.Tape():
+            ad.backward(ad.tsum(ad.mul(ad.causal_attention(*inputs, 4, 2, positions=positions),
+                                       Tensor(g))))
+        wants = _reference_mha_grads(q, k, v, g, 4, 2, positions)
+        # relative to the largest entry: at L = 1, dq and dk are 0 up to roundoff
+        scale = max(np.abs(want).max() for want in wants)
+        for t, want in zip(inputs, wants):
+            np.testing.assert_allclose(t.grad, want, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("length", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_gradients_equal_the_closed_form(self, length):
+        self._check_gradients_against_the_closed_form(
+            np.random.default_rng(50 + length), length, np.arange(length))
+
+    def test_gradients_equal_the_closed_form_at_positions(self):
+        self._check_gradients_against_the_closed_form(
+            np.random.default_rng(60), self.KEYS, self.POSITIONS)
 
     def test_masked_weights_exactly_zero(self):
         # identity values turn the output into the attention weights
@@ -239,13 +287,21 @@ class TestCausalAttention:
             ad.causal_attention(q, k, v, 4, 2)
         assert len(tape) == 1
 
-    # two blocks of query rows over 67 keys, with positions on both sides of
-    # the first block edge; position 0 opens each block
-    POSITIONS = np.array([0, 66, 63, 64, 65, 5, 40, 64, 1, 30] * 6 + [0, 64, 63, 66, 2, 50, 50])
+    # two blocks of query rows over KEYS keys. The first opens at position 0
+    # and holds positions on both sides of the block edge; every position in
+    # the second is at least BLOCK, so it reads an unmasked key prefix [0, c0)
+    # of more than BLOCK keys. Every key is read by at least 9 rows: the
+    # finite differences of the gradient tests cannot resolve to 1e-6 the
+    # small gradient of a key that only a few rows read
+    KEYS = BLOCK + 3
+    POSITIONS = np.concatenate([
+        np.resize([0, BLOCK + 2, BLOCK - 1, BLOCK, BLOCK + 1, 5, BLOCK // 2, BLOCK, 1, BLOCK // 4], BLOCK),
+        [BLOCK + 1, BLOCK + 2, BLOCK, BLOCK + 2, BLOCK],
+    ])
 
     def test_positions_equal_the_reference_at_those_rows(self):
         rng = np.random.default_rng(20)
-        q, k, v = _qkv(rng, 67, scl=3.0)
+        q, k, v = _qkv(rng, self.KEYS, scl=3.0)
         at = ad.causal_attention(Tensor(q[self.POSITIONS]), Tensor(k), Tensor(v), 4, 2,
                                  positions=self.POSITIONS).data
         np.testing.assert_allclose(at, _reference_mha(q, k, v, 4, 2)[self.POSITIONS], atol=1e-12)
@@ -253,9 +309,10 @@ class TestCausalAttention:
     def test_masked_weights_exactly_zero_at_positions(self):
         rng = np.random.default_rng(21)
         pos = self.POSITIONS
-        q, k = rng.normal(size=(len(pos), 67)), rng.normal(size=(67, 67))
-        w = ad.causal_attention(Tensor(q), Tensor(k), Tensor(np.eye(67)), 1, 1, positions=pos).data
-        future = np.arange(67)[None, :] > pos[:, None]
+        n = self.KEYS
+        q, k = rng.normal(size=(len(pos), n)), rng.normal(size=(n, n))
+        w = ad.causal_attention(Tensor(q), Tensor(k), Tensor(np.eye(n)), 1, 1, positions=pos).data
+        future = np.arange(n)[None, :] > pos[:, None]
         assert (w[future] == 0.0).all()
         assert (w[~future] > 0.0).all()
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
@@ -263,7 +320,7 @@ class TestCausalAttention:
     @pytest.mark.parametrize("p", [1, 6, BLOCK - 1, BLOCK, BLOCK + 2])
     def test_future_keys_and_values_do_not_leak_at_positions(self, p):
         rng = np.random.default_rng(30 + p)
-        q, k, v = _qkv(rng, 67)
+        q, k, v = _qkv(rng, self.KEYS)
         pos = self.POSITIONS
         q = q[pos]
 
@@ -284,7 +341,7 @@ class TestCausalAttention:
     @pytest.mark.parametrize("arg", [0, 1, 2])
     def test_gradient_at_positions_across_a_block_boundary(self, arg):
         rng = np.random.default_rng(40 + arg)
-        q, k, v = _qkv(rng, 67)
+        q, k, v = _qkv(rng, self.KEYS)
         inputs = [Tensor(q[self.POSITIONS]), Tensor(k), Tensor(v)]
         inputs[arg].requires_grad = True
         w = Tensor(rng.normal(size=(len(self.POSITIONS), 16)))
@@ -295,7 +352,7 @@ class TestCausalAttention:
             return ad.tsum(ad.mul(ad.causal_attention(*args, 4, 2, positions=self.POSITIONS), w))
 
         # the largest step: some keys are read by few rows, so their small
-        # gradients need it to rise above the roundoff of a 77-row sum
+        # gradients need it to rise above the roundoff of a sum over every row
         assert finite_diff_check(f, inputs[arg], h=1e-4) < 1e-6
 
     @pytest.mark.parametrize("positions", [[0, 3], [0, -1, 2], [0, 1], [0, 1, 2, 3]])

@@ -56,3 +56,14 @@ def test_fingerprint_is_reproducible(tmp_path):
     spec.loader.exec_module(script)
     first, second = (json.loads(out.read_text()) for out in outs)
     assert script.compare(first, second, 1e-8) == 0
+
+
+def test_attention_timing():
+    done = _run("attention_timing.py", "--blocks", 64, 2, "--lengths", 3, 30, "--repeats", 2)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    # per block and length: all rows, then the marker rows (all of them at L = 3)
+    assert [row[:3] for row in rows] == [[b, n, r] for b in ("64", "2")
+                                         for n, r in (("3", "3"), ("3", "3"), ("30", "30"),
+                                                      ("30", "24"))]
+    assert all(float(ms) > 0 for row in rows for ms in row[3:])
