@@ -24,7 +24,6 @@ from .checkpoint import parse_json, write_jsonl
 from .embedding import ProjectorConfig, init_projector, project
 from .errors import (
     ConfigError,
-    DataError,
     DegenerateEmbeddingError,
     ListrankError,
     MergeError,
@@ -99,21 +98,13 @@ def cmd_rerank(args) -> int:
     return 0
 
 
-def _training_examples(corpus: SyntheticCorpus, data_dir: str) -> list[TrainingExample]:
+def _training_examples(corpus: SyntheticCorpus) -> list[TrainingExample]:
     examples = []
     for qid, qtext in corpus.queries:
-        rels = corpus.qrels.get(qid, {})
-        positives = [d for d in corpus.candidates[qid] if rels.get(d, 0) > 0]
-        negatives = [d for d in corpus.candidates[qid] if rels.get(d, 0) == 0]
-        if not positives:
-            continue
-        examples.append(TrainingExample(
-            query_id=qid, query_text=qtext,
-            positive=corpus.docs[positives[0]],
-            negatives=[corpus.docs[d] for d in negatives],
-        ))
-    if not examples:
-        raise DataError(f"no trainable queries in {data_dir}")
+        rels = corpus.qrels[qid]
+        positive = next(d for d in corpus.candidates[qid] if rels[d] > 0)
+        negatives = [corpus.docs[d] for d in corpus.candidates[qid] if rels[d] == 0]
+        examples.append(TrainingExample(qid, qtext, corpus.docs[positive], negatives))
     return examples
 
 
@@ -123,7 +114,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         stage = replace(stage, seed=args.seed)  # runs the StageConfig checks
     corpus = load_corpus_files(args.data)
-    dataset = _training_examples(corpus, args.data)
+    dataset = _training_examples(corpus)
     if args.init_checkpoint:
         model = RerankModel.load(args.init_checkpoint)
     else:

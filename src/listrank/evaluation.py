@@ -92,6 +92,49 @@ def refuse_repeat(first_line: dict, key, what: str, path, lineno: int) -> None:
                          f"{first_line[key]}", lineno)
 
 
+STRING, LIST, NUMBER_OR_NULL = (str,), (list,), (int, float, type(None))
+_KIND_NAMES = {STRING: "a string", LIST: "a list", NUMBER_OR_NULL: "a number or null"}
+
+
+@dataclass(slots=True)
+class Line:
+    """Where a JSON-lines record was read from; its checks raise ``ParseError``s naming it."""
+
+    path: Path | str
+    number: int
+
+    def error(self, message) -> ParseError:
+        return ParseError(f"{self.path} line {self.number}: {message}", self.number)
+
+    def field(self, obj, name: str, kind: tuple = STRING):
+        """``obj[name]`` of a JSON object, typed in ``kind``; a nullable field may be absent."""
+        if type(obj) is not dict:
+            raise self.error(f"expected a JSON object with field {name!r}")
+        value = obj.get(name)
+        if type(value) not in kind:  # type(), so JSON true/false is no number
+            raise self.error(f"field {name!r} must be {_KIND_NAMES[kind]}" if name in obj
+                             else f"missing field {name!r}")
+        return value
+
+    def id(self, obj, name: str) -> str:
+        """The string field ``name``, if an id ``s``: ``s.split() == [s]``, as TREC files need."""
+        value = obj.get(name) if type(obj) is dict else None
+        if type(value) is str and value.split() == [value]:
+            return value
+        self.field(obj, name)  # names a missing or non-string field
+        raise self.error(f"field {name!r} is {value!r}, not an id: empty or with whitespace")
+
+
+def read_records(path, key: str):
+    """Yield ``(Line, object)`` per JSON line of ``path``; ``key`` is an id no line repeats."""
+    first_line: dict[str, int] = {}
+    for lineno, text in read_lines(path):
+        line, rec = Line(path, lineno), parse_json(text, f"{path} line {lineno}", lineno)
+        value = line.id(rec, key)
+        refuse_repeat(first_line, value, f"{key} {value!r}", path, lineno)
+        yield line, rec
+
+
 def load_qrels(path) -> dict[str, dict[str, int]]:
     """TREC qrels: ``query_id 0 doc_id rel``."""
     qrels: dict[str, dict[str, int]] = {}
@@ -241,33 +284,18 @@ def write_corpus_files(corpus: SyntheticCorpus, out_dir) -> None:
         for qid, _ in corpus.queries for did in corpus.candidates[qid]).encode("utf-8"))
 
 
-def _string_records(path, keys: tuple[str, ...]):
-    """Yield ``(line number, values)`` for the string fields ``keys`` of each
-    JSON line of ``path``; anything else, or a repeat of the first field,
-    raises ``ParseError``."""
-    first_line: dict[str, int] = {}
-    for lineno, line in read_lines(path):
-        try:
-            rec = parse_json(line, f"{path} line {lineno}", lineno)
-            values = tuple(rec[key] for key in keys)
-            if not all(isinstance(v, str) for v in values):
-                raise TypeError(f"{', '.join(keys)} must be strings")
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
-        refuse_repeat(first_line, values[0], f"{keys[0]} {values[0]!r}", path, lineno)
-        yield lineno, values
-
-
 def load_corpus_files(data_dir) -> SyntheticCorpus:
     data = Path(data_dir)
     qrels = load_qrels(data / "qrels.txt")
-    docs = dict(v for _, v in _string_records(data / "corpus.jsonl", ("doc_id", "text")))
+    docs = {rec["doc_id"]: line.field(rec, "text")
+            for line, rec in read_records(data / "corpus.jsonl", "doc_id")}
     queries = []
-    path = data / "queries.jsonl"
-    for lineno, (qid, text) in _string_records(path, ("query_id", "text")):
-        if not qrels.get(qid) or not qrels[qid].keys() <= docs.keys():
-            raise ParseError(f"{path} line {lineno}: query {qid!r} needs qrels whose "
-                             "documents are all in corpus.jsonl", lineno)
+    for line, rec in read_records(data / "queries.jsonl", "query_id"):
+        qid, text = rec["query_id"], line.field(rec, "text")
+        rels = qrels.get(qid, {})
+        if not any(rel > 0 for rel in rels.values()) or not rels.keys() <= docs.keys():
+            raise line.error(f"query {qid!r} needs qrels whose documents are all in "
+                             "corpus.jsonl, one of them judged positive")
         queries.append((qid, text))
     candidates = {qid: sorted(qrels[qid]) for qid, _ in queries}
     return SyntheticCorpus(queries=queries, docs=docs, candidates=candidates, qrels=qrels)

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import backbone as bb
 from .autodiff import Tensor
-from .checkpoint import parse_json, write_atomic
+from .checkpoint import write_atomic
 from .embedding import extract, project, score
-from .errors import DegenerateEmbeddingError, ParseError
-from .evaluation import read_lines, refuse_repeat
+from .errors import DegenerateEmbeddingError, ValidationError
+from .evaluation import LIST, NUMBER_OR_NULL, read_records
 from .model import RerankModel
 from .prompt import Document, RerankRequest, apply_ordering, build_prompt, chunk_into_batches
 
@@ -106,38 +106,19 @@ def rerank(
 
 
 def read_requests(path) -> list[tuple[str, RerankRequest]]:
-    """Line-delimited JSON requests:
-    {"query_id", "query_text", "documents": [{"doc_id", "text",
-    "first_stage_score"?}]}."""
+    """JSON-lines requests {"query_id", "query_text", "documents": [{"doc_id", "text",
+    "first_stage_score"?}]}; each query_id and doc_id is an id (``Line.id``)."""
     out = []
-    first_line: dict[str, int] = {}  # results are keyed by query_id
-    for lineno, line in read_lines(path):
+    for line, rec in read_records(path, "query_id"):
+        documents = [Document(line.id(d, "doc_id"), line.field(d, "text"),
+                              line.field(d, "first_stage_score", NUMBER_OR_NULL))
+                     for d in line.field(rec, "documents", LIST)]
         try:
-            rec = parse_json(line, f"{path} line {lineno}", lineno)
-            _require(isinstance(rec["query_id"], str), "query_id must be a string")
-            _require(isinstance(rec["query_text"], str), "query_text must be a string")
-            _require(isinstance(rec["documents"], list), "documents must be a list")
-            docs = []
-            for d in rec["documents"]:
-                _require(isinstance(d["doc_id"], str), "doc_id must be a string")
-                _require(isinstance(d["text"], str), "document text must be a string")
-                first_stage = d.get("first_stage_score")
-                # bool is an int subclass, but JSON true/false is not a score
-                _require(first_stage is None or (isinstance(first_stage, (int, float))
-                                                 and not isinstance(first_stage, bool)),
-                         "first_stage_score must be a number or null")
-                docs.append(Document(d["doc_id"], d["text"], first_stage))
-            query_id = rec["query_id"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
-        refuse_repeat(first_line, query_id, f"query_id {query_id!r}", path, lineno)
-        out.append((query_id, RerankRequest(rec["query_text"], docs)))
+            request = RerankRequest(line.field(rec, "query_text"), documents)
+        except ValidationError as exc:  # no documents, or a repeated doc_id
+            raise line.error(exc) from exc
+        out.append((rec["query_id"], request))
     return out
-
-
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise TypeError(message)
 
 
 def write_run(path, results: dict[str, RankedResult]) -> None:

@@ -306,6 +306,31 @@ class TestExitCodes:
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("token, value", [
+        ("DID", '"x y"'), ("DID", '""'), ("QID", '"x y"'), ("QID", '""'),
+    ], ids=["spaced doc_id", "empty doc_id", "spaced query_id", "empty query_id"])
+    def test_request_id_that_a_run_file_cannot_hold(self, model_path, tmp_path, capsys,
+                                                    token, value):
+        """A run line holding such an id would not have six fields."""
+        req, out = tmp_path / "req.jsonl", tmp_path / "run.txt"
+        req.write_text("\n" + strict_json_request(**{token: value}) + "\n")
+        rc = main(["rerank", "--model", str(model_path), "--input", str(req),
+                   "--output", str(out)])
+        assert rc == 2
+        assert "req.jsonl line 2: field " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_query_without_a_positive(self, small_data_dir, tmp_path, capsys):
+        """Training needs a positive for each query, so none is skipped."""
+        qrels = small_data_dir / "qrels.txt"
+        qrels.write_text(qrels.read_text().replace("q000 0 q000_d00 1", "q000 0 q000_d00 0"))
+        rc, out_ckpt = train_on(small_data_dir,
+                                '{"steps": 1, "batch_size": 2, "n_negatives": 3}', tmp_path)
+        assert rc == 2
+        assert ("queries.jsonl line 1: query 'q000' needs qrels"
+                in capsys.readouterr().err)
+        assert not out_ckpt.exists()
+
     @pytest.mark.parametrize("command, flag, bad", [
         ("rerank", "--output", "nodir/run.txt"),
         ("train", "--out-checkpoint", "nodir/m.ckpt"),

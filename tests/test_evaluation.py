@@ -234,16 +234,26 @@ class TestSyntheticCorpus:
     @pytest.mark.parametrize("name, line, message", [
         ("corpus.jsonl", b"\xff\xfe", "corpus.jsonl line 3"),
         ("corpus.jsonl", b'{"doc_id": "x", "text": ', "corpus.jsonl line 3"),
-        ("corpus.jsonl", b'{"doc_id": "x"}', "corpus.jsonl line 3: 'text'"),
+        ("corpus.jsonl", b'{"doc_id": "x"}', "corpus.jsonl line 3: missing field 'text'"),
         ("corpus.jsonl", b'["x", "text"]', "corpus.jsonl line 3"),
-        ("queries.jsonl", b'{"query_id": 7, "text": "a"}', "must be strings"),
+        ("queries.jsonl", b'{"query_id": 7, "text": "a"}',
+         "queries.jsonl line 3: field 'query_id' must be a string"),
         ("queries.jsonl", b'{"query_id": "q9", "text": "a"}', "'q9' needs qrels"),
         ("corpus.jsonl", b'{"doc_id": "q000_d00", "text": "a"}',
          "line 3: duplicate doc_id 'q000_d00', first on line 1"),
         ("queries.jsonl", b'{"query_id": "q000", "text": "a"}',
          "line 3: duplicate query_id 'q000', first on line 1"),
+        ("corpus.jsonl", b'{"doc_id": "x y", "text": "a"}',
+         "corpus.jsonl line 3: field 'doc_id' is 'x y', not an id"),
+        ("corpus.jsonl", b'{"doc_id": "", "text": "a"}',
+         "corpus.jsonl line 3: field 'doc_id' is '', not an id"),
+        ("queries.jsonl", b'{"query_id": "x y", "text": "a"}',
+         "queries.jsonl line 3: field 'query_id' is 'x y', not an id"),
+        ("queries.jsonl", b'{"query_id": "", "text": "a"}',
+         "queries.jsonl line 3: field 'query_id' is '', not an id"),
     ], ids=["not utf-8", "not json", "no text", "not an object", "int id", "no qrels",
-            "repeated doc_id", "repeated query_id"])
+            "repeated doc_id", "repeated query_id", "spaced doc_id", "empty doc_id",
+            "spaced query_id", "empty query_id"])
     def test_corpus_files_bad_line(self, tmp_path, name, line, message):
         corpus = generate_synthetic_corpus(n_queries=2, docs_per_query=4, seed=0)
         write_corpus_files(corpus, tmp_path)
@@ -264,6 +274,17 @@ class TestSyntheticCorpus:
                                 if '"q001_d02"' not in line))
         with pytest.raises(ParseError, match="'q001' needs qrels whose documents are all"):
             load_corpus_files(tmp_path)
+
+    def test_corpus_files_query_without_a_positive(self, tmp_path):
+        """Training needs a positive for every query; none is skipped."""
+        write_corpus_files(generate_synthetic_corpus(n_queries=2, docs_per_query=4, seed=0),
+                           tmp_path)
+        path = tmp_path / "qrels.txt"
+        path.write_text(path.read_text().replace("q001 0 q001_d00 1", "q001 0 q001_d00 0"))
+        with pytest.raises(ParseError, match="queries.jsonl line 2: query 'q001' needs qrels "
+                                             ".* one of them judged positive") as exc:
+            load_corpus_files(tmp_path)
+        assert exc.value.line_number == 2
 
     def test_invalid_sizes(self):
         with pytest.raises(ValidationError):

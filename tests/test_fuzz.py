@@ -38,6 +38,10 @@ def _mutate(data: bytes, mutations) -> bytes:
     return bytes(buf)
 
 
+# Inserting a space at this offset of the request file splits the first doc_id.
+_REQUEST_DOC_ID = len(b'{"query_id": "q1", "query_text": "alpha q1", "documents": [{"doc_id": "q1')
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     """A tiny model bundle, a request file and the run and qrels files of
@@ -52,6 +56,7 @@ def valid_files(tmp_path_factory):
             fh.write(json.dumps({"query_id": q, "query_text": f"alpha {q}", "documents": [
                 {"doc_id": f"{q}d{i}", "text": f"beta gamma {i}", "first_stage_score": i / 3}
                 for i in range(3)]}) + "\n")
+    assert (d / "requests.jsonl").read_bytes()[_REQUEST_DOC_ID:].startswith(b'd0", ')
     (d / "qrels.txt").write_text("".join(f"{q} 0 {q}d{i} {int(i == 0)}\n"
                                          for q in ("q1", "q2") for i in range(3)))
     files = {name: d / name for name in
@@ -81,10 +86,16 @@ def test_valid_input_exits_0(valid_files, target):
 @pytest.mark.parametrize("target", ["model.ckpt", "requests.jsonl", "qrels.txt", "run.txt"])
 @settings(max_examples=150, deadline=None)
 @given(mutations=_mutations)
+@example(mutations=[("insert", _REQUEST_DOC_ID, b" ")])
 def test_mutated_input_exits_with_a_documented_code(valid_files, target, mutations):
+    """A run file that ``rerank`` writes, ``eval`` reads."""
     mutated = valid_files[target].with_name(f"mutated-{target}")
     mutated.write_bytes(_mutate(valid_files[target].read_bytes(), mutations))
-    assert _run(target, {**valid_files, target: mutated}) in (0, 2, 3)
+    rc = _run(target, {**valid_files, target: mutated})
+    assert rc in (0, 2, 3)
+    if rc == 0 and target in ("model.ckpt", "requests.jsonl"):
+        assert main(["eval", "--run", str(valid_files["out.txt"]),
+                     "--qrels", str(valid_files["qrels.txt"])]) == 0
 
 
 # A one-step stage that fits the corpus of ``train_dir``; seed 3 draws the

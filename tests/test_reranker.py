@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -186,6 +187,48 @@ class TestRequestFile:
         p.write_text('{"query_id": "q1", "documents": []}\n')
         with pytest.raises(ParseError):
             read_requests(p)
+
+    @pytest.mark.parametrize("field", ["query_id", "query_text", "documents", "doc_id",
+                                       "text"])
+    def test_read_requests_names_a_missing_field(self, tmp_path, field):
+        doc = {"doc_id": "d1", "text": "aaa"}
+        rec = {"query_id": "q1", "query_text": "hello", "documents": [doc]}
+        del (doc if field in doc else rec)[field]
+        p = tmp_path / "req.jsonl"
+        p.write_text("\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=f"req.jsonl line 2: missing field '{field}'$"):
+            read_requests(p)
+
+    @pytest.mark.parametrize("field", ["query_id", "doc_id"])
+    @pytest.mark.parametrize("value", ["x y", "", " x", "x\t", "x\u00a0y"])
+    def test_read_requests_refuses_a_non_id(self, tmp_path, field, value):
+        """A run file is split on whitespace, so such an id would not read back."""
+        doc = {"doc_id": "d1", "text": "aaa"}
+        rec = {"query_id": "q1", "query_text": "hello", "documents": [doc]}
+        (doc if field in doc else rec)[field] = value
+        p = tmp_path / "req.jsonl"
+        p.write_text("\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"req.jsonl line 2: field '{field}' is {value!r}, not an id")) as exc:
+            read_requests(p)
+        assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("documents, message", [
+        ([], "request needs at least one document"),
+        ([{"doc_id": "d1", "text": "a"}, {"doc_id": "d1", "text": "b"}],
+         "duplicate doc_ids in request"),
+        (["d1"], "expected a JSON object with field 'doc_id'"),
+    ], ids=["no documents", "repeated doc_id", "document not an object"])
+    def test_read_requests_names_the_line_of_a_bad_request(self, tmp_path, documents,
+                                                            message):
+        p = tmp_path / "req.jsonl"
+        good = {"query_id": "q0", "query_text": "hello",
+                "documents": [{"doc_id": "d1", "text": "a"}]}
+        p.write_text(json.dumps(good) + "\n" + json.dumps(
+            {"query_id": "q1", "query_text": "hello", "documents": documents}) + "\n")
+        with pytest.raises(ParseError, match=f"req.jsonl line 2: {message}$") as exc:
+            read_requests(p)
+        assert exc.value.line_number == 2
 
     @pytest.mark.parametrize("field, value", [
         ("query_text", 5),
