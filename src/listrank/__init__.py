@@ -16,12 +16,12 @@ from .losses import QueryGroup, TrainingBatch
 from .model import RerankModel
 from .prompt import Document, PromptLayout, RerankRequest, Vocabulary, build_prompt
 from .reranker import RankedResult, rerank
-from .trainer import MergeSpec, StageConfig, TrainingExample, merge_models, train_stage
+from .trainer import StageConfig, TrainingExample, merge_models, train_stage
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackboneConfig", "Document", "MergeSpec", "ProjectorConfig", "PromptLayout",
+    "BackboneConfig", "Document", "ProjectorConfig", "PromptLayout",
     "QueryGroup", "RankedResult", "RerankModel", "RerankRequest", "StageConfig",
     "Tape", "Tensor", "TrainingBatch", "TrainingExample", "Vocabulary",
     "backward", "build_prompt", "extract", "finite_diff_check", "forward",

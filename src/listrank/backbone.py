@@ -122,8 +122,7 @@ def forward(
         raise VocabularyError("empty token sequence")
     if length > config.max_context:
         raise ContextLengthError(
-            f"sequence of {length} tokens exceeds max_context={config.max_context}",
-            measured=length, limit=config.max_context,
+            f"sequence of {length} tokens exceeds max_context={config.max_context}"
         )
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.min() < 0 or ids.max() >= config.vocab_size:

@@ -62,7 +62,7 @@ _STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_fi
                                 parse_int=_float_sized_int)
 
 
-def parse_json(data, where: str, line_number: int | None = None):
+def parse_json(data, where: str):
     """Decode UTF-8 JSON (bytes or text) as RFC 8259 has it: ``NaN``, ``Infinity``,
     ``-Infinity``, numbers beyond float range (integers too) and strings holding a
     lone surrogate are refused. Every failure is a ``ParseError`` reading
@@ -74,19 +74,17 @@ def parse_json(data, where: str, line_number: int | None = None):
         if "\\" in text and "\\u" in text:
             json.dumps(value, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ParseError(f"{where}: lone surrogate {exc.object[exc.start]!r} in a string",
-                         line_number) from exc
+        raise ParseError(f"{where}: lone surrogate {exc.object[exc.start]!r} in a string") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, malformed or too deep JSON
-        raise ParseError(f"{where}: {exc}", line_number) from exc
+        raise ParseError(f"{where}: {exc}") from exc
     return value
 
 
-def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
-    """Write ``{name: ndarray}`` (or autodiff Tensors) to ``path``."""
+def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    """Write ``{name: ndarray}`` to ``path``."""
     arrays = {}
     for name in sorted(tensors):
-        value = tensors[name]
-        arr = np.asarray(getattr(value, "data", value), dtype=np.float64)
+        arr = np.asarray(tensors[name], dtype=np.float64)
         # ascontiguousarray promotes 0-d arrays to 1-d; keep the true shape
         arrays[name] = np.ascontiguousarray(arr).reshape(arr.shape)
     manifest = []

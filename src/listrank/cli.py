@@ -43,7 +43,6 @@ from .model import RerankModel
 from .prompt import ORDERINGS, Document, RerankRequest, Vocabulary, check_limits, check_ordering
 from .reranker import read_requests, rerank, write_run
 from .trainer import (
-    MergeSpec,
     StageConfig,
     TrainingExample,
     apply_lora,
@@ -153,8 +152,8 @@ def cmd_merge(args) -> int:
         if models[-1].meta() != models[0].meta():
             raise MergeError(f"{item['checkpoint']} has another vocabulary, backbone or "
                              f"projector than {spec_doc[0]['checkpoint']}")
-    merged = merge_models(MergeSpec([(m.weights, float(item["weight"]))
-                                     for m, item in zip(models, spec_doc)]))
+    merged = merge_models([{k: t.data for k, t in m.weights.items()} for m in models],
+                          [float(item["weight"]) for item in spec_doc])
     replace(models[0], weights={name: Tensor(w) for name, w in merged.items()}).save(args.out)
     print(f"[merge] wrote {len(merged)} tensors to {args.out}")
     return 0

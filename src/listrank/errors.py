@@ -30,12 +30,8 @@ class ValidationError(ListrankError):
 
 
 class ContextLengthError(ListrankError):
-    """Assembled prompt exceeds the backbone context limit."""
-
-    def __init__(self, message, measured=None, limit=None):
-        super().__init__(message)
-        self.measured = measured
-        self.limit = limit
+    """Assembled prompt exceeds the backbone context limit; the message
+    gives the length and the limit."""
 
 
 class VocabularyError(ListrankError):
@@ -59,11 +55,8 @@ class MergeError(ListrankError):
 
 
 class ParseError(ListrankError):
-    """Malformed input file; carries the 1-based line number."""
-
-    def __init__(self, message, line_number=None):
-        super().__init__(message)
-        self.line_number = line_number
+    """Malformed input file; the message names the file and, for a line
+    of a text file, its 1-based number."""
 
 
 class NonFiniteLossError(ListrankError):

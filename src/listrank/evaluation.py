@@ -79,7 +79,7 @@ def read_lines(path):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
+            raise ParseError(f"{path} line {lineno}: {exc}") from exc
         if line.strip():
             yield lineno, line
 
@@ -89,7 +89,7 @@ def refuse_repeat(first_line: dict, key, what: str, path, lineno: int) -> None:
     key raises ``ParseError`` naming both lines."""
     if first_line.setdefault(key, lineno) != lineno:
         raise ParseError(f"{path} line {lineno}: duplicate {what}, first on line "
-                         f"{first_line[key]}", lineno)
+                         f"{first_line[key]}")
 
 
 STRING, LIST, NUMBER_OR_NULL = (str,), (list,), (int, float, type(None))
@@ -104,7 +104,7 @@ class Line:
     number: int
 
     def error(self, message) -> ParseError:
-        return ParseError(f"{self.path} line {self.number}: {message}", self.number)
+        return ParseError(f"{self.path} line {self.number}: {message}")
 
     def field(self, obj, name: str, kind: tuple = STRING):
         """``obj[name]`` of a JSON object, typed in ``kind``; a nullable field may be absent."""
@@ -129,7 +129,7 @@ def read_records(path, key: str):
     """Yield ``(Line, object)`` per JSON line of ``path``; ``key`` is an id no line repeats."""
     first_line: dict[str, int] = {}
     for lineno, text in read_lines(path):
-        line, rec = Line(path, lineno), parse_json(text, f"{path} line {lineno}", lineno)
+        line, rec = Line(path, lineno), parse_json(text, f"{path} line {lineno}")
         value = line.id(rec, key)
         refuse_repeat(first_line, value, f"{key} {value!r}", path, lineno)
         yield line, rec
@@ -142,14 +142,15 @@ def load_qrels(path) -> dict[str, dict[str, int]]:
     for lineno, line in read_lines(path):
         fields = line.split()
         if len(fields) != 4:
-            raise ParseError(f"{path} line {lineno}: expected 4 fields", lineno)
+            raise ParseError(f"{path} line {lineno}: expected 4 fields")
         qid, _, did, rel = fields
         try:
             rel = int(rel)
         except ValueError as exc:
-            raise ParseError(f"{path} line {lineno}: bad relevance {rel!r}", lineno) from exc
-        if rel > 1023:  # the nDCG gain 2.0 ** rel overflows a float
-            raise ParseError(f"{path} line {lineno}: relevance above 1023", lineno)
+            raise ParseError(f"{path} line {lineno}: bad relevance {rel!r}") from exc
+        # a negative gain 2.0 ** rel - 1 takes nDCG below 0; above 1023 the gain overflows
+        if not 0 <= rel <= 1023:
+            raise ParseError(f"{path} line {lineno}: relevance {rel} outside 0..1023")
         refuse_repeat(first_line, (qid, did), f"({qid}, {did})", path, lineno)
         qrels.setdefault(qid, {})[did] = rel
     return qrels
@@ -163,13 +164,13 @@ def load_run(path) -> dict[str, list[tuple[str, float]]]:
     for lineno, line in read_lines(path):
         fields = line.split()
         if len(fields) != 6:
-            raise ParseError(f"{path} line {lineno}: expected 6 fields", lineno)
+            raise ParseError(f"{path} line {lineno}: expected 6 fields")
         qid, _, did, rank, score_, _tag = fields
         refuse_repeat(first_line, (qid, did), f"({qid}, {did})", path, lineno)
         try:
             raw.setdefault(qid, []).append((int(rank), did, float(score_)))
         except ValueError as exc:
-            raise ParseError(f"{path} line {lineno}: {exc}", lineno) from exc
+            raise ParseError(f"{path} line {lineno}: {exc}") from exc
     return {
         qid: [(did, s) for _, did, s in sorted(rows)] for qid, rows in raw.items()
     }
@@ -227,8 +228,13 @@ def generate_synthetic_corpus(
     if vocab_size < draws:
         raise ValidationError(f"vocab_size={vocab_size} is fewer than the {draws} distinct "
                               "filler words a document draws")
+    if vocab_size >= 2 ** 63:  # numpy draws indices as int64
+        raise ValidationError(f"vocab_size={vocab_size} must be below 2**63")
     rng = np.random.default_rng(seed)
-    filler = [f"w{j:03d}" for j in range(vocab_size)]
+
+    def filler(n: int) -> list[str]:  # n distinct words w000, w001, ... by index
+        return [f"w{j:03d}" for j in rng.choice(vocab_size, size=n, replace=False)]
+
     queries, docs, candidates, qrels = [], {}, {}, {}
     for i in range(n_queries):
         qid = f"q{i:03d}"
@@ -236,7 +242,7 @@ def generate_synthetic_corpus(
         queries.append((qid, " ".join(pattern)))
         cand: list[str] = []
         pos_id = f"{qid}_d00"
-        pos_words = pattern + list(rng.choice(filler, size=2, replace=False))
+        pos_words = pattern + filler(2)
         docs[pos_id] = " ".join(pos_words)
         cand.append(pos_id)
         qrels[qid] = {pos_id: 1}
@@ -248,7 +254,7 @@ def generate_synthetic_corpus(
                 lure = [f"topic{other:03d}", f"key{other:03d}"]
             else:
                 lure = []
-            neg_words = lure + list(rng.choice(filler, size=3, replace=False))
+            neg_words = lure + filler(3)
             docs[did] = " ".join(neg_words)
             cand.append(did)
             qrels[qid][did] = 0

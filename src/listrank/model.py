@@ -65,7 +65,7 @@ class RerankModel:
         }
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.weights, self.meta())
+        save_checkpoint(path, {k: t.data for k, t in self.weights.items()}, self.meta())
 
     @classmethod
     def load(cls, path) -> "RerankModel":

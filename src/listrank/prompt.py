@@ -56,15 +56,14 @@ class Vocabulary:
     """Bijective surface-form <-> id table with reserved special tokens.
 
     Id layout: specials 0..4, byte pieces <0x00>..<0xFF> at 5..260,
-    words from 261 upward.
+    words from 261 upward: the template's words, then ``words``.
     """
 
-    def __init__(self, words: Iterable[str] = (), include_template: bool = True):
+    def __init__(self, words: Iterable[str] = ()):
         self._surfaces: list[str] = list(SPECIALS)
         self._surfaces += [f"<0x{b:02X}>" for b in range(_N_BYTE)]
         self._word_ids: dict[str, int] = {}
-        seed_words = list(_TEMPLATE_WORDS) if include_template else []
-        for w in seed_words + list(words):
+        for w in [*_TEMPLATE_WORDS, *words]:
             self._add_word(w)
         self._special_ids = {s: i for i, s in enumerate(SPECIALS)}
 
@@ -135,7 +134,7 @@ class Vocabulary:
             raise VocabularyError("vocabulary must be a list of [surface, id, special] "
                                   "entries with ids 0..n-1")
         entries = sorted(entries, key=lambda e: e[1])
-        vocab = cls([e[0] for e in entries[len(SPECIALS) + _N_BYTE:]], include_template=False)
+        vocab = cls([e[0] for e in entries[len(SPECIALS) + _N_BYTE:]])
         if vocab.entries() != entries:
             raise VocabularyError("vocabulary entries are not the specials, the byte "
                                   "pieces and distinct words in id order")
@@ -271,8 +270,7 @@ def build_prompt(
 
     if max_context is not None and len(ids) > max_context:
         raise ContextLengthError(
-            f"assembled prompt is {len(ids)} tokens, max_context is {max_context}",
-            measured=len(ids), limit=max_context,
+            f"assembled prompt is {len(ids)} tokens, max_context is {max_context}"
         )
     return PromptLayout(
         token_ids=ids,

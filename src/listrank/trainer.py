@@ -29,8 +29,8 @@ class StageConfig:
     """One training stage. Defaults follow the foundation stage: adapters
     plus word embeddings trainable, 15 negatives, temperature 0.25,
     learning rate 5e-5. Every stage minimizes the same objective, with
-    the fixed weights of ``all_losses``, and AdamW runs with its own
-    defaults (weight decay 0.01, betas 0.9 and 0.999)."""
+    the fixed weights of ``all_losses``, and AdamW runs with its fixed
+    settings (weight decay 0.01, betas 0.9 and 0.999)."""
 
     mode: str = "adapters"  # adapters | full
     steps: int = 100
@@ -96,7 +96,13 @@ def create_adapters(
     base_weights: dict[str, Tensor], targets: Iterable[str], rank: int, seed: int
 ) -> dict[str, tuple[Tensor, Tensor]]:
     """Per target W (m, n): A (rank, n) small-normal, B (m, rank) zero, so
-    the initial effective weight equals W exactly."""
+    the initial effective weight equals W exactly. A rank above the smaller
+    side of a target is refused before anything is allocated."""
+    targets = list(targets)
+    for name in targets:
+        if rank > min(base_weights[name].shape):
+            raise ConfigError(f"lora_rank {rank} exceeds the smaller side of {name} "
+                              f"of shape {tuple(base_weights[name].shape)}")
     rng = np.random.default_rng(seed)
     adapters = {}
     for name in targets:
@@ -143,30 +149,33 @@ def fold_adapters(
 # ----------------------------------------------------------------------
 
 
-class AdamW:
-    """Decoupled-weight-decay adaptive-moment optimizer over named tensors."""
+ADAMW_WEIGHT_DECAY, ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS = 0.01, 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class AdamW:
+    """Decoupled-weight-decay adaptive-moment optimizer over named tensors,
+    with the fixed settings above; only the learning rate is a stage setting."""
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
-        self.lr, self.wd = lr, weight_decay
-        self.b1, self.b2, self.eps = beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self):
+        b1, b2 = ADAMW_BETA1, ADAMW_BETA2
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[k] = self.b1 * self.m[k] + (1.0 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1.0 - self.b2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
-            p.data = p.data - self.lr * (update + self.wd * p.data)
+            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
+            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAMW_EPS)
+            p.data = p.data - self.lr * (update + ADAMW_WEIGHT_DECAY * p.data)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -332,42 +341,34 @@ def train_stage(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class MergeSpec:
-    """Checkpoints (as {name: array} dicts) with convex merge weights;
-    weights are normalized to sum to one before merging."""
-
-    entries: list[tuple[dict, float]]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise MergeError("merge spec needs at least one checkpoint")
-        for _, w in self.entries:
-            if not 0.0 < w <= 1.0:
-                raise MergeError(f"merge weight {w} outside (0, 1]")
-
-
-def merge_models(spec: MergeSpec) -> dict[str, np.ndarray]:
-    """Parameter-wise convex combination; adapters must be folded first."""
-    first, _ = spec.entries[0]
+def merge_models(checkpoints: Sequence[dict[str, np.ndarray]],
+                 weights: Sequence[float]) -> dict[str, np.ndarray]:
+    """Parameter-wise convex combination of ``{name: ndarray}`` checkpoints,
+    each weight in (0, 1] and the weights normalized to sum to one; adapters
+    must be folded first."""
+    if not checkpoints:
+        raise MergeError("merge needs at least one checkpoint")
+    if len(weights) != len(checkpoints):
+        raise MergeError(f"{len(checkpoints)} checkpoints but {len(weights)} merge weights")
+    for w in weights:
+        if not 0.0 < w <= 1.0:
+            raise MergeError(f"merge weight {w} outside (0, 1]")
+    first = checkpoints[0]
     names = sorted(first)
-    for ckpt, _ in spec.entries[1:]:
+    for ckpt in checkpoints[1:]:
         if sorted(ckpt) != names:
             raise MergeError("checkpoints name different tensors")
         for n in names:
-            a = np.asarray(getattr(first[n], "data", first[n]))
-            b = np.asarray(getattr(ckpt[n], "data", ckpt[n]))
-            if a.shape != b.shape:
+            if first[n].shape != ckpt[n].shape:
                 raise MergeError(
-                    f"tensor {n!r} shape mismatch: {a.shape} vs {b.shape}"
+                    f"tensor {n!r} shape mismatch: {first[n].shape} vs {ckpt[n].shape}"
                 )
-    total = sum(w for _, w in spec.entries)
+    total = sum(weights)
     merged: dict[str, np.ndarray] = {}
     for n in names:
         acc = None
-        for ckpt, w in spec.entries:
-            arr = np.asarray(getattr(ckpt[n], "data", ckpt[n]), dtype=np.float64)
-            term = (w / total) * arr
+        for ckpt, w in zip(checkpoints, weights):
+            term = (w / total) * ckpt[n]
             acc = term if acc is None else acc + term
         merged[n] = acc
     return merged

@@ -26,7 +26,6 @@ from listrank.model import RerankModel
 from listrank.prompt import Document, RerankRequest, Vocabulary, build_prompt
 from listrank.reranker import rerank
 from listrank.trainer import (
-    MergeSpec,
     create_adapters,
     fold_adapters,
     lora_target_names,
@@ -224,7 +223,7 @@ class TestAcceptance:
         shapes = {"embed.weight": (10, 4), "layers.0.attn.wq": (4, 4), "b": (3,)}
         ck_a = {k: rng.normal(size=s) for k, s in shapes.items()}
         ck_b = {k: rng.normal(size=s) for k, s in shapes.items()}
-        merged = merge_models(MergeSpec([(ck_a, 0.25), (ck_b, 0.65)]))
+        merged = merge_models([ck_a, ck_b], [0.25, 0.65])
         t = 0.25 + 0.65
         for name in shapes:
             oracle = (0.25 / t) * ck_a[name] + (0.65 / t) * ck_b[name]
@@ -233,7 +232,7 @@ class TestAcceptance:
         meta = {"kind": "test-merge"}
         p_orig, p_merged = tmp_path / "orig.ckpt", tmp_path / "merged.ckpt"
         save_checkpoint(p_orig, ck_a, meta)
-        single = merge_models(MergeSpec([(ck_a, 0.7)]))
+        single = merge_models([ck_a], [0.7])
         save_checkpoint(p_merged, single, meta)
         assert p_orig.read_bytes() == p_merged.read_bytes()
         _report(9, "merge correctness", "oracle tol 1e-12; identity byte-identical")

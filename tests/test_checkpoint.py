@@ -3,7 +3,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from listrank.autodiff import Tensor
 from listrank.checkpoint import load_checkpoint, save_checkpoint, write_jsonl
 from listrank.errors import ParseError
 from listrank.reranker import RankedEntry, RankedResult, write_run
@@ -30,13 +29,6 @@ class TestRoundTrip:
             assert loaded[name].shape == tensors[name].shape
             np.testing.assert_array_equal(loaded[name], tensors[name])
         assert meta == {"kind": "test", "step": 12}
-
-    def test_accepts_autodiff_tensors(self, tmp_path):
-        path = tmp_path / "w.ckpt"
-        t = Tensor(np.arange(6.0).reshape(2, 3))
-        save_checkpoint(path, {"x": t})
-        loaded, _ = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded["x"], t.data)
 
     def test_extreme_values_survive(self, tmp_path):
         path = tmp_path / "w.ckpt"

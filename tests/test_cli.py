@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from listrank.backbone import BackboneConfig
 from listrank.checkpoint import load_checkpoint, save_checkpoint
 from listrank.cli import GRADCHECK_THRESHOLD, build_parser, main
 from listrank.evaluation import load_run
@@ -541,6 +542,21 @@ class TestExitCodes:
         assert rc == 2
         assert f"vocab_size={vocab_size}" in capsys.readouterr().err
 
+    def test_synth_vocabulary_beyond_int64(self, tmp_path, capsys):
+        """numpy draws filler indices as int64: a larger vocabulary is refused."""
+        rc = main(["synth", "--vocab-size", str(2 ** 63), "--out", str(tmp_path / "corpus")])
+        assert rc == 2
+        assert "must be below 2**63" in capsys.readouterr().err
+
+    def test_lora_rank_above_the_smaller_side(self, small_data_dir, tmp_path, capsys):
+        """The default backbone's narrowest target is wk/wv, kv_dim columns wide."""
+        rank = BackboneConfig().kv_dim + 1
+        rc, out_ckpt = train_on(small_data_dir, json.dumps(
+            {"steps": 1, "batch_size": 2, "n_negatives": 3, "lora_rank": rank}), tmp_path)
+        assert rc == 2
+        assert f"lora_rank {rank} exceeds the smaller side of" in capsys.readouterr().err
+        assert not out_ckpt.exists()
+
 
 @pytest.fixture()
 def nan_model_path(model_path, tmp_path):
@@ -704,8 +720,7 @@ class TestTrainAndMergeCommands:
         m = untrained_model
         vocab, config = m.vocab, m.backbone_config
         if other == "vocabulary":  # same size, other words
-            vocab = Vocabulary([f"other{i}" for i in range(len(m.vocab) - 261)],
-                               include_template=False)
+            vocab = Vocabulary([f"other{i}" for i in range(len(m.vocab) - len(Vocabulary()))])
         else:
             config = tiny_backbone_config(vocab_size=len(m.vocab), d_ffn=64, rope_base=500.0)
         other_path = tmp_path / "other.ckpt"

@@ -134,13 +134,13 @@ def _train(train_dir, target, data):
 
 
 def _runs_briefly(stage_bytes) -> bool:
-    """False for a valid stage whose run is long or large (many steps, a
-    wide adapter rank): such a stage is not an input fault."""
+    """False for a valid stage whose run is long (many steps): such a stage
+    is not an input fault."""
     try:
         stage = StageConfig.from_dict(parse_json(stage_bytes, "stage"))
     except ListrankError:
         return True
-    return stage.steps <= 4 and stage.lora_rank <= 64
+    return stage.steps <= 4
 
 
 def test_valid_training_input_exits_0(train_dir):

@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +171,9 @@ class TestBuildPrompt:
         passages = _passages(vocab, ["beta gamma " * 50], max_doc_tokens=200)
         with pytest.raises(ContextLengthError) as exc:
             build_prompt("alpha", vocab, passages, max_context=64)
-        assert exc.value.measured > 64
+        measured = re.fullmatch(r"assembled prompt is (\d+) tokens, max_context is 64",
+                                str(exc.value))
+        assert measured and int(measured[1]) > 64
 
     def test_marker_self_consistency(self, vocab):
         passages = _passages(vocab, [f"{c} gamma" for c in "abcde"])

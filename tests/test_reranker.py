@@ -178,9 +178,8 @@ class TestRequestFile:
     def test_read_requests_bad_json(self, tmp_path):
         p = tmp_path / "req.jsonl"
         p.write_text('{"query_id": "q1"\n')
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ParseError, match="req.jsonl line 1: "):
             read_requests(p)
-        assert exc.value.line_number == 1
 
     def test_read_requests_missing_field(self, tmp_path):
         p = tmp_path / "req.jsonl"
@@ -209,9 +208,8 @@ class TestRequestFile:
         p = tmp_path / "req.jsonl"
         p.write_text("\n" + json.dumps(rec) + "\n")
         with pytest.raises(ParseError, match=re.escape(
-                f"req.jsonl line 2: field '{field}' is {value!r}, not an id")) as exc:
+                f"req.jsonl line 2: field '{field}' is {value!r}, not an id")):
             read_requests(p)
-        assert exc.value.line_number == 2
 
     @pytest.mark.parametrize("documents, message", [
         ([], "request needs at least one document"),
@@ -226,9 +224,8 @@ class TestRequestFile:
                 "documents": [{"doc_id": "d1", "text": "a"}]}
         p.write_text(json.dumps(good) + "\n" + json.dumps(
             {"query_id": "q1", "query_text": "hello", "documents": documents}) + "\n")
-        with pytest.raises(ParseError, match=f"req.jsonl line 2: {message}$") as exc:
+        with pytest.raises(ParseError, match=f"req.jsonl line 2: {message}$"):
             read_requests(p)
-        assert exc.value.line_number == 2
 
     @pytest.mark.parametrize("field, value", [
         ("query_text", 5),
@@ -247,9 +244,8 @@ class TestRequestFile:
         (doc if field in doc else rec)[field] = value
         p = tmp_path / "req.jsonl"
         p.write_text("\n" + json.dumps(rec) + "\n")
-        with pytest.raises(ParseError, match=field) as exc:
+        with pytest.raises(ParseError, match=f"req.jsonl line 2: .*'{field}'"):
             read_requests(p)
-        assert exc.value.line_number == 2
 
 
 class TestRunFile:

@@ -18,7 +18,6 @@ from listrank.prompt import DOC_EMB, Document, RerankRequest
 from listrank.reranker import rerank
 from listrank.trainer import (
     AdamW,
-    MergeSpec,
     StageConfig,
     TrainingExample,
     apply_lora,
@@ -74,6 +73,14 @@ class TestLora:
         cfg = tiny_backbone_config()
         return cfg, init_weights(cfg, seed=0)
 
+    def test_rank_above_the_smaller_side_refused(self):
+        base = {"w": Tensor(np.zeros((6, 5)))}
+        a, b = create_adapters(base, ["w"], rank=5, seed=0)["w"]
+        assert (a.shape, b.shape) == ((5, 5), (6, 5))
+        with pytest.raises(ConfigError, match=r"lora_rank 6 exceeds the smaller side of w "
+                                              r"of shape \(6, 5\)"):
+            create_adapters(base, ["w"], rank=6, seed=0)
+
     def test_target_names_cover_all_layers(self):
         names = lora_target_names(2)
         assert len(names) == 2 * 7  # four attention + three feed-forward mats
@@ -128,16 +135,16 @@ class TestAdamW:
     def test_single_step_closed_form(self):
         p = Tensor(np.array([1.0]))
         p.grad = np.array([0.5])
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+        opt = AdamW({"p": p}, lr=0.1)
         opt.step()
-        # first step: m_hat = g, v_hat = g^2, update ~ sign(g)
-        expected = 1.0 - 0.1 * (0.5 / (0.5 + 1e-8))
+        # first step: m_hat = g, v_hat = g^2, update ~ sign(g), plus the 0.01 decay
+        expected = 1.0 - 0.1 * (0.5 / (0.5 + 1e-8) + 0.01 * 1.0)
         np.testing.assert_allclose(p.data, [expected], atol=1e-10)
 
     def test_decoupled_weight_decay(self):
         p = Tensor(np.array([2.0]))
         p.grad = np.array([0.0])
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.01)
+        opt = AdamW({"p": p}, lr=0.1)
         opt.step()
         # zero gradient: only the decay term moves the parameter
         np.testing.assert_allclose(p.data, [2.0 - 0.1 * 0.01 * 2.0], atol=1e-12)
@@ -363,7 +370,7 @@ class TestMerge:
 
     def test_two_model_oracle(self):
         c1, c2 = self._ckpts()
-        merged = merge_models(MergeSpec([(c1, 0.25), (c2, 0.65)]))
+        merged = merge_models([c1, c2], [0.25, 0.65])
         t = 0.25 + 0.65
         for name in c1:
             expected = (0.25 / t) * c1[name] + (0.65 / t) * c2[name]
@@ -372,7 +379,7 @@ class TestMerge:
     def test_single_model_identity(self):
         (c1, _) = self._ckpts()
         for w in (1.0, 0.3):
-            merged = merge_models(MergeSpec([(c1, w)]))
+            merged = merge_models([c1], [w])
             for name in c1:
                 np.testing.assert_array_equal(merged[name], c1[name])
 
@@ -380,19 +387,24 @@ class TestMerge:
         c1, c2 = self._ckpts()
         del c2["w2"]
         with pytest.raises(MergeError, match="different tensors"):
-            merge_models(MergeSpec([(c1, 0.5), (c2, 0.5)]))
+            merge_models([c1, c2], [0.5, 0.5])
 
     def test_shape_mismatch(self):
         c1, c2 = self._ckpts()
         c2["w1"] = np.zeros((2, 2))
         with pytest.raises(MergeError, match="shape"):
-            merge_models(MergeSpec([(c1, 0.5), (c2, 0.5)]))
+            merge_models([c1, c2], [0.5, 0.5])
 
     def test_weight_bounds(self):
         (c1, _) = self._ckpts()
         with pytest.raises(MergeError):
-            MergeSpec([(c1, 0.0)])
+            merge_models([c1], [0.0])
         with pytest.raises(MergeError):
-            MergeSpec([(c1, 1.5)])
+            merge_models([c1], [1.5])
         with pytest.raises(MergeError):
-            MergeSpec([])
+            merge_models([], [])
+
+    def test_weight_count_mismatch(self):
+        c1, c2 = self._ckpts()
+        with pytest.raises(MergeError, match="2 checkpoints but 1 merge weights"):
+            merge_models([c1, c2], [0.5])
