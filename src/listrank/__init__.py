@@ -10,7 +10,7 @@ and finished by linear checkpoint merging.
 
 from .autodiff import Tape, Tensor, backward, finite_diff_check
 from .backbone import BackboneConfig, forward, init_weights
-from .embedding import ProjectorConfig, extract, project, score
+from .embedding import extract, project, score
 from .evaluation import generate_synthetic_corpus, ndcg_at_k, recall_at_k
 from .losses import QueryGroup, TrainingBatch
 from .model import RerankModel
@@ -21,7 +21,7 @@ from .trainer import StageConfig, TrainingExample, merge_models, train_stage
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackboneConfig", "Document", "ProjectorConfig", "PromptLayout",
+    "BackboneConfig", "Document", "PromptLayout",
     "QueryGroup", "RankedResult", "RerankModel", "RerankRequest", "StageConfig",
     "Tape", "Tensor", "TrainingBatch", "TrainingExample", "Vocabulary",
     "backward", "build_prompt", "extract", "finite_diff_check", "forward",

@@ -2,7 +2,8 @@
 
 Layout: an 8-byte big-endian header length, a UTF-8 JSON header with
 optional metadata and a manifest of (name, shape, offset) entries, then
-one contiguous little-endian float64 blob. Round-trips are bit-exact and
+the tensors back to back in manifest order as one little-endian float64
+blob, with nothing after them. Round-trips are bit-exact and
 byte-deterministic: saving the same tensors twice yields identical files.
 """
 
@@ -118,27 +119,34 @@ def load_checkpoint(path):
     # type() rather than isinstance: JSON true/false is not a size
     if not (isinstance(entries, list) and isinstance(header.get("meta", {}), dict) and all(
             isinstance(e, dict) and isinstance(e.get("name"), str)
-            and type(e.get("offset")) is int and isinstance(e.get("shape"), list)
+            and isinstance(e.get("shape"), list)
             and all(type(n) is int and n >= 0 for n in e["shape"]) for e in entries)):
         raise ParseError(f"{path}: malformed checkpoint header (tensors or meta)")
     blob = raw[8 + hlen :]
     tensors = {}
+    start = 0  # each tensor starts where the one listed before it ends
     for entry in entries:
-        if entry["name"] in tensors:
-            raise ParseError(f"{path}: malformed checkpoint header: tensor "
-                             f"{entry['name']!r} is listed twice")
-        shape = tuple(entry["shape"])
+        name, shape = entry["name"], tuple(entry["shape"])
+        if name in tensors:
+            raise ParseError(f"{path}: malformed checkpoint header: tensor {name!r} "
+                             "is listed twice")
+        if entry.get("offset") != start:  # None when the entry has no offset
+            raise ParseError(f"{path}: malformed checkpoint header: tensor {name!r} "
+                             f"at byte {entry.get('offset')!r}, expected {start}")
         count = math.prod(shape)  # exact: np.prod wraps around in int64
-        start = entry["offset"]
-        if start < 0 or start + 8 * count > len(blob):
-            raise ParseError(f"{path}: truncated checkpoint: tensor {entry['name']!r} "
+        if start + 8 * count > len(blob):
+            raise ParseError(f"{path}: truncated checkpoint: tensor {name!r} "
                              f"at bytes {start}..{start + 8 * count} overruns the "
                              f"{len(blob)}-byte data blob")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         try:
-            tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
+            tensors[name] = arr.reshape(shape).astype(np.float64)
         except ValueError as exc:  # too many dimensions, or an empty one numpy cannot size
-            raise ParseError(f"{path}: malformed checkpoint header: tensor "
-                             f"{entry['name']!r} of shape {list(shape)}: {exc}") from exc
+            raise ParseError(f"{path}: malformed checkpoint header: tensor {name!r} "
+                             f"of shape {list(shape)}: {exc}") from exc
+        start += 8 * count
+    if start != len(blob):
+        raise ParseError(f"{path}: malformed checkpoint: {len(blob) - start} bytes "
+                         "after the last tensor")
     return tensors, header.get("meta", {})
 

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, finite_diff_check
 from .checkpoint import parse_json, write_jsonl
-from .embedding import ProjectorConfig, init_projector, project
+from .embedding import init_projector, project
 from .errors import (
     ConfigError,
     DegenerateEmbeddingError,
@@ -150,8 +150,8 @@ def cmd_merge(args) -> int:
     for item in spec_doc:
         models.append(RerankModel.load(item["checkpoint"]))
         if models[-1].meta() != models[0].meta():
-            raise MergeError(f"{item['checkpoint']} has another vocabulary, backbone or "
-                             f"projector than {spec_doc[0]['checkpoint']}")
+            raise MergeError(f"{item['checkpoint']} has another vocabulary or backbone "
+                             f"than {spec_doc[0]['checkpoint']}")
     merged = merge_models([{k: t.data for k, t in m.weights.items()} for m in models],
                           [float(item["weight"]) for item in spec_doc])
     replace(models[0], weights={name: Tensor(w) for name, w in merged.items()}).save(args.out)
@@ -184,15 +184,14 @@ def _gradcheck_losses(seed: int) -> float:
 
 def _gradcheck_projector(seed: int) -> float:
     rng = np.random.default_rng(seed)
-    cfg = ProjectorConfig(d_in=8, d_mid=6, d_out=5)
-    weights = init_projector(cfg, seed)
+    weights = init_projector(8, seed)
     # O(1) weights keep gradients well above the finite-difference noise
     # floor; the positive hidden bias keeps rectifier units away from their
     # kink and the output away from zero norm
     for name in ("projector.w1", "projector.w2"):
         weights[name].data = rng.normal(0.0, 0.5, weights[name].shape)
-    weights["projector.b1"].data = 0.5 + rng.random(cfg.d_mid)
-    weights["projector.b2"].data = rng.normal(0.0, 0.1, cfg.d_out)
+    weights["projector.b1"].data = 0.5 + rng.random(4)
+    weights["projector.b2"].data = rng.normal(0.0, 0.1, 4)
     u = Tensor(rng.normal(size=(1, 8)))
     v = Tensor(rng.normal(size=(1, 8)))
     w1 = weights["projector.w1"]

@@ -2,51 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import from_json_object
 from .errors import ConfigError
 from .prompt import PromptLayout
 
 
-@dataclass
-class ProjectorConfig:
-    """Two affine layers with a rectifier between them (d_in -> d_mid -> d_out).
-
-    Full-scale shape is 1024 -> 512 -> 512; the desk-scale default mirrors
-    the same 2:1:1 ratio."""
-
-    d_in: int = 64
-    d_mid: int = 32
-    d_out: int = 32
-
-    def __post_init__(self):
-        if min(self.d_in, self.d_mid, self.d_out) < 1:
-            raise ConfigError("projector dimensions must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    from_dict = classmethod(from_json_object)
+def projector_shapes(d_in: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every projector tensor, in initialization order: two
+    affine layers with a rectifier between them, d_in -> d_in/2 -> d_in/2
+    (the paper's 1024 -> 512 -> 512)."""
+    half = d_in // 2
+    return {"projector.w1": (d_in, half), "projector.b1": (half,),
+            "projector.w2": (half, half), "projector.b2": (half,)}
 
 
-def projector_shapes(config: ProjectorConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every projector tensor, in initialization order."""
-    d_in, d_mid, d_out = config.d_in, config.d_mid, config.d_out
-    return {"projector.w1": (d_in, d_mid), "projector.b1": (d_mid,),
-            "projector.w2": (d_mid, d_out), "projector.b2": (d_out,)}
-
-
-def init_projector(config: ProjectorConfig, seed: int) -> dict[str, Tensor]:
+def init_projector(d_in: int, seed: int) -> dict[str, Tensor]:
     """Weights normal with std 0.02, biases zero."""
     rng = np.random.default_rng(seed)
     return {
         name: Tensor(np.zeros(shape) if len(shape) == 1 else rng.normal(0.0, 0.02, shape))
-        for name, shape in projector_shapes(config).items()
+        for name, shape in projector_shapes(d_in).items()
     }
 
 

@@ -299,9 +299,9 @@ def load_corpus_files(data_dir) -> SyntheticCorpus:
     for line, rec in read_records(data / "queries.jsonl", "query_id"):
         qid, text = rec["query_id"], line.field(rec, "text")
         rels = qrels.get(qid, {})
-        if not any(rel > 0 for rel in rels.values()) or not rels.keys() <= docs.keys():
+        if sum(rel > 0 for rel in rels.values()) != 1 or not rels.keys() <= docs.keys():
             raise line.error(f"query {qid!r} needs qrels whose documents are all in "
-                             "corpus.jsonl, one of them judged positive")
+                             "corpus.jsonl, exactly one of them judged positive")
         queries.append((qid, text))
     candidates = {qid: sorted(qrels[qid]) for qid, _ in queries}
     return SyntheticCorpus(queries=queries, docs=docs, candidates=candidates, qrels=qrels)

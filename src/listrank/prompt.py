@@ -50,6 +50,7 @@ _TEMPLATE_WORDS = tuple(
     + [f'id="{n}">' for n in range(1, 100)]
     + [str(n) for n in range(1, 100)]
 )
+_N_FIXED = len(SPECIALS) + _N_BYTE + len(set(_TEMPLATE_WORDS))  # ids before ``words``
 
 
 class Vocabulary:
@@ -119,25 +120,20 @@ class Vocabulary:
         flush()
         return "".join(parts)
 
-    def entries(self) -> list[list]:
-        """Serializable (surface, id, special) triples, e.g. for model meta."""
-        return [[s, i, i < len(SPECIALS)] for i, s in enumerate(self._surfaces)]
+    @property
+    def words(self) -> list[str]:
+        """The words added after the template's, in id order, e.g. for model meta."""
+        return self._surfaces[_N_FIXED:]
 
     @classmethod
-    def from_entries(cls, entries) -> "Vocabulary":
-        """Inverse of ``entries``; refuses any list that ``entries`` would not give back."""
-        # type() rather than isinstance: JSON true/false is not an id
-        if not (isinstance(entries, list) and all(
-                isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
-                and type(e[1]) is int for e in entries)
-                and sorted(e[1] for e in entries) == list(range(len(entries)))):
-            raise VocabularyError("vocabulary must be a list of [surface, id, special] "
-                                  "entries with ids 0..n-1")
-        entries = sorted(entries, key=lambda e: e[1])
-        vocab = cls([e[0] for e in entries[len(SPECIALS) + _N_BYTE:]])
-        if vocab.entries() != entries:
-            raise VocabularyError("vocabulary entries are not the specials, the byte "
-                                  "pieces and distinct words in id order")
+    def from_words(cls, words) -> "Vocabulary":
+        """Inverse of ``words``; refuses any list that ``words`` would not give
+        back: a repeated word, a template word or a special surface."""
+        if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+            raise VocabularyError("vocabulary must be a list of words")
+        vocab = cls(words)
+        if vocab.words != words:
+            raise VocabularyError("vocabulary repeats a word or holds a template or special one")
         return vocab
 
 

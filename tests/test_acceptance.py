@@ -197,7 +197,6 @@ class TestAcceptance:
         with_adapters = RerankModel(
             vocab=base.vocab,
             backbone_config=base.backbone_config,
-            projector_config=base.projector_config,
             weights=folded,
         )
         rng = np.random.default_rng(99)

@@ -65,6 +65,13 @@ class TestErrors:
         with pytest.raises(ParseError, match="magic"):
             load_checkpoint(path)
 
+    def test_trailing_bytes(self, tmp_path, tensors):
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, tensors)
+        path.write_bytes(path.read_bytes() + bytes(64))
+        with pytest.raises(ParseError, match="64 bytes after the last tensor"):
+            load_checkpoint(path)
+
     def test_garbage_header(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         import struct

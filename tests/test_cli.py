@@ -89,6 +89,15 @@ class TestParser:
         assert args.k == 5
 
 
+def _old_bundle_meta(meta):
+    """Rewrite ``meta`` as bundles held it before they stored only the added
+    words: every surface as a [surface, id, special] triple, and the projector."""
+    vocab = Vocabulary(meta["vocab"])
+    meta["vocab"] = [[vocab.surface(i), i, i < 5] for i in range(len(vocab))]
+    d = meta["backbone"]["d_hidden"]
+    meta["projector"] = {"d_in": d, "d_mid": d // 2, "d_out": d // 2}
+
+
 class TestExitCodes:
     def test_missing_model_is_validation_error(self, tmp_path, capsys):
         rc = main(["rerank", "--model", str(tmp_path / "nope.ckpt"),
@@ -146,9 +155,15 @@ class TestExitCodes:
         lambda h: {**h, "tensors": [{"name": "w", "shape": [0, 2**62], "offset": 0}]},
         lambda h: {**h, "tensors": [{"name": "w", "shape": [1] * 70, "offset": 0}]},
         lambda h: {**h, "tensors": h["tensors"] + h["tensors"][:1]},
+        # the second tensor read from the first one's bytes
+        lambda h: {**h, "tensors": [h["tensors"][0], {**h["tensors"][1], "offset": 0},
+                                    *h["tensors"][2:]]},
+        lambda h: {**h, "tensors": h["tensors"][1:]},  # the first tensor's bytes unread
+        lambda h: {**h, "tensors": h["tensors"][:-1]},  # the last tensor's bytes unread
     ], ids=["list", "tensors object", "meta list", "no shape", "int name", "negative dim",
             "float dim", "string offset", "entry string", "2**80 elements",
-            "empty but too large", "70 dimensions", "repeated name"])
+            "empty but too large", "70 dimensions", "repeated name", "overlapping tensors",
+            "gap before a tensor", "trailing bytes"])
     def test_malformed_checkpoint_header(self, model_path, data_dir, tmp_path, capsys, edit):
         raw = model_path.read_bytes()
         header_end = 8 + struct.unpack(">Q", raw[:8])[0]
@@ -159,7 +174,8 @@ class TestExitCodes:
                    "--input", str(data_dir / "requests.jsonl"),
                    "--output", str(tmp_path / "run.txt")])
         assert rc == 2
-        assert "checkpoint" in capsys.readouterr().err
+        # the temporary directory is named after this test: look past the path
+        assert "checkpoint" in capsys.readouterr().err.replace(str(bad), "")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.pop("layers.0.attn.wq"), "layers.0.attn.wq missing (expected (32, 32))"),
@@ -181,25 +197,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.pop("vocab"), "bundle meta has no vocab"),
-        (lambda m: m.pop("projector"), "bundle meta has no projector"),
         (lambda m: m["backbone"].update(bogus=1), "unknown BackboneConfig keys: bogus"),
         (lambda m: m.update(backbone=list(m["backbone"].values())),
          "BackboneConfig must be a JSON object, got list"),
         (lambda m: m.update(vocab={"alpha": 261}), "vocabulary must be a list"),
         (lambda m: m["vocab"].append(["extra", "262", False]), "vocabulary must be a list"),
-        (lambda m: m["vocab"][300].__setitem__(1, 301), "with ids 0..n-1"),
+        (lambda m: m["vocab"].append(m["vocab"][0]), "vocabulary repeats a word"),
+        (_old_bundle_meta, "vocabulary must be a list of words"),
         (lambda m: m["backbone"].update(n_layers="2"), "BackboneConfig.n_layers must be int"),
         (lambda m: m["backbone"].update(n_layers=True), "BackboneConfig.n_layers must be int"),
         (lambda m: m["backbone"].update(rope_base=0), "rope_base must be positive"),
-        (lambda m: m["projector"].update(d_mid=16.0), "ProjectorConfig.d_mid must be int"),
         (lambda m: m["backbone"].update(rms_eps=10 ** 400),
          "an integer of 401 digits does not fit a float"),
         # refused before a table of every declared layer's shapes is built
         (lambda m: m["backbone"].update(n_layers=10 ** 5),
          "backbone declares 100000 layers but the bundle holds"),
-    ], ids=["no vocab", "no projector", "unknown backbone key", "backbone list",
-            "vocab object", "string vocab id", "repeated vocab id", "string n_layers",
-            "bool n_layers", "zero rope base", "float d_mid", "rms_eps beyond a float",
+    ], ids=["no vocab", "unknown backbone key", "backbone list", "vocab object",
+            "string vocab id", "repeated word", "old triple format", "string n_layers",
+            "bool n_layers", "zero rope base", "rms_eps beyond a float",
             "more layers than tensors"])
     def test_malformed_bundle_meta(self, model_path, data_dir, tmp_path, capsys, edit, message):
         tensors, meta = load_checkpoint(model_path)
@@ -329,6 +344,19 @@ class TestExitCodes:
                                 '{"steps": 1, "batch_size": 2, "n_negatives": 3}', tmp_path)
         assert rc == 2
         assert ("queries.jsonl line 1: query 'q000' needs qrels"
+                in capsys.readouterr().err)
+        assert not out_ckpt.exists()
+
+    def test_query_with_two_positives(self, small_data_dir, tmp_path, capsys):
+        """Training takes one positive per query; a second would be neither the
+        positive nor a negative."""
+        qrels = small_data_dir / "qrels.txt"
+        qrels.write_text(qrels.read_text().replace("q001 0 q001_d01 0", "q001 0 q001_d01 1"))
+        rc, out_ckpt = train_on(small_data_dir,
+                                '{"steps": 1, "batch_size": 2, "n_negatives": 3}', tmp_path)
+        assert rc == 2
+        assert ("queries.jsonl line 2: query 'q001' needs qrels whose documents are all in "
+                "corpus.jsonl, exactly one of them judged positive"
                 in capsys.readouterr().err)
         assert not out_ckpt.exists()
 
@@ -724,7 +752,7 @@ class TestTrainAndMergeCommands:
         else:
             config = tiny_backbone_config(vocab_size=len(m.vocab), d_ffn=64, rope_base=500.0)
         other_path = tmp_path / "other.ckpt"
-        RerankModel(vocab, config, m.projector_config, m.weights).save(other_path)
+        RerankModel(vocab, config, m.weights).save(other_path)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([{"checkpoint": str(model_path), "weight": 0.5},
                                     {"checkpoint": str(other_path), "weight": 0.5}]))

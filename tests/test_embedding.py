@@ -5,7 +5,6 @@ from listrank import autodiff as ad
 from listrank import backbone as bb
 from listrank.autodiff import Tensor, backward, finite_diff_check
 from listrank.embedding import (
-    ProjectorConfig,
     extract,
     init_projector,
     project,
@@ -65,22 +64,16 @@ class TestExtract:
 
 
 class TestProjector:
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            ProjectorConfig(d_in=0)
-
     def test_init_shapes_and_zero_biases(self):
-        cfg = ProjectorConfig(d_in=6, d_mid=4, d_out=3)
-        w = init_projector(cfg, seed=0)
-        assert w["projector.w1"].shape == (6, 4)
-        assert w["projector.w2"].shape == (4, 3)
-        np.testing.assert_array_equal(w["projector.b1"].data, np.zeros(4))
+        w = init_projector(6, seed=0)
+        assert w["projector.w1"].shape == (6, 3)
+        assert w["projector.w2"].shape == (3, 3)
+        np.testing.assert_array_equal(w["projector.b1"].data, np.zeros(3))
         np.testing.assert_array_equal(w["projector.b2"].data, np.zeros(3))
 
     def test_matches_numpy_reference(self):
         rng = np.random.default_rng(4)
-        cfg = ProjectorConfig(d_in=6, d_mid=4, d_out=3)
-        w = init_projector(cfg, seed=1)
+        w = init_projector(6, seed=1)
         x = rng.normal(size=(2, 6))
         out = project(Tensor(x), w).data
         mid = np.maximum(x @ w["projector.w1"].data + w["projector.b1"].data, 0.0)
@@ -88,15 +81,15 @@ class TestProjector:
         np.testing.assert_allclose(out, ref, atol=1e-14)
 
     def test_width_mismatch(self):
-        w = init_projector(ProjectorConfig(d_in=6, d_mid=4, d_out=3), seed=0)
+        w = init_projector(6, seed=0)
         with pytest.raises(ConfigError, match="width 6"):
             project(Tensor(np.zeros((1, 5))), w)
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
-        w = init_projector(ProjectorConfig(d_in=6, d_mid=4, d_out=3), seed=2)
+        w = init_projector(6, seed=2)
         # keep rectifier units strictly active so the loss is smooth
-        w["projector.b1"] = Tensor(np.full(4, 0.5))
+        w["projector.b1"] = Tensor(np.full(3, 0.5))
         x = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
         target = Tensor(rng.normal(size=(1, 3)))
         err = finite_diff_check(lambda t: ad.tsum(ad.mul(project(t, w), target)), x)

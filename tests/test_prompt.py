@@ -102,24 +102,25 @@ class TestTokenizer:
         assert vocab.tokenize(text) == _reference_tokenize(vocab, text)
 
     def test_entries_roundtrip(self, vocab):
-        loaded = Vocabulary.from_entries(vocab.entries())
+        assert vocab.words == ["alpha", "beta", "gamma", "delta", "epsilon"]
+        loaded = Vocabulary.from_words(vocab.words)
         assert len(loaded) == len(vocab)
         text = "alpha zz gamma"
         assert loaded.tokenize(text) == vocab.tokenize(text)
 
     @pytest.mark.parametrize("tamper", [
-        lambda e: e[3].__setitem__(0, "<|passage_emb|>"),
-        lambda e: e[4].__setitem__(2, False),
-        lambda e: e[-1].__setitem__(0, "two words"),
-        lambda e: e[-1].__setitem__(0, e[-2][0]),
-        lambda e: e[70].__setitem__(0, "<0xZZ>"),
-    ], ids=["renamed special", "special flag off", "word with a space", "duplicate word",
-            "renamed byte piece"])
+        lambda w: w.__setitem__(-1, "two words"),
+        lambda w: w.__setitem__(-1, w[-2]),
+        lambda w: w.append("passages"),
+        lambda w: w.append(DOC_EMB),
+        lambda w: w.append(3),
+    ], ids=["word with a space", "duplicate word", "template word", "special surface",
+            "non-string"])
     def test_entries_that_do_not_roundtrip(self, vocab, tamper):
-        entries = vocab.entries()
-        tamper(entries)
+        words = vocab.words
+        tamper(words)
         with pytest.raises(VocabularyError):
-            Vocabulary.from_entries(entries)
+            Vocabulary.from_words(words)
 
     def test_bijection(self, vocab):
         surfaces = [vocab.surface(i) for i in range(len(vocab))]

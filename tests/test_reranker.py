@@ -28,7 +28,7 @@ def _request_from_corpus(corpus, qid, qtext, n=None):
 def _with_weights(model, changes: dict):
     """A copy of ``model`` whose named weights are set to the given arrays."""
     weights = {k: Tensor(changes.get(k, v.data).copy()) for k, v in model.weights.items()}
-    return RerankModel(model.vocab, model.backbone_config, model.projector_config, weights)
+    return RerankModel(model.vocab, model.backbone_config, weights)
 
 
 class TestRerank:

@@ -63,8 +63,8 @@ def corpora(draw):
     for qid in draw(st.lists(ids, max_size=4, unique=True)):
         queries.append((qid, draw(st.text(max_size=20))))
         candidates[qid] = draw(st.lists(st.sampled_from(doc_ids), min_size=1, unique=True))
-        rels = draw(st.lists(st.integers(0, 3), min_size=len(candidates[qid]),
-                             max_size=len(candidates[qid])).filter(any))
+        rels = [0] * len(candidates[qid])  # training takes exactly one positive per query
+        rels[draw(st.integers(0, len(rels) - 1))] = draw(st.integers(1, 3))
         qrels[qid] = dict(zip(candidates[qid], rels))
     return SyntheticCorpus(queries=queries, docs=docs, candidates=candidates, qrels=qrels)
 
