@@ -10,7 +10,7 @@ Each op's backward returns one gradient per input, in input order, and
 reads no ``requires_grad``: ``backward`` alone copies the first gradient a
 grad-requiring input receives into ``Tensor.grad``, adds later ones, and
 frees the graph as it walks it. A tape may be walked backward exactly
-once; a second call raises ``GraphError`` rather than silently accumulating.
+once; a second call raises ``ListrankError`` rather than silently accumulating.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateEmbeddingError, DimensionError, GraphError
+from .errors import DegenerateEmbeddingError, ListrankError
 
 _ACTIVE_TAPES: list["Tape"] = []
 
@@ -91,14 +91,14 @@ def _record(output: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
 def backward(loss: Tensor):
     """Populate grads of every tensor the scalar ``loss`` depends on."""
     if loss.data.shape != ():
-        raise GraphError(f"backward root must be scalar, got shape {loss.data.shape}")
+        raise ListrankError(f"backward root must be scalar, got shape {loss.data.shape}")
     tape = loss.tape
     if tape is None:
-        raise GraphError(
+        raise ListrankError(
             "loss is not attached to a tape; build it inside `with Tape():`"
         )
     if tape.consumed:
-        raise GraphError(
+        raise ListrankError(
             "tape already walked backward once; build a fresh graph instead "
             "of accumulating"
         )
@@ -169,7 +169,7 @@ def mul(a, b) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(
+        raise ListrankError(
             f"matmul shape mismatch: {tuple(a.shape)} x {tuple(b.shape)}"
         )
     out = Tensor(a.data @ b.data)
@@ -235,10 +235,10 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     """Row-wise RMS normalization of a matrix: g * x / sqrt(mean(x^2)+eps)."""
     x, gain = _as_tensor(x), _as_tensor(gain)
     if eps <= 0:
-        raise DimensionError("rms_norm eps must be positive")
+        raise ListrankError("rms_norm eps must be positive")
     if x.ndim != 2 or gain.data.shape != (x.shape[1],):
-        raise DimensionError(f"rms_norm gain shape {tuple(gain.data.shape)} does not match "
-                             f"the rows of {tuple(x.shape)}")
+        raise ListrankError(f"rms_norm gain shape {tuple(gain.data.shape)} does not match "
+                            f"the rows of {tuple(x.shape)}")
     xd, n = x.data, x.shape[1]
     inv = 1.0 / np.sqrt((xd * xd).mean(axis=1, keepdims=True) + eps)
     out = Tensor(gain.data * xd * inv)
@@ -313,8 +313,8 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
     (n, d), as an (m, n) matrix; raises on zero-norm or non-finite rows."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionError(f"cosine expects two matrices of equal width, "
-                             f"got {tuple(a.shape)} and {tuple(b.shape)}")
+        raise ListrankError(f"cosine expects two matrices of equal width, "
+                            f"got {tuple(a.shape)} and {tuple(b.shape)}")
     ua, na = _unit_rows(a.data)
     ub, nb = _unit_rows(b.data)
     c = np.clip(ua @ ub.T, -1.0, 1.0)  # trim roundoff outside [-1, 1]
@@ -342,7 +342,7 @@ def rope(x: Tensor, turns: np.ndarray) -> Tensor:
     length, width = x.shape
     half = turns.shape[1]
     if turns.shape[0] != length or width % (2 * half) != 0:
-        raise DimensionError(f"rope turns of shape {turns.shape} do not fit rows {x.shape}")
+        raise ListrankError(f"rope turns of shape {turns.shape} do not fit rows {x.shape}")
 
     def turn(a: np.ndarray, t: np.ndarray) -> np.ndarray:
         z = np.ascontiguousarray(a).view(np.complex128).reshape(length, -1, half)
@@ -374,16 +374,17 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_q_heads: int, n_kv_heads
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if n_kv_heads < 1 or n_q_heads % n_kv_heads != 0:
-        raise ConfigError(f"incompatible head counts: {n_q_heads} query vs {n_kv_heads} kv heads")
+        raise ListrankError(
+            f"incompatible head counts: {n_q_heads} query vs {n_kv_heads} kv heads")
     (rows, width), length = q.shape, k.shape[0]
     hd, group = width // n_q_heads, n_q_heads // n_kv_heads
     if width != n_q_heads * hd or k.shape != (length, n_kv_heads * hd) or v.shape != k.shape:
-        raise DimensionError(f"attention shapes {q.shape}, {k.shape}, {v.shape} do not split "
-                             f"into {n_q_heads} query and {n_kv_heads} kv heads")
+        raise ListrankError(f"attention shapes {q.shape}, {k.shape}, {v.shape} do not split "
+                            f"into {n_q_heads} query and {n_kv_heads} kv heads")
     pos = np.arange(length) if positions is None else np.asarray(positions, dtype=np.int64)
     if pos.shape != (rows,) or ((pos < 0) | (pos >= length)).any():
-        raise DimensionError(f"{rows} query rows need as many positions in [0, {length}), "
-                             f"got {pos.tolist()}")
+        raise ListrankError(f"{rows} query rows need as many positions in [0, {length}), "
+                            f"got {pos.tolist()}")
     inv_sqrt = 1.0 / np.sqrt(hd)
 
     def heads(x, n):  # (rows, n_kv*n*hd) -> (n_kv, n, rows, hd); K and V broadcast with n = 1
@@ -453,7 +454,7 @@ def finite_diff_check(
         y = f(x)
         backward(y)
     if x.grad is None:
-        raise GraphError("function output does not depend on x (no gradient recorded)")
+        raise ListrankError("function output does not depend on x (no gradient recorded)")
     analytic = x.grad.reshape(-1).copy()
     flat = x.data.reshape(-1)
     idx = range(flat.size) if coords is None else list(coords)

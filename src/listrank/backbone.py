@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import from_json_object
-from .errors import ConfigError, ContextLengthError, DimensionError, VocabularyError
+from .errors import ListrankError
 
 
 @dataclass
@@ -43,20 +43,20 @@ class BackboneConfig:
     def __post_init__(self):
         if min(self.n_layers, self.d_hidden, self.n_q_heads, self.n_kv_heads,
                self.d_ffn, self.max_context, self.vocab_size) < 1:
-            raise ConfigError("all backbone extents must be positive")
+            raise ListrankError("all backbone extents must be positive")
         if self.d_hidden % self.n_q_heads != 0:
-            raise ConfigError(
+            raise ListrankError(
                 f"d_hidden={self.d_hidden} not divisible by n_q_heads={self.n_q_heads}"
             )
         if self.n_q_heads % self.n_kv_heads != 0:
-            raise ConfigError(
+            raise ListrankError(
                 f"n_q_heads={self.n_q_heads} not divisible by n_kv_heads={self.n_kv_heads}"
             )
         if self.head_dim % 2 != 0:
-            raise ConfigError(f"head_dim={self.head_dim} must be even for rotary positions")
+            raise ListrankError(f"head_dim={self.head_dim} must be even for rotary positions")
         for name in ("rope_base", "rms_eps"):  # rms_norm divides by sqrt(mean + rms_eps)
             if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ListrankError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def head_dim(self) -> int:
@@ -119,21 +119,21 @@ def forward(
     """
     length = len(tokens)
     if length == 0:
-        raise VocabularyError("empty token sequence")
+        raise ListrankError("empty token sequence")
     if length > config.max_context:
-        raise ContextLengthError(
+        raise ListrankError(
             f"sequence of {length} tokens exceeds max_context={config.max_context}"
         )
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         bad = ids[(ids < 0) | (ids >= config.vocab_size)][0]
-        raise VocabularyError(f"token id {bad} outside vocabulary of {config.vocab_size}")
+        raise ListrankError(f"token id {bad} outside vocabulary of {config.vocab_size}")
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 1:
-            raise DimensionError(f"rows must be a flat list of positions, got {rows.tolist()}")
+            raise ListrankError(f"rows must be a flat list of positions, got {rows.tolist()}")
         if ((rows < 0) | (rows >= length)).any():
-            raise DimensionError(f"rows {rows.tolist()} outside a sequence of {length} tokens")
+            raise ListrankError(f"rows {rows.tolist()} outside a sequence of {length} tokens")
 
     positions = np.arange(length)
     turns = ad.rope_table(length, config.head_dim, config.rope_base)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ListrankError
 
 _MAGIC = "listrank-ckpt-v1"
 
@@ -66,7 +66,7 @@ _STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_fi
 def parse_json(data, where: str):
     """Decode UTF-8 JSON (bytes or text) as RFC 8259 has it: ``NaN``, ``Infinity``,
     ``-Infinity``, numbers beyond float range (integers too) and strings holding a
-    lone surrogate are refused. Every failure is a ``ParseError`` reading
+    lone surrogate are refused. Every failure is a ``ListrankError`` reading
     "<where>: <reason>"."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -75,9 +75,10 @@ def parse_json(data, where: str):
         if "\\" in text and "\\u" in text:
             json.dumps(value, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ParseError(f"{where}: lone surrogate {exc.object[exc.start]!r} in a string") from exc
+        raise ListrankError(
+            f"{where}: lone surrogate {exc.object[exc.start]!r} in a string") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, malformed or too deep JSON
-        raise ParseError(f"{where}: {exc}") from exc
+        raise ListrankError(f"{where}: {exc}") from exc
     return value
 
 
@@ -107,46 +108,46 @@ def load_checkpoint(path):
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 8:
-        raise ParseError(f"{path}: truncated checkpoint")
+        raise ListrankError(f"{path}: truncated checkpoint")
     (hlen,) = struct.unpack(">Q", raw[:8])
     if 8 + hlen > len(raw):
-        raise ParseError(f"{path}: truncated checkpoint header "
-                         f"({hlen} bytes declared, {len(raw) - 8} present)")
+        raise ListrankError(f"{path}: truncated checkpoint header "
+                            f"({hlen} bytes declared, {len(raw) - 8} present)")
     header = parse_json(raw[8 : 8 + hlen], f"{path}: malformed checkpoint header")
     if not isinstance(header, dict) or header.get("magic") != _MAGIC:
-        raise ParseError(f"{path}: not a checkpoint file (bad magic)")
+        raise ListrankError(f"{path}: not a checkpoint file (bad magic)")
     entries = header.get("tensors")
     # type() rather than isinstance: JSON true/false is not a size
     if not (isinstance(entries, list) and isinstance(header.get("meta", {}), dict) and all(
             isinstance(e, dict) and isinstance(e.get("name"), str)
             and isinstance(e.get("shape"), list)
             and all(type(n) is int and n >= 0 for n in e["shape"]) for e in entries)):
-        raise ParseError(f"{path}: malformed checkpoint header (tensors or meta)")
+        raise ListrankError(f"{path}: malformed checkpoint header (tensors or meta)")
     blob = raw[8 + hlen :]
     tensors = {}
     start = 0  # each tensor starts where the one listed before it ends
     for entry in entries:
         name, shape = entry["name"], tuple(entry["shape"])
         if name in tensors:
-            raise ParseError(f"{path}: malformed checkpoint header: tensor {name!r} "
-                             "is listed twice")
+            raise ListrankError(f"{path}: malformed checkpoint header: tensor {name!r} "
+                                "is listed twice")
         if entry.get("offset") != start:  # None when the entry has no offset
-            raise ParseError(f"{path}: malformed checkpoint header: tensor {name!r} "
-                             f"at byte {entry.get('offset')!r}, expected {start}")
+            raise ListrankError(f"{path}: malformed checkpoint header: tensor {name!r} "
+                                f"at byte {entry.get('offset')!r}, expected {start}")
         count = math.prod(shape)  # exact: np.prod wraps around in int64
         if start + 8 * count > len(blob):
-            raise ParseError(f"{path}: truncated checkpoint: tensor {name!r} "
-                             f"at bytes {start}..{start + 8 * count} overruns the "
-                             f"{len(blob)}-byte data blob")
+            raise ListrankError(f"{path}: truncated checkpoint: tensor {name!r} "
+                                f"at bytes {start}..{start + 8 * count} overruns the "
+                                f"{len(blob)}-byte data blob")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         try:
             tensors[name] = arr.reshape(shape).astype(np.float64)
         except ValueError as exc:  # too many dimensions, or an empty one numpy cannot size
-            raise ParseError(f"{path}: malformed checkpoint header: tensor {name!r} "
-                             f"of shape {list(shape)}: {exc}") from exc
+            raise ListrankError(f"{path}: malformed checkpoint header: tensor {name!r} "
+                                f"of shape {list(shape)}: {exc}") from exc
         start += 8 * count
     if start != len(blob):
-        raise ParseError(f"{path}: malformed checkpoint: {len(blob) - start} bytes "
-                         "after the last tensor")
+        raise ListrankError(f"{path}: malformed checkpoint: {len(blob) - start} bytes "
+                            "after the last tensor")
     return tensors, header.get("meta", {})
 

@@ -2,8 +2,9 @@
 
 Every flag's default may be overridden by an environment variable named
 ``LISTRANK_<FLAG>`` (resolved before parsing, so explicit flags win).
-Exit codes: 0 ok, 2 validation/config or a missing or unreadable file,
-3 numeric inference failure, 4 training divergence.
+Exit codes: 0 ok, else the ``exit_code`` of the ``listrank.errors`` class
+raised (2 bad input or config, 3 numeric inference failure, 4 training
+divergence), and 2 for a missing or unreadable file.
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ from . import backbone as bb
 from .autodiff import Tape, Tensor, finite_diff_check
 from .checkpoint import parse_json, write_jsonl
 from .embedding import init_projector, project
-from .errors import (
-    ConfigError,
-    DegenerateEmbeddingError,
-    ListrankError,
-    MergeError,
-    NonFiniteLossError,
-    ValidationError,
-)
+from .errors import ListrankError
 from .evaluation import (
     SyntheticCorpus,
     evaluate_run,
@@ -62,7 +56,7 @@ def _env_default(flag: str, fallback):
     try:
         return type(fallback)(value)
     except ValueError:
-        raise ConfigError(
+        raise ListrankError(
             f"{name}={value!r} is not a valid {type(fallback).__name__}"
         ) from None
 
@@ -144,14 +138,14 @@ def cmd_merge(args) -> int:
     if not (isinstance(spec_doc, list) and all(
             isinstance(e, dict) and isinstance(e.get("checkpoint"), str)
             and type(e.get("weight")) in (int, float) for e in spec_doc)):
-        raise ValidationError(f"merge spec {args.spec} must be a JSON list of "
-                              '{"checkpoint": string, "weight": number} objects')
+        raise ListrankError(f"merge spec {args.spec} must be a JSON list of "
+                            '{"checkpoint": string, "weight": number} objects')
     models = []
     for item in spec_doc:
         models.append(RerankModel.load(item["checkpoint"]))
         if models[-1].meta() != models[0].meta():
-            raise MergeError(f"{item['checkpoint']} has another vocabulary or backbone "
-                             f"than {spec_doc[0]['checkpoint']}")
+            raise ListrankError(f"{item['checkpoint']} has another vocabulary or backbone "
+                                f"than {spec_doc[0]['checkpoint']}")
     merged = merge_models([{k: t.data for k, t in m.weights.items()} for m in models],
                           [float(item["weight"]) for item in spec_doc])
     replace(models[0], weights={name: Tensor(w) for name, w in merged.items()}).save(args.out)
@@ -243,7 +237,7 @@ def _gradcheck_lora(seed: int) -> float:
         loss = f(None)
         ad.backward(loss)
     if base["w"].grad is not None:
-        raise ConfigError("base weight received gradient in adapters-only mode")
+        raise ListrankError("base weight received gradient in adapters-only mode")
     return max(err_a, err_b)
 
 
@@ -346,17 +340,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         # numpy refuses a negative seed; this covers every --seed and LISTRANK_SEED
         if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigError(f"--seed/LISTRANK_SEED must be >= 0, got {args.seed}")
+            raise ListrankError(f"--seed/LISTRANK_SEED must be >= 0, got {args.seed}")
         return args.func(args)
-    except NonFiniteLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DegenerateEmbeddingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ListrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ListrankError
 from .prompt import PromptLayout
 
 
@@ -42,7 +42,7 @@ def project(raw: Tensor, weights: dict[str, Tensor]) -> Tensor:
     """affine -> rectifier -> affine on every row, differentiable end-to-end."""
     d_in = weights["projector.w1"].shape[0]
     if raw.ndim != 2 or raw.shape[1] != d_in:
-        raise ConfigError(f"projector expects rows of width {d_in}, got {tuple(raw.shape)}")
+        raise ListrankError(f"projector expects rows of width {d_in}, got {tuple(raw.shape)}")
     hidden = ad.relu(ad.add(ad.matmul(raw, weights["projector.w1"]), weights["projector.b1"]))
     return ad.add(ad.matmul(hidden, weights["projector.w2"]), weights["projector.b2"])
 

@@ -4,6 +4,7 @@ generator used by the overfit experiments."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -11,12 +12,12 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import parse_json, write_atomic, write_jsonl
-from .errors import ParseError, ValidationError
+from .errors import ListrankError
 
 
 def _check_k(k: int) -> None:
     if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+        raise ListrankError(f"k must be >= 1, got {k}")
 
 
 def ndcg_at_k(ranking: Sequence[str], qrels: dict[str, int], k: int = 10) -> float:
@@ -74,22 +75,22 @@ class MetricReport:
 
 
 def read_lines(path):
-    """``(line number, text)`` of each non-blank line; bad UTF-8 raises ``ParseError``."""
+    """``(line number, text)`` of each non-blank line; bad UTF-8 raises ``ListrankError``."""
     for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} line {lineno}: {exc}") from exc
+            raise ListrankError(f"{path} line {lineno}: {exc}") from exc
         if line.strip():
             yield lineno, line
 
 
 def refuse_repeat(first_line: dict, key, what: str, path, lineno: int) -> None:
     """Remember the line ``key`` first appears on; a later line with the same
-    key raises ``ParseError`` naming both lines."""
+    key raises ``ListrankError`` naming both lines."""
     if first_line.setdefault(key, lineno) != lineno:
-        raise ParseError(f"{path} line {lineno}: duplicate {what}, first on line "
-                         f"{first_line[key]}")
+        raise ListrankError(f"{path} line {lineno}: duplicate {what}, first on line "
+                            f"{first_line[key]}")
 
 
 STRING, LIST, NUMBER_OR_NULL = (str,), (list,), (int, float, type(None))
@@ -98,13 +99,13 @@ _KIND_NAMES = {STRING: "a string", LIST: "a list", NUMBER_OR_NULL: "a number or 
 
 @dataclass(slots=True)
 class Line:
-    """Where a JSON-lines record was read from; its checks raise ``ParseError``s naming it."""
+    """Where a JSON-lines record was read from; its checks raise ``ListrankError``s naming it."""
 
     path: Path | str
     number: int
 
-    def error(self, message) -> ParseError:
-        return ParseError(f"{self.path} line {self.number}: {message}")
+    def error(self, message) -> ListrankError:
+        return ListrankError(f"{self.path} line {self.number}: {message}")
 
     def field(self, obj, name: str, kind: tuple = STRING):
         """``obj[name]`` of a JSON object, typed in ``kind``; a nullable field may be absent."""
@@ -135,6 +136,13 @@ def read_records(path, key: str):
         yield line, rec
 
 
+def read_integer(text: str, what: str, path, lineno: int) -> int:
+    """``text`` as an int if ASCII digits after an optional sign (``int`` takes ``1_0``, ``١``)."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ListrankError(f"{path} line {lineno}: bad {what} {text!r}")
+    return int(text)
+
+
 def load_qrels(path) -> dict[str, dict[str, int]]:
     """TREC qrels: ``query_id 0 doc_id rel``."""
     qrels: dict[str, dict[str, int]] = {}
@@ -142,15 +150,12 @@ def load_qrels(path) -> dict[str, dict[str, int]]:
     for lineno, line in read_lines(path):
         fields = line.split()
         if len(fields) != 4:
-            raise ParseError(f"{path} line {lineno}: expected 4 fields")
+            raise ListrankError(f"{path} line {lineno}: expected 4 fields")
         qid, _, did, rel = fields
-        try:
-            rel = int(rel)
-        except ValueError as exc:
-            raise ParseError(f"{path} line {lineno}: bad relevance {rel!r}") from exc
+        rel = read_integer(rel, "relevance", path, lineno)
         # a negative gain 2.0 ** rel - 1 takes nDCG below 0; above 1023 the gain overflows
         if not 0 <= rel <= 1023:
-            raise ParseError(f"{path} line {lineno}: relevance {rel} outside 0..1023")
+            raise ListrankError(f"{path} line {lineno}: relevance {rel} outside 0..1023")
         refuse_repeat(first_line, (qid, did), f"({qid}, {did})", path, lineno)
         qrels.setdefault(qid, {})[did] = rel
     return qrels
@@ -164,13 +169,17 @@ def load_run(path) -> dict[str, list[tuple[str, float]]]:
     for lineno, line in read_lines(path):
         fields = line.split()
         if len(fields) != 6:
-            raise ParseError(f"{path} line {lineno}: expected 6 fields")
+            raise ListrankError(f"{path} line {lineno}: expected 6 fields")
         qid, _, did, rank, score_, _tag = fields
         refuse_repeat(first_line, (qid, did), f"({qid}, {did})", path, lineno)
+        rank = read_integer(rank, "rank", path, lineno)
         try:
-            raw.setdefault(qid, []).append((int(rank), did, float(score_)))
+            score = float(score_)
         except ValueError as exc:
-            raise ParseError(f"{path} line {lineno}: {exc}") from exc
+            raise ListrankError(f"{path} line {lineno}: {exc}") from exc
+        if not math.isfinite(score):
+            raise ListrankError(f"{path} line {lineno}: score {score_!r} is not finite")
+        raw.setdefault(qid, []).append((rank, did, score))
     return {
         qid: [(did, s) for _, did, s in sorted(rows)] for qid, rows in raw.items()
     }
@@ -179,7 +188,7 @@ def load_run(path) -> dict[str, list[tuple[str, float]]]:
 def evaluate_run(run_path, qrels_path, metric: str = "ndcg", k: int = 10) -> MetricReport:
     """Per-query metric plus macro average over the run file's queries."""
     if metric not in ("ndcg", "recall"):
-        raise ValidationError(f"unknown metric {metric!r}")
+        raise ListrankError(f"unknown metric {metric!r}")
     _check_k(k)  # before the files are read, so an empty run cannot hide a bad k
     fn = ndcg_at_k if metric == "ndcg" else recall_at_k
     run = load_run(run_path)
@@ -223,13 +232,13 @@ def generate_synthetic_corpus(
     pattern; its single positive embeds the pattern, negatives never do
     (they reuse other queries' patterns plus filler). Deterministic."""
     if n_queries < 1 or docs_per_query < 1:
-        raise ValidationError("corpus sizes must be >= 1")
+        raise ListrankError("corpus sizes must be >= 1")
     draws = 3 if docs_per_query > 1 else 2  # filler words per negative, per positive
     if vocab_size < draws:
-        raise ValidationError(f"vocab_size={vocab_size} is fewer than the {draws} distinct "
-                              "filler words a document draws")
+        raise ListrankError(f"vocab_size={vocab_size} is fewer than the {draws} distinct "
+                            "filler words a document draws")
     if vocab_size >= 2 ** 63:  # numpy draws indices as int64
-        raise ValidationError(f"vocab_size={vocab_size} must be below 2**63")
+        raise ListrankError(f"vocab_size={vocab_size} must be below 2**63")
     rng = np.random.default_rng(seed)
 
     def filler(n: int) -> list[str]:  # n distinct words w000, w001, ... by index
@@ -298,6 +307,8 @@ def load_corpus_files(data_dir) -> SyntheticCorpus:
     queries = []
     for line, rec in read_records(data / "queries.jsonl", "query_id"):
         qid, text = rec["query_id"], line.field(rec, "text")
+        if not text.strip():
+            raise line.error("empty query")
         rels = qrels.get(qid, {})
         if sum(rel > 0 for rel in rels.values()) != 1 or not rels.keys() <= docs.keys():
             raise line.error(f"query {qid!r} needs qrels whose documents are all in "

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ValidationError
+from .errors import ListrankError
 
 
 @dataclass
@@ -43,16 +43,16 @@ class TrainingBatch:
 
     def __post_init__(self):
         if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+            raise ListrankError(f"temperature must be positive, got {self.temperature}")
         if not self.groups:
-            raise ValidationError("empty training batch")
+            raise ListrankError("empty training batch")
         rows = self.embeddings.shape[0]
         for g in self.groups:
             if not g.negatives:
-                raise ValidationError("every query needs at least one negative")
+                raise ListrankError("every query needs at least one negative")
             named = [g.query, g.positive, *g.negatives, g.dual_query, g.augmented]
             if not all(i is None or 0 <= i < rows for i in named):
-                raise ValidationError(f"query group {g} names a row outside 0..{rows - 1}")
+                raise ListrankError(f"query group {g} names a row outside 0..{rows - 1}")
 
 
 def similarities(batch: TrainingBatch) -> Tensor:
@@ -93,7 +93,7 @@ def rank_loss(batch: TrainingBatch, sims: Optional[Tensor] = None) -> Tensor:
 def dual_loss(batch: TrainingBatch, sims: Optional[Tensor] = None) -> Tensor:
     """Same form as ``rank_loss`` but anchored at the leading query marker."""
     if any(g.dual_query is None for g in batch.groups):
-        raise ValidationError("dual loss requires dual query embeddings")
+        raise ListrankError("dual loss requires dual query embeddings")
     return _infonce(batch, sims, [(g.dual_query, g.positive) for g in batch.groups])
 
 
@@ -101,7 +101,7 @@ def similar_loss(batch: TrainingBatch, sims: Optional[Tensor] = None) -> Tensor:
     """Anchor each positive against its augmented duplicate, with the
     query's negatives as contrast set."""
     if any(g.augmented is None for g in batch.groups):
-        raise ValidationError("similarity loss requires augmented duplicates")
+        raise ListrankError("similarity loss requires augmented duplicates")
     return _infonce(batch, sims, [(g.positive, g.augmented) for g in batch.groups])
 
 

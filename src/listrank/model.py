@@ -9,7 +9,7 @@ from .autodiff import Tensor
 from .backbone import BackboneConfig, init_weights, weight_shapes
 from .checkpoint import load_checkpoint, save_checkpoint
 from .embedding import init_projector, projector_shapes
-from .errors import ConfigError
+from .errors import ListrankError
 from .prompt import Vocabulary
 
 
@@ -21,20 +21,20 @@ class RerankModel:
 
     def __post_init__(self):
         if self.backbone_config.vocab_size != len(self.vocab):
-            raise ConfigError(
+            raise ListrankError(
                 f"backbone vocab_size={self.backbone_config.vocab_size} does not "
                 f"match vocabulary of {len(self.vocab)}"
             )
         # each layer holds several tensors: refuse before building a table per layer
         if self.backbone_config.n_layers > len(self.weights):
-            raise ConfigError(f"backbone declares {self.backbone_config.n_layers} layers but "
-                              f"the bundle holds {len(self.weights)} tensors")
+            raise ListrankError(f"backbone declares {self.backbone_config.n_layers} layers but "
+                                f"the bundle holds {len(self.weights)} tensors")
         want = (weight_shapes(self.backbone_config)
                 | projector_shapes(self.backbone_config.d_hidden))
         have = {name: t.shape for name, t in self.weights.items()}
         bad = sorted(n for n in want.keys() | have.keys() if have.get(n) != want.get(n))
         if bad:
-            raise ConfigError("weights do not match the configs: " + ", ".join(
+            raise ListrankError("weights do not match the configs: " + ", ".join(
                 f"{n} {have.get(n, 'missing')} (expected {want.get(n, 'none')})" for n in bad[:3]))
 
     @classmethod
@@ -61,10 +61,10 @@ class RerankModel:
     def load(cls, path) -> "RerankModel":
         tensors, meta = load_checkpoint(path)
         if meta.get("kind") != "rerank-model":
-            raise ConfigError(f"{path} is not a rerank model bundle")
+            raise ListrankError(f"{path} is not a rerank model bundle")
         missing = [key for key in ("vocab", "backbone") if key not in meta]
         if missing:
-            raise ConfigError(f"{path}: bundle meta has no {', '.join(missing)}")
+            raise ListrankError(f"{path}: bundle meta has no {', '.join(missing)}")
         return cls(
             vocab=Vocabulary.from_words(meta["vocab"]),
             backbone_config=BackboneConfig.from_dict(meta["backbone"]),

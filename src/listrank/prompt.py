@@ -16,12 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ChunkingError,
-    ContextLengthError,
-    ValidationError,
-    VocabularyError,
-)
+from .errors import ListrankError
 
 PAD = "<|pad|>"
 IM_START = "<|im_start|>"
@@ -70,7 +65,7 @@ class Vocabulary:
 
     def _add_word(self, word: str):
         if not word or any(ch.isspace() for ch in word):
-            raise VocabularyError(f"invalid vocabulary word: {word!r}")
+            raise ListrankError(f"invalid vocabulary word: {word!r}")
         if word in SPECIALS or word in self._word_ids:
             return
         self._word_ids[word] = len(self._surfaces)
@@ -84,7 +79,7 @@ class Vocabulary:
 
     def surface(self, token_id: int) -> str:
         if not 0 <= token_id < len(self._surfaces):
-            raise VocabularyError(f"token id {token_id} outside vocabulary of {len(self)}")
+            raise ListrankError(f"token id {token_id} outside vocabulary of {len(self)}")
         return self._surfaces[token_id]
 
     def _byte_ids(self, chunk: str) -> list[int]:
@@ -130,10 +125,10 @@ class Vocabulary:
         """Inverse of ``words``; refuses any list that ``words`` would not give
         back: a repeated word, a template word or a special surface."""
         if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
-            raise VocabularyError("vocabulary must be a list of words")
+            raise ListrankError("vocabulary must be a list of words")
         vocab = cls(words)
         if vocab.words != words:
-            raise VocabularyError("vocabulary repeats a word or holds a template or special one")
+            raise ListrankError("vocabulary repeats a word or holds a template or special one")
         return vocab
 
 
@@ -150,11 +145,13 @@ class RerankRequest:
     documents: list[Document]
 
     def __post_init__(self):
+        if not self.query.strip():
+            raise ListrankError("empty query")
         if not self.documents:
-            raise ValidationError("request needs at least one document")
+            raise ListrankError("request needs at least one document")
         ids = [d.doc_id for d in self.documents]
         if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate doc_ids in request")
+            raise ListrankError("duplicate doc_ids in request")
 
 
 @dataclass
@@ -171,7 +168,7 @@ ORDERINGS = ("given", "desc", "asc", "random")  # orders candidates can be shown
 def check_ordering(ordering: str) -> None:
     """Refuse an unknown ordering; reads no input, so callers can check first."""
     if ordering not in ORDERINGS:
-        raise ValidationError(f"unknown ordering {ordering!r}, expected one of {ORDERINGS}")
+        raise ListrankError(f"unknown ordering {ordering!r}, expected one of {ORDERINGS}")
 
 
 def apply_ordering(
@@ -185,10 +182,10 @@ def apply_ordering(
         return list(documents)
     if ordering == "random":
         if seed is None:
-            raise ValidationError("random ordering requires a seed")
+            raise ListrankError("random ordering requires a seed")
         return [documents[i] for i in np.random.default_rng(seed).permutation(len(documents))]
     if any(d.first_stage_score is None for d in documents):
-        raise ValidationError(f"ordering {ordering!r} requires first-stage scores")
+        raise ListrankError(f"ordering {ordering!r} requires first-stage scores")
     sign = -1 if ordering == "desc" else 1
     return sorted(documents, key=lambda d: sign * d.first_stage_score)  # stable
 
@@ -219,9 +216,9 @@ def _query_block(query: str) -> list[str]:
 def check_limits(max_doc_tokens: int, max_docs_per_pass: int = 1) -> None:
     """Refuse a per-pass limit below 1; reads no input, so callers can check first."""
     if max_docs_per_pass < 1:
-        raise ValidationError(f"max_docs_per_pass must be >= 1, got {max_docs_per_pass}")
+        raise ListrankError(f"max_docs_per_pass must be >= 1, got {max_docs_per_pass}")
     if max_doc_tokens < 1:  # a slice to 0 or below would drop tokens silently
-        raise ValidationError(f"max_doc_tokens must be >= 1, got {max_doc_tokens}")
+        raise ListrankError(f"max_doc_tokens must be >= 1, got {max_doc_tokens}")
 
 
 def build_prompt(
@@ -242,7 +239,7 @@ def build_prompt(
     requested, lands immediately after the first query occurrence.
     """
     if not query.strip():
-        raise ValidationError("empty query")
+        raise ListrankError("empty query")
 
     ids: list[int] = []
     markers: dict[str, list[int]] = {DOC_EMB: [], QUERY_EMB: []}
@@ -265,7 +262,7 @@ def build_prompt(
     emit(_query_block(query))
 
     if max_context is not None and len(ids) > max_context:
-        raise ContextLengthError(
+        raise ListrankError(
             f"assembled prompt is {len(ids)} tokens, max_context is {max_context}"
         )
     return PromptLayout(
@@ -292,7 +289,7 @@ def chunk_into_batches(
     sum of its template segments and its passages' tokens."""
     check_limits(max_doc_tokens, max_docs_per_pass)
     if not query.strip():
-        raise ValidationError("empty query")
+        raise ListrankError("empty query")
 
     @functools.cache
     def length(segment: str) -> int:
@@ -323,7 +320,7 @@ def chunk_into_batches(
             batches.append(current)
         current, body = [(doc, tokens)], passage(1, len(tokens))
         if template(1) + body > max_context:
-            raise ChunkingError(
+            raise ListrankError(
                 f"document {doc.doc_id!r} plus template overhead exceeds "
                 f"max_context={max_context}"
             )

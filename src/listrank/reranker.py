@@ -23,7 +23,7 @@ from . import backbone as bb
 from .autodiff import Tensor
 from .checkpoint import write_atomic
 from .embedding import extract, project, score
-from .errors import DegenerateEmbeddingError, ValidationError
+from .errors import DegenerateEmbeddingError, ListrankError
 from .evaluation import LIST, NUMBER_OR_NULL, read_records
 from .model import RerankModel
 from .prompt import Document, RerankRequest, apply_ordering, build_prompt, chunk_into_batches
@@ -115,7 +115,7 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
                      for d in line.field(rec, "documents", LIST)]
         try:
             request = RerankRequest(line.field(rec, "query_text"), documents)
-        except ValidationError as exc:  # no documents, or a repeated doc_id
+        except ListrankError as exc:  # a blank query, no documents or a repeated doc_id
             raise line.error(exc) from exc
         out.append((rec["query_id"], request))
     return out

@@ -18,7 +18,7 @@ from .backbone import ATTN_MATS, FFN_MATS
 from .checkpoint import parse_json, write_atomic
 from .config import from_json_object
 from .embedding import extract, project
-from .errors import ConfigError, DataError, MergeError, NonFiniteLossError
+from .errors import ListrankError, NonFiniteLossError
 from .losses import QueryGroup, TrainingBatch, all_losses
 from .model import RerankModel
 from .prompt import build_prompt, check_limits
@@ -47,16 +47,16 @@ class StageConfig:
 
     def __post_init__(self):
         if self.mode not in ("adapters", "full"):
-            raise ConfigError(f"unknown training mode {self.mode!r}")
+            raise ListrankError(f"unknown training mode {self.mode!r}")
         if self.steps < 0 or self.batch_size < 1 or self.n_negatives < 1:
-            raise ConfigError("steps/batch_size/n_negatives out of range")
+            raise ListrankError("steps/batch_size/n_negatives out of range")
         if self.seed < 0 or self.n_inbatch_negatives < 0:
-            raise ConfigError(f"seed and n_inbatch_negatives must be >= 0, got "
-                              f"{self.seed} and {self.n_inbatch_negatives}")
+            raise ListrankError(f"seed and n_inbatch_negatives must be >= 0, got "
+                                f"{self.seed} and {self.n_inbatch_negatives}")
         if self.learning_rate <= 0 or self.temperature <= 0:
-            raise ConfigError("learning_rate and temperature must be positive")
+            raise ListrankError("learning_rate and temperature must be positive")
         if self.lora_rank < 1:
-            raise ConfigError("lora_rank must be >= 1")
+            raise ListrankError("lora_rank must be >= 1")
         check_limits(self.max_doc_tokens)
 
     def to_dict(self) -> dict:
@@ -101,8 +101,8 @@ def create_adapters(
     targets = list(targets)
     for name in targets:
         if rank > min(base_weights[name].shape):
-            raise ConfigError(f"lora_rank {rank} exceeds the smaller side of {name} "
-                              f"of shape {tuple(base_weights[name].shape)}")
+            raise ListrankError(f"lora_rank {rank} exceeds the smaller side of {name} "
+                                f"of shape {tuple(base_weights[name].shape)}")
     rng = np.random.default_rng(seed)
     adapters = {}
     for name in targets:
@@ -125,7 +125,7 @@ def apply_lora(
     for name, (a, b) in adapters.items():
         w = base_weights[name]
         if (b.shape[0], a.shape[1]) != tuple(w.shape) or a.shape[0] != b.shape[1]:
-            raise ConfigError(
+            raise ListrankError(
                 f"adapter shapes {tuple(b.shape)}x{tuple(a.shape)} incompatible "
                 f"with {name} of shape {tuple(w.shape)}"
             )
@@ -267,12 +267,12 @@ def train_stage(
     abort with diagnostics.
     """
     if len(dataset) < stage.batch_size:
-        raise DataError(
+        raise ListrankError(
             f"dataset of {len(dataset)} examples cannot fill batches of {stage.batch_size}"
         )
     for ex in dataset:
         if len(ex.negatives) < stage.n_negatives:
-            raise DataError(
+            raise ListrankError(
                 f"query {ex.query_id!r} has {len(ex.negatives)} negatives, "
                 f"stage needs {stage.n_negatives}"
             )
@@ -347,20 +347,20 @@ def merge_models(checkpoints: Sequence[dict[str, np.ndarray]],
     each weight in (0, 1] and the weights normalized to sum to one; adapters
     must be folded first."""
     if not checkpoints:
-        raise MergeError("merge needs at least one checkpoint")
+        raise ListrankError("merge needs at least one checkpoint")
     if len(weights) != len(checkpoints):
-        raise MergeError(f"{len(checkpoints)} checkpoints but {len(weights)} merge weights")
+        raise ListrankError(f"{len(checkpoints)} checkpoints but {len(weights)} merge weights")
     for w in weights:
         if not 0.0 < w <= 1.0:
-            raise MergeError(f"merge weight {w} outside (0, 1]")
+            raise ListrankError(f"merge weight {w} outside (0, 1]")
     first = checkpoints[0]
     names = sorted(first)
     for ckpt in checkpoints[1:]:
         if sorted(ckpt) != names:
-            raise MergeError("checkpoints name different tensors")
+            raise ListrankError("checkpoints name different tensors")
         for n in names:
             if first[n].shape != ckpt[n].shape:
-                raise MergeError(
+                raise ListrankError(
                     f"tensor {n!r} shape mismatch: {first[n].shape} vs {ckpt[n].shape}"
                 )
     total = sum(weights)

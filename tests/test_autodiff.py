@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from listrank import autodiff as ad
 from listrank.autodiff import Tape, Tensor, backward, finite_diff_check
-from listrank.errors import DegenerateEmbeddingError, DimensionError, GraphError
+from listrank.errors import DegenerateEmbeddingError, ListrankError
 
 square_scores = st.integers(1, 6).flatmap(
     lambda n: arrays(np.float64, (n, n), elements=st.floats(-50, 50))
@@ -27,7 +27,7 @@ class TestMatmul:
         assert float(ad.matmul(Tensor([[2.0]]), Tensor([[3.0]])).data[0, 0]) == 6.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
+        with pytest.raises(ListrankError, match=r"\(2, 3\).*\(2, 3\)"):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_gradient_vs_finite_differences(self):
@@ -197,7 +197,8 @@ class TestCosine:
             ad.cosine(Tensor(np.ones((2, 2))), Tensor(rows))
 
     def test_width_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ListrankError, match=r"cosine expects two matrices of equal width, "
+                                                r"got \(2, 3\) and \(2, 4\)"):
             ad.cosine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
 
@@ -243,7 +244,7 @@ class TestBackward:
     def test_non_scalar_root(self):
         x = Tensor(np.ones(3), requires_grad=True)
         y = ad.mul(x, x)
-        with pytest.raises(GraphError, match="scalar"):
+        with pytest.raises(ListrankError, match="scalar"):
             backward(y)
 
     def test_double_backward_is_error(self):
@@ -251,14 +252,14 @@ class TestBackward:
         with Tape():
             loss = ad.tsum(ad.mul(x, x))
             backward(loss)
-            with pytest.raises(GraphError, match="already walked"):
+            with pytest.raises(ListrankError, match="already walked"):
                 backward(loss)
 
     def test_ops_outside_a_tape_record_nothing(self):
         x = Tensor(np.ones(3), requires_grad=True)
         loss = ad.tsum(ad.mul(x, x))
         assert loss.tape is None and not loss.requires_grad
-        with pytest.raises(GraphError, match="not attached to a tape"):
+        with pytest.raises(ListrankError, match="not attached to a tape"):
             backward(loss)
         assert x.grad is None
 

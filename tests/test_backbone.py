@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from listrank import autodiff as ad
 from listrank import backbone as bb
 from listrank.autodiff import Tensor, finite_diff_check
-from listrank.errors import ConfigError, ContextLengthError, DimensionError, VocabularyError
+from listrank.errors import ListrankError
 
 from conftest import tiny_backbone_config
 
@@ -23,17 +23,17 @@ def weights(cfg):
 
 class TestConfig:
     def test_head_divisibility(self):
-        with pytest.raises(ConfigError, match="n_q_heads"):
+        with pytest.raises(ListrankError, match="n_q_heads"):
             tiny_backbone_config(d_hidden=30, n_q_heads=4)
 
     def test_gqa_grouping(self):
-        with pytest.raises(ConfigError, match="n_kv_heads"):
+        with pytest.raises(ListrankError, match="n_kv_heads"):
             tiny_backbone_config(n_q_heads=4, n_kv_heads=3)
 
     @pytest.mark.parametrize("eps", [0.0, float("nan")])
     def test_rms_eps_must_be_positive(self, eps):
         """rms_norm refuses eps <= 0, so such a config could never run a forward."""
-        with pytest.raises(ConfigError, match="rms_eps must be positive"):
+        with pytest.raises(ListrankError, match="rms_eps must be positive"):
             tiny_backbone_config(rms_eps=eps)
 
     def test_paper_scale_is_representable(self):
@@ -76,12 +76,12 @@ class TestForward:
         assert (a == b).all()
 
     def test_context_overflow(self, cfg, weights):
-        with pytest.raises(ContextLengthError, match=f"sequence of {cfg.max_context + 1} "
+        with pytest.raises(ListrankError, match=f"sequence of {cfg.max_context + 1} "
                            f"tokens exceeds max_context={cfg.max_context}$"):
             bb.forward([0] * (cfg.max_context + 1), cfg, weights)
 
     def test_unknown_token(self, cfg, weights):
-        with pytest.raises(VocabularyError, match=str(cfg.vocab_size)):
+        with pytest.raises(ListrankError, match=str(cfg.vocab_size)):
             bb.forward([0, cfg.vocab_size], cfg, weights)
 
     def test_causality_random_perturbations(self, cfg, weights):
@@ -98,9 +98,9 @@ class TestForward:
 
     def test_rows_outside_the_sequence(self, cfg, weights):
         for rows in ([0, 5], [-1]):
-            with pytest.raises(DimensionError, match="outside"):
+            with pytest.raises(ListrankError, match="outside"):
                 bb.forward([1, 2, 3, 4, 5], cfg, weights, rows=rows)
-        with pytest.raises(DimensionError, match="flat list of positions"):
+        with pytest.raises(ListrankError, match="flat list of positions"):
             bb.forward([1, 2, 3, 4, 5], cfg, weights, rows=[[0]])
 
 
@@ -359,17 +359,17 @@ class TestCausalAttention:
     def test_positions_outside_the_keys_or_miscounted(self, positions):
         rng = np.random.default_rng(5)
         q, k, v = (Tensor(a) for a in _qkv(rng, 3))
-        with pytest.raises(DimensionError, match="positions"):
+        with pytest.raises(ListrankError, match="positions"):
             ad.causal_attention(q, k, v, 4, 2, positions=positions)
 
     def test_head_count_mismatch(self):
         t = Tensor(np.ones((2, 4)))
-        with pytest.raises(ConfigError, match="head counts"):
+        with pytest.raises(ListrankError, match="head counts"):
             ad.causal_attention(t, t, t, 3, 2)
 
     def test_shape_mismatch(self):
         q, k = Tensor(np.ones((2, 8))), Tensor(np.ones((2, 6)))
-        with pytest.raises(DimensionError, match="do not split"):
+        with pytest.raises(ListrankError, match="do not split"):
             ad.causal_attention(q, k, k, 2, 1)
 
 
@@ -421,7 +421,7 @@ class TestRope:
     ])
     def test_turns_that_do_not_fit(self, shape, turns_shape):
         turns = ad.rope_table(turns_shape[0], 2 * turns_shape[1], 10000.0)
-        with pytest.raises(DimensionError, match="rope turns"):
+        with pytest.raises(ListrankError, match="rope turns"):
             ad.rope(Tensor(np.ones(shape)), turns)
 
     def test_position_zero_is_identity(self):
@@ -453,7 +453,7 @@ class TestRope:
             np.testing.assert_array_equal(whole[:, j * 8 : (j + 1) * 8], head)
 
     def test_odd_head_dim(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ListrankError, match="head_dim=9 must be even for rotary positions"):
             tiny_backbone_config(d_hidden=36, n_q_heads=4, n_kv_heads=4)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from listrank.checkpoint import load_checkpoint, save_checkpoint, write_jsonl
-from listrank.errors import ParseError
+from listrank.errors import ListrankError
 from listrank.reranker import RankedEntry, RankedResult, write_run
 from listrank.trainer import StageConfig
 
@@ -52,7 +52,7 @@ class TestErrors:
     def test_truncated(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"\x00\x01")
-        with pytest.raises(ParseError, match="truncated"):
+        with pytest.raises(ListrankError, match="truncated"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path, tensors):
@@ -62,14 +62,14 @@ class TestErrors:
         path = tmp_path / "bad.ckpt"
         header = json.dumps({"magic": "nope", "tensors": []}).encode()
         path.write_bytes(struct.pack(">Q", len(header)) + header)
-        with pytest.raises(ParseError, match="magic"):
+        with pytest.raises(ListrankError, match="magic"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path, tensors):
         path = tmp_path / "w.ckpt"
         save_checkpoint(path, tensors)
         path.write_bytes(path.read_bytes() + bytes(64))
-        with pytest.raises(ParseError, match="64 bytes after the last tensor"):
+        with pytest.raises(ListrankError, match="64 bytes after the last tensor"):
             load_checkpoint(path)
 
     def test_garbage_header(self, tmp_path):
@@ -77,7 +77,7 @@ class TestErrors:
         import struct
 
         path.write_bytes(struct.pack(">Q", 4) + b"\xff\xfe{]")
-        with pytest.raises(ParseError, match="malformed"):
+        with pytest.raises(ListrankError, match="malformed"):
             load_checkpoint(path)
 
 

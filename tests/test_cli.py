@@ -360,6 +360,30 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out_ckpt.exists()
 
+    def test_blank_query_in_request_file(self, model_path, tmp_path, capsys):
+        """A blank query is refused as its line is read, before any request is reranked."""
+        req, out = tmp_path / "req.jsonl", tmp_path / "run.txt"
+        req.write_text("\n".join([strict_json_request(QID='"q1"'), strict_json_request(QID='"q2"'),
+                                  strict_json_request(QID='"q3"', QTEXT='"  "')]) + "\n")
+        rc = main(["rerank", "--model", str(model_path), "--input", str(req),
+                   "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.endswith("req.jsonl line 3: empty query\n")
+        assert not out.exists()
+
+    def test_blank_query_text(self, small_data_dir, tmp_path, capsys):
+        """A blank query is refused as ``queries.jsonl`` is read, before any
+        checkpoint is written."""
+        queries = small_data_dir / "queries.jsonl"
+        records = [json.loads(line) for line in queries.read_text().splitlines()]
+        records[1]["text"] = " \t"
+        queries.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc, out_ckpt = train_on(small_data_dir,
+                                '{"steps": 0, "batch_size": 2, "n_negatives": 3}', tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err.endswith("queries.jsonl line 2: empty query\n")
+        assert not out_ckpt.exists()
+
     @pytest.mark.parametrize("command, flag, bad", [
         ("rerank", "--output", "nodir/run.txt"),
         ("train", "--out-checkpoint", "nodir/m.ckpt"),

@@ -10,7 +10,7 @@ from listrank.embedding import (
     project,
     score,
 )
-from listrank.errors import ConfigError, DimensionError
+from listrank.errors import ListrankError
 from listrank.prompt import PromptLayout
 
 from conftest import tiny_backbone_config
@@ -50,7 +50,7 @@ class TestExtract:
 
     def test_position_out_of_range(self):
         cfg = tiny_backbone_config()
-        with pytest.raises(DimensionError, match="outside"):  # 5 tokens, query marker at 6
+        with pytest.raises(ListrankError, match="outside"):  # 5 tokens, query marker at 6
             bb.forward([0] * 5, cfg, bb.init_weights(cfg, seed=0), rows=extract(_layout([2], 6)))
 
     def test_gradient_flows_only_to_selected_rows(self):
@@ -82,7 +82,7 @@ class TestProjector:
 
     def test_width_mismatch(self):
         w = init_projector(6, seed=0)
-        with pytest.raises(ConfigError, match="width 6"):
+        with pytest.raises(ListrankError, match="width 6"):
             project(Tensor(np.zeros((1, 5))), w)
 
     def test_gradient(self):

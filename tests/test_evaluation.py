@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from listrank.errors import ParseError, ValidationError
+from listrank.errors import ListrankError
 from listrank.evaluation import (
     MetricReport,
     evaluate_run,
@@ -56,7 +56,7 @@ class TestNdcg:
         assert ndcg_at_k(["hi", "lo"], qrels, 10) > ndcg_at_k(["lo", "hi"], qrels, 10)
 
     def test_invalid_k(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ListrankError, match="k must be >= 1, got 0"):
             ndcg_at_k(["a"], {"a": 1}, 0)
 
     @settings(max_examples=200, deadline=None)
@@ -109,33 +109,37 @@ class TestTrecFiles:
     def test_qrels_bad_field_count(self, tmp_path):
         p = tmp_path / "qrels.txt"
         p.write_text("q1 0 d1 2\nq1 0 d2\n")
-        with pytest.raises(ParseError, match="qrels.txt line 2: expected 4 fields"):
+        with pytest.raises(ListrankError, match="qrels.txt line 2: expected 4 fields"):
             load_qrels(p)
 
     def test_qrels_duplicate(self, tmp_path):
         p = tmp_path / "qrels.txt"
         p.write_text("q1 0 d1 2\nq1 0 d1 1\n")
-        with pytest.raises(ParseError, match=r"line 2: duplicate \(q1, d1\), first on line 1"):
+        with pytest.raises(ListrankError, match=r"line 2: duplicate \(q1, d1\), first on line 1"):
             load_qrels(p)
 
     def test_qrels_bad_relevance(self, tmp_path):
+        # int() alone reads "1_0" as 10 and the Arabic-Indic one as 1
         p = tmp_path / "qrels.txt"
-        p.write_text("q1 0 d1 high\n")
-        with pytest.raises(ParseError, match="relevance"):
-            load_qrels(p)
+        for rel in ("high", "1_0", "\u0661", "1.0"):
+            p.write_text(f"q1 0 d0 0\nq1 0 d1 {rel}\n", encoding="utf-8")
+            with pytest.raises(ListrankError, match=f"qrels.txt line 2: bad relevance '{rel}'$"):
+                load_qrels(p)
 
     def test_qrels_negative_relevance(self, tmp_path):
         """A negative gain 2^rel - 1 would take nDCG below 0, and training would
         count the document as neither positive nor negative."""
         p = tmp_path / "qrels.txt"
         p.write_text("q1 0 d1 1\nq1 0 d2 -5\n")
-        with pytest.raises(ParseError, match=r"qrels.txt line 2: relevance -5 outside 0\.\.1023"):
+        with pytest.raises(ListrankError,
+                           match=r"qrels.txt line 2: relevance -5 outside 0\.\.1023"):
             load_qrels(p)
 
     def test_qrels_relevance_beyond_a_float_gain(self, tmp_path):
         p = tmp_path / "qrels.txt"
         p.write_text("q1 0 d1 1\nq1 0 d2 1024\n")
-        with pytest.raises(ParseError, match=r"qrels.txt line 2: relevance 1024 outside 0\.\.1023"):
+        with pytest.raises(ListrankError,
+                           match=r"qrels.txt line 2: relevance 1024 outside 0\.\.1023"):
             load_qrels(p)
 
     @pytest.mark.parametrize("loader, good", [
@@ -144,7 +148,7 @@ class TestTrecFiles:
     def test_line_not_utf8(self, tmp_path, loader, good):
         p = tmp_path / "trec.txt"
         p.write_bytes(good + b"\n\xff\xfe" + good + b"\n")
-        with pytest.raises(ParseError, match="trec.txt line 2: "):
+        with pytest.raises(ListrankError, match="trec.txt line 2: "):
             loader(p)
 
     def test_run_sorted_by_rank(self, tmp_path):
@@ -159,14 +163,23 @@ class TestTrecFiles:
         """A document listed twice would count its gain twice: nDCG above 1."""
         p = tmp_path / "run.txt"
         p.write_text("q1 Q0 d1 1 0.9 t\nq2 Q0 d1 1 0.9 t\nq1 Q0 d1 2 0.5 t\n")
-        with pytest.raises(ParseError, match=r"line 3: duplicate \(q1, d1\), first on line 1"):
+        with pytest.raises(ListrankError, match=r"line 3: duplicate \(q1, d1\), first on line 1"):
             load_run(p)
 
     def test_run_bad_line(self, tmp_path):
         p = tmp_path / "run.txt"
-        p.write_text("q1 Q0 d1 one 0.9 tag\n")
-        with pytest.raises(ParseError, match="run.txt line 1: "):
-            load_run(p)
+        for rank, score, reason in [
+            ("one", "0.9", "bad rank 'one'"),
+            # int() alone reads "1_0" as 10 and the Arabic-Indic two as 2
+            ("1_0", "0.9", "bad rank '1_0'"),
+            ("\u0662", "0.9", "bad rank '\u0662'"),
+            ("2", "high", "could not convert string to float: 'high'"),
+            ("2", "nan", "score 'nan' is not finite"),
+            ("2", "-inf", "score '-inf' is not finite"),
+        ]:
+            p.write_text(f"q1 Q0 d0 1 0.9 tag\nq1 Q0 d1 {rank} {score} tag\n", encoding="utf-8")
+            with pytest.raises(ListrankError, match=f"run.txt line 2: {reason}$"):
+                load_run(p)
 
     def test_evaluate_run_report(self, tmp_path):
         (tmp_path / "run.txt").write_text(
@@ -189,7 +202,7 @@ class TestTrecFiles:
     def test_unknown_metric(self, tmp_path):
         (tmp_path / "run.txt").write_text("q1 Q0 d1 1 0.9 t\n")
         (tmp_path / "qrels.txt").write_text("q1 0 d1 1\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ListrankError, match="unknown metric 'map'"):
             evaluate_run(tmp_path / "run.txt", tmp_path / "qrels.txt", metric="map")
 
 
@@ -274,9 +287,10 @@ class TestSyntheticCorpus:
          "queries.jsonl line 3: field 'query_id' is 'x y', not an id"),
         ("queries.jsonl", b'{"query_id": "", "text": "a"}',
          "queries.jsonl line 3: field 'query_id' is '', not an id"),
+        ("queries.jsonl", b'{"query_id": "q9", "text": " "}', "queries.jsonl line 3: empty query"),
     ], ids=["not utf-8", "not json", "no text", "not an object", "int id", "no qrels",
             "repeated doc_id", "repeated query_id", "spaced doc_id", "empty doc_id",
-            "spaced query_id", "empty query_id"])
+            "spaced query_id", "empty query_id", "blank query text"])
     def test_corpus_files_bad_line(self, tmp_path, name, line, message):
         corpus = generate_synthetic_corpus(n_queries=2, docs_per_query=4, seed=0)
         write_corpus_files(corpus, tmp_path)
@@ -285,7 +299,7 @@ class TestSyntheticCorpus:
             fh.seek(0)
             fh.truncate()
             fh.write(b"\n".join(lines[:2] + [line] + lines[2:]) + b"\n")
-        with pytest.raises(ParseError, match=message) as exc:
+        with pytest.raises(ListrankError, match=message) as exc:
             load_corpus_files(tmp_path)
         assert "line 3: " in str(exc.value)
 
@@ -295,7 +309,7 @@ class TestSyntheticCorpus:
         path = tmp_path / "corpus.jsonl"
         path.write_text("".join(line for line in path.read_text().splitlines(True)
                                 if '"q001_d02"' not in line))
-        with pytest.raises(ParseError, match="'q001' needs qrels whose documents are all"):
+        with pytest.raises(ListrankError, match="'q001' needs qrels whose documents are all"):
             load_corpus_files(tmp_path)
 
     def test_corpus_files_query_without_a_positive(self, tmp_path):
@@ -304,10 +318,10 @@ class TestSyntheticCorpus:
                            tmp_path)
         path = tmp_path / "qrels.txt"
         path.write_text(path.read_text().replace("q001 0 q001_d00 1", "q001 0 q001_d00 0"))
-        with pytest.raises(ParseError, match="queries.jsonl line 2: query 'q001' needs qrels "
+        with pytest.raises(ListrankError, match="queries.jsonl line 2: query 'q001' needs qrels "
                                              ".* one of them judged positive"):
             load_corpus_files(tmp_path)
 
     def test_invalid_sizes(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ListrankError, match="corpus sizes must be >= 1"):
             generate_synthetic_corpus(0, 4)

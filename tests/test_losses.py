@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from listrank import autodiff as ad
 from listrank.autodiff import Tensor, backward
-from listrank.errors import ConfigError, ValidationError
+from listrank.errors import ListrankError
 from listrank.losses import (
     QueryGroup,
     TrainingBatch,
@@ -245,31 +245,31 @@ class TestMatchesNumpyReference:
 class TestValidation:
     def test_group_rows_inside_the_matrix(self):
         g = QueryGroup(query=0, positive=1, negatives=[2, 3])
-        with pytest.raises(ValidationError, match="outside"):
+        with pytest.raises(ListrankError, match="outside"):
             TrainingBatch(Tensor(np.eye(3)), [g], temperature=0.25)
 
 
     def test_temperature_positive(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ListrankError, match="temperature must be positive, got 0.0"):
             stacked_batch([_orthonormal_group(1, 4)], temperature=0.0)
 
     def test_empty_batch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ListrankError, match="empty training batch"):
             stacked_batch([], temperature=0.25)
 
     def test_negatives_required(self):
         g = dict(query=[1.0, 0], positive=[0, 1.0], negatives=[])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ListrankError, match="every query needs at least one negative"):
             stacked_batch([g], temperature=0.25)
 
     def test_dual_requires_embeddings(self):
         eye = np.eye(4)
         g = dict(query=eye[0], positive=eye[1], negatives=[eye[2]])
-        with pytest.raises(ValidationError, match="dual"):
+        with pytest.raises(ListrankError, match="dual"):
             dual_loss(stacked_batch([g], temperature=0.25))
 
     def test_similar_requires_augmented(self):
         eye = np.eye(4)
         g = dict(query=eye[0], positive=eye[1], negatives=[eye[2]])
-        with pytest.raises(ValidationError, match="augmented|similarity"):
+        with pytest.raises(ListrankError, match="augmented|similarity"):
             similar_loss(stacked_batch([g], temperature=0.25))

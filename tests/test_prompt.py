@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from listrank.errors import (
-    ChunkingError,
-    ContextLengthError,
-    ListrankError,
-    ValidationError,
-    VocabularyError,
-)
+from listrank.errors import ListrankError
 from listrank.prompt import (
     DOC_EMB,
     QUERY_EMB,
@@ -66,6 +60,9 @@ mixed_text = st.lists(st.one_of(
                                 "\u3000", "\u200b", "\t\r\n"])), max_size=12).map("".join)
 
 
+_NOT_ROUNDTRIP = "vocabulary repeats a word or holds a template or special one"
+
+
 class TestTokenizer:
     def test_empty(self, vocab):
         assert vocab.tokenize("") == []
@@ -108,18 +105,18 @@ class TestTokenizer:
         text = "alpha zz gamma"
         assert loaded.tokenize(text) == vocab.tokenize(text)
 
-    @pytest.mark.parametrize("tamper", [
-        lambda w: w.__setitem__(-1, "two words"),
-        lambda w: w.__setitem__(-1, w[-2]),
-        lambda w: w.append("passages"),
-        lambda w: w.append(DOC_EMB),
-        lambda w: w.append(3),
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda w: w.__setitem__(-1, "two words"), "invalid vocabulary word: 'two words'"),
+        (lambda w: w.__setitem__(-1, w[-2]), _NOT_ROUNDTRIP),
+        (lambda w: w.append("passages"), _NOT_ROUNDTRIP),
+        (lambda w: w.append(DOC_EMB), _NOT_ROUNDTRIP),
+        (lambda w: w.append(3), "vocabulary must be a list of words"),
     ], ids=["word with a space", "duplicate word", "template word", "special surface",
             "non-string"])
-    def test_entries_that_do_not_roundtrip(self, vocab, tamper):
+    def test_entries_that_do_not_roundtrip(self, vocab, tamper, message):
         words = vocab.words
         tamper(words)
-        with pytest.raises(VocabularyError):
+        with pytest.raises(ListrankError, match=f"^{re.escape(message)}$"):
             Vocabulary.from_words(words)
 
     def test_bijection(self, vocab):
@@ -165,12 +162,12 @@ class TestBuildPrompt:
         )
 
     def test_empty_query(self, vocab):
-        with pytest.raises(ValidationError, match="query"):
+        with pytest.raises(ListrankError, match="query"):
             build_prompt("  ", vocab, _passages(vocab, ["alpha"]))
 
     def test_overflow(self, vocab):
         passages = _passages(vocab, ["beta gamma " * 50], max_doc_tokens=200)
-        with pytest.raises(ContextLengthError) as exc:
+        with pytest.raises(ListrankError, match="max_context is 64") as exc:
             build_prompt("alpha", vocab, passages, max_context=64)
         measured = re.fullmatch(r"assembled prompt is (\d+) tokens, max_context is 64",
                                 str(exc.value))
@@ -223,7 +220,7 @@ class TestApplyOrdering:
         assert self._ids(apply_ordering(docs, "asc")) == ["d0", "d1", "d2"]
 
     def test_missing_scores(self):
-        with pytest.raises(ValidationError, match="scores"):
+        with pytest.raises(ListrankError, match="scores"):
             apply_ordering([Document("a", "x")], "desc")
 
     def test_given_is_a_copy(self):
@@ -232,14 +229,14 @@ class TestApplyOrdering:
         assert shown == docs and shown is not docs
 
     def test_random_needs_a_seed(self):
-        with pytest.raises(ValidationError, match="seed"):
+        with pytest.raises(ListrankError, match="seed"):
             apply_ordering(self._docs([0.1, 0.2]), "random")
 
     @pytest.mark.parametrize("ordering", ["bogus", "", "DESC"])
     def test_unknown_ordering(self, ordering):
-        with pytest.raises(ValidationError, match=f"unknown ordering {ordering!r}"):
+        with pytest.raises(ListrankError, match=f"unknown ordering {ordering!r}"):
             check_ordering(ordering)
-        with pytest.raises(ValidationError, match=f"unknown ordering {ordering!r}"):
+        with pytest.raises(ListrankError, match=f"unknown ordering {ordering!r}"):
             apply_ordering(self._docs([0.1]), ordering)
 
 
@@ -266,7 +263,8 @@ class TestChunking:
             assert len(layout.token_ids) <= 500
 
     def test_unsatisfiable(self, vocab):
-        with pytest.raises(ChunkingError):
+        with pytest.raises(ListrankError, match="document 'a' plus template overhead exceeds "
+                                                "max_context=60"):
             chunk_into_batches([Document("a", "alpha " * 100)], "beta", vocab, 64, 60, 150)
 
     @settings(max_examples=25, deadline=None)
@@ -276,7 +274,8 @@ class TestChunking:
         max_context = 400
         try:
             batches = chunk_into_batches(docs, "alpha beta", vocab, cap, max_context, 64)
-        except ChunkingError:
+        except ListrankError as exc:
+            assert "plus template overhead exceeds max_context=400" in str(exc)
             return
         seen = []
         for b in batches:
@@ -293,18 +292,14 @@ def _reference_chunk_into_batches(documents, query, vocab, max_docs_per_pass,
     """The packer as it was before packing from token counts: it assembles
     the whole prompt for every candidate it tries to add."""
     if max_docs_per_pass < 1:
-        raise ValidationError("max_docs_per_pass must be >= 1")
+        raise ListrankError("max_docs_per_pass must be >= 1")
     check_limits(max_doc_tokens)
 
     def passages(batch):
         return [vocab.tokenize(d.text)[:max_doc_tokens] for d in batch]
 
     def fits(batch):
-        try:
-            build_prompt(query, vocab, passages(batch), max_context=max_context)
-            return True
-        except ContextLengthError:
-            return False
+        return len(build_prompt(query, vocab, passages(batch)).token_ids) <= max_context
 
     batches, current = [], []
     for doc in documents:
@@ -313,11 +308,11 @@ def _reference_chunk_into_batches(documents, query, vocab, max_docs_per_pass,
             current = candidate
             continue
         if not current:
-            raise ChunkingError(f"document {doc.doc_id!r} plus template overhead exceeds "
+            raise ListrankError(f"document {doc.doc_id!r} plus template overhead exceeds "
                                 f"max_context={max_context}")
         batches.append(current)
         if not fits([doc]):
-            raise ChunkingError(f"document {doc.doc_id!r} plus template overhead exceeds "
+            raise ListrankError(f"document {doc.doc_id!r} plus template overhead exceeds "
                                 f"max_context={max_context}")
         current = [doc]
     if current:
@@ -326,11 +321,11 @@ def _reference_chunk_into_batches(documents, query, vocab, max_docs_per_pass,
 
 
 def _packing(chunker, *args):
-    """Doc ids and passage tokens per batch, or the error class and message."""
+    """Doc ids and passage tokens per batch, or the error message."""
     try:
         return [[(d.doc_id, tokens) for d, tokens in b] for b in chunker(*args)]
     except ListrankError as exc:
-        return type(exc), str(exc)
+        return str(exc)
 
 
 def _word_docs(lengths):
@@ -381,19 +376,24 @@ class TestPackingMatchesReference:
         args = (_word_docs(lengths), "alpha", vocab, 4, 300, 500)
         packing = _packing(chunk_into_batches, *args)
         assert packing == _packing(_reference_chunk_into_batches, *args)
-        assert packing[0] is ChunkingError and f"'d{where}'" in packing[1]
+        assert packing == (f"document 'd{where}' plus template overhead exceeds "
+                           "max_context=300")
 
     def test_empty_query(self, vocab):
         args = (_word_docs([3, 4]), " \n", vocab, 4, 4096, 8)
-        assert _packing(chunk_into_batches, *args) == (ValidationError, "empty query")
-        assert _packing(_reference_chunk_into_batches, *args) == (ValidationError, "empty query")
+        assert _packing(chunk_into_batches, *args) == "empty query"
+        assert _packing(_reference_chunk_into_batches, *args) == "empty query"
 
 
 class TestRequestValidation:
+    def test_blank_query(self):
+        with pytest.raises(ListrankError, match="^empty query$"):
+            RerankRequest(" \n", [Document("a", "x")])
+
     def test_needs_documents(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ListrankError, match="request needs at least one document"):
             RerankRequest("q", [])
 
     def test_unique_ids(self):
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ListrankError, match="duplicate"):
             RerankRequest("q", [Document("a", "x"), Document("a", "y")])

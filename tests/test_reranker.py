@@ -7,7 +7,7 @@ import pytest
 
 from listrank import reranker
 from listrank.autodiff import Tensor
-from listrank.errors import DegenerateEmbeddingError, ParseError, ValidationError
+from listrank.errors import DegenerateEmbeddingError, ListrankError
 from listrank.evaluation import load_run, ndcg_at_k
 from listrank.model import RerankModel
 from listrank.prompt import Document, RerankRequest, Vocabulary
@@ -178,13 +178,13 @@ class TestRequestFile:
     def test_read_requests_bad_json(self, tmp_path):
         p = tmp_path / "req.jsonl"
         p.write_text('{"query_id": "q1"\n')
-        with pytest.raises(ParseError, match="req.jsonl line 1: "):
+        with pytest.raises(ListrankError, match="req.jsonl line 1: "):
             read_requests(p)
 
     def test_read_requests_missing_field(self, tmp_path):
         p = tmp_path / "req.jsonl"
         p.write_text('{"query_id": "q1", "documents": []}\n')
-        with pytest.raises(ParseError):
+        with pytest.raises(ListrankError, match="req.jsonl line 1: missing field 'query_text'$"):
             read_requests(p)
 
     @pytest.mark.parametrize("field", ["query_id", "query_text", "documents", "doc_id",
@@ -195,7 +195,7 @@ class TestRequestFile:
         del (doc if field in doc else rec)[field]
         p = tmp_path / "req.jsonl"
         p.write_text("\n" + json.dumps(rec) + "\n")
-        with pytest.raises(ParseError, match=f"req.jsonl line 2: missing field '{field}'$"):
+        with pytest.raises(ListrankError, match=f"req.jsonl line 2: missing field '{field}'$"):
             read_requests(p)
 
     @pytest.mark.parametrize("field", ["query_id", "doc_id"])
@@ -207,7 +207,7 @@ class TestRequestFile:
         (doc if field in doc else rec)[field] = value
         p = tmp_path / "req.jsonl"
         p.write_text("\n" + json.dumps(rec) + "\n")
-        with pytest.raises(ParseError, match=re.escape(
+        with pytest.raises(ListrankError, match=re.escape(
                 f"req.jsonl line 2: field '{field}' is {value!r}, not an id")):
             read_requests(p)
 
@@ -224,7 +224,7 @@ class TestRequestFile:
                 "documents": [{"doc_id": "d1", "text": "a"}]}
         p.write_text(json.dumps(good) + "\n" + json.dumps(
             {"query_id": "q1", "query_text": "hello", "documents": documents}) + "\n")
-        with pytest.raises(ParseError, match=f"req.jsonl line 2: {message}$"):
+        with pytest.raises(ListrankError, match=f"req.jsonl line 2: {message}$"):
             read_requests(p)
 
     @pytest.mark.parametrize("field, value", [
@@ -244,7 +244,7 @@ class TestRequestFile:
         (doc if field in doc else rec)[field] = value
         p = tmp_path / "req.jsonl"
         p.write_text("\n" + json.dumps(rec) + "\n")
-        with pytest.raises(ParseError, match=f"req.jsonl line 2: .*'{field}'"):
+        with pytest.raises(ListrankError, match=f"req.jsonl line 2: .*'{field}'"):
             read_requests(p)
 
 

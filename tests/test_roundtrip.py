@@ -61,7 +61,7 @@ def corpora(draw):
     docs = {did: draw(st.text(max_size=20)) for did in doc_ids}
     queries, candidates, qrels = [], {}, {}
     for qid in draw(st.lists(ids, max_size=4, unique=True)):
-        queries.append((qid, draw(st.text(max_size=20))))
+        queries.append((qid, draw(st.text(max_size=20).filter(str.strip))))  # no blank query
         candidates[qid] = draw(st.lists(st.sampled_from(doc_ids), min_size=1, unique=True))
         rels = [0] * len(candidates[qid])  # training takes exactly one positive per query
         rels[draw(st.integers(0, len(rels) - 1))] = draw(st.integers(1, 3))

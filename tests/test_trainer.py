@@ -11,7 +11,7 @@ from listrank import autodiff as ad
 from listrank import trainer
 from listrank.autodiff import Tensor
 from listrank.checkpoint import write_jsonl
-from listrank.errors import ConfigError, DataError, MergeError
+from listrank.errors import ListrankError
 from listrank.evaluation import ndcg_at_k
 from listrank.model import RerankModel
 from listrank.prompt import DOC_EMB, Document, RerankRequest
@@ -58,11 +58,11 @@ class TestStageConfig:
         assert keys == [f.name for f in dataclasses.fields(StageConfig)]
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ListrankError, match="unknown training mode 'distill'"):
             StageConfig(mode="distill")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ListrankError, match="learning_rate and temperature must be positive"):
             StageConfig(temperature=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ListrankError, match="lora_rank must be >= 1"):
             StageConfig(lora_rank=0)
 
 
@@ -77,7 +77,7 @@ class TestLora:
         base = {"w": Tensor(np.zeros((6, 5)))}
         a, b = create_adapters(base, ["w"], rank=5, seed=0)["w"]
         assert (a.shape, b.shape) == ((5, 5), (6, 5))
-        with pytest.raises(ConfigError, match=r"lora_rank 6 exceeds the smaller side of w "
+        with pytest.raises(ListrankError, match=r"lora_rank 6 exceeds the smaller side of w "
                                               r"of shape \(6, 5\)"):
             create_adapters(base, ["w"], rank=6, seed=0)
 
@@ -127,7 +127,7 @@ class TestLora:
         w = {"m": Tensor(np.zeros((3, 4)))}
         a = Tensor(np.ones((2, 3)))
         b = Tensor(np.ones((3, 2)))
-        with pytest.raises(ConfigError, match="incompatible"):
+        with pytest.raises(ListrankError, match="incompatible"):
             apply_lora(w, {"m": (a, b)}, alpha=4.0)
 
 
@@ -183,12 +183,12 @@ class TestAugmentation:
 class TestTrainStage:
     def test_dataset_too_small(self, untrained_model):
         ds = [TrainingExample("q", "t", "p", ["n"] * 15)]
-        with pytest.raises(DataError, match="cannot fill"):
+        with pytest.raises(ListrankError, match="cannot fill"):
             train_stage(untrained_model, ds, StageConfig(batch_size=4))
 
     def test_not_enough_negatives(self, untrained_model):
         ds = [TrainingExample(f"q{i}", "t", "p", ["n"]) for i in range(4)]
-        with pytest.raises(DataError, match="negatives"):
+        with pytest.raises(ListrankError, match="negatives"):
             train_stage(untrained_model, ds, StageConfig(batch_size=4, n_negatives=15))
 
     def test_zero_steps_is_noop(self, synth_corpus, synth_vocab):
@@ -386,25 +386,25 @@ class TestMerge:
     def test_name_mismatch(self):
         c1, c2 = self._ckpts()
         del c2["w2"]
-        with pytest.raises(MergeError, match="different tensors"):
+        with pytest.raises(ListrankError, match="different tensors"):
             merge_models([c1, c2], [0.5, 0.5])
 
     def test_shape_mismatch(self):
         c1, c2 = self._ckpts()
         c2["w1"] = np.zeros((2, 2))
-        with pytest.raises(MergeError, match="shape"):
+        with pytest.raises(ListrankError, match="shape"):
             merge_models([c1, c2], [0.5, 0.5])
 
     def test_weight_bounds(self):
         (c1, _) = self._ckpts()
-        with pytest.raises(MergeError):
+        with pytest.raises(ListrankError, match=r"merge weight 0.0 outside \(0, 1\]"):
             merge_models([c1], [0.0])
-        with pytest.raises(MergeError):
+        with pytest.raises(ListrankError, match=r"merge weight 1.5 outside \(0, 1\]"):
             merge_models([c1], [1.5])
-        with pytest.raises(MergeError):
+        with pytest.raises(ListrankError, match="merge needs at least one checkpoint"):
             merge_models([], [])
 
     def test_weight_count_mismatch(self):
         c1, c2 = self._ckpts()
-        with pytest.raises(MergeError, match="2 checkpoints but 1 merge weights"):
+        with pytest.raises(ListrankError, match="2 checkpoints but 1 merge weights"):
             merge_models([c1, c2], [0.5])
