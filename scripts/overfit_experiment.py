@@ -9,6 +9,7 @@ Example:
 import argparse
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +17,15 @@ import numpy as np
 from listrank import BackboneConfig, RerankModel, Vocabulary
 from listrank.checkpoint import write_jsonl
 from listrank.evaluation import generate_synthetic_corpus, ndcg_at_k
-from listrank.prompt import Document, RerankRequest
 from listrank.reranker import rerank
 from listrank.trainer import StageConfig, TrainingExample, train_stage
 
 
 def mean_train_ndcg(model, corpus, max_doc_tokens=16):
-    values = []
-    for qid, qtext in corpus.queries:
-        docs = [Document(d, corpus.docs[d]) for d in corpus.candidates[qid]]
-        result = rerank(model, RerankRequest(qtext, docs), max_doc_tokens=max_doc_tokens)
-        values.append(ndcg_at_k(result.doc_ids(), corpus.qrels[qid], 10))
-    return float(np.mean(values))
+    return float(np.mean([
+        ndcg_at_k(rerank(model, request, max_doc_tokens=max_doc_tokens).doc_ids(),
+                  corpus.qrels[qid], 10)
+        for qid, request in corpus.requests()]))
 
 
 def main():
@@ -82,7 +80,7 @@ def main():
         "trained_ndcg10": trained,
         "steps": len(trace),
         "seconds": elapsed,
-        "stage": stage.to_dict(),
+        "stage": asdict(stage),
     }
     (args.out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"artifacts written to {args.out_dir}")

@@ -11,22 +11,23 @@ past each block's least position, so no (L, L) mask is ever built.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import from_json_object
 from .errors import ListrankError
+
+ROPE_BASE, RMS_EPS = 10000.0, 1e-6  # rotary base and RMS-norm epsilon of every backbone
 
 
 @dataclass
 class BackboneConfig:
     """Structural configuration. Desk-scale defaults; the full-scale values
     (28 layers / 1024 hidden / 16 q heads / 8 kv heads / 131072 context)
-    are representable but never required."""
+    are representable but never required; ``ROPE_BASE`` and ``RMS_EPS`` are fixed."""
 
     n_layers: int = 2
     d_hidden: int = 64
@@ -37,8 +38,6 @@ class BackboneConfig:
     # independent soft limit used by training token budgets
     effective_seq_len: int = 2048
     vocab_size: int = 1024
-    rope_base: float = 10000.0
-    rms_eps: float = 1e-6
 
     def __post_init__(self):
         if min(self.n_layers, self.d_hidden, self.n_q_heads, self.n_kv_heads,
@@ -54,9 +53,6 @@ class BackboneConfig:
             )
         if self.head_dim % 2 != 0:
             raise ListrankError(f"head_dim={self.head_dim} must be even for rotary positions")
-        for name in ("rope_base", "rms_eps"):  # rms_norm divides by sqrt(mean + rms_eps)
-            if not getattr(self, name) > 0:
-                raise ListrankError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def head_dim(self) -> int:
@@ -65,11 +61,6 @@ class BackboneConfig:
     @property
     def kv_dim(self) -> int:
         return self.n_kv_heads * self.head_dim
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    from_dict = classmethod(from_json_object)
 
 
 ATTN_MATS = ("wq", "wk", "wv", "wo")
@@ -136,11 +127,11 @@ def forward(
             raise ListrankError(f"rows {rows.tolist()} outside a sequence of {length} tokens")
 
     positions = np.arange(length)
-    turns = ad.rope_table(length, config.head_dim, config.rope_base)
+    turns = ad.rope_table(length, config.head_dim, ROPE_BASE)
     x = ad.gather_rows(weights["embed.weight"], ids)
     for i in range(config.n_layers):
         p = f"layers.{i}"
-        h = ad.rms_norm(x, weights[f"{p}.attn_norm.gain"], config.rms_eps)
+        h = ad.rms_norm(x, weights[f"{p}.attn_norm.gain"], RMS_EPS)
         k = ad.rope(ad.matmul(h, weights[f"{p}.attn.wk"]), turns)
         v = ad.matmul(h, weights[f"{p}.attn.wv"])
         if rows is not None and i == config.n_layers - 1:
@@ -150,8 +141,8 @@ def forward(
         attn = ad.causal_attention(q, k, v, config.n_q_heads, config.n_kv_heads, positions)
         x = ad.add(x, ad.matmul(attn, weights[f"{p}.attn.wo"]))
 
-        h2 = ad.rms_norm(x, weights[f"{p}.ffn_norm.gain"], config.rms_eps)
+        h2 = ad.rms_norm(x, weights[f"{p}.ffn_norm.gain"], RMS_EPS)
         gated = ad.mul(ad.silu(ad.matmul(h2, weights[f"{p}.ffn.wg"])),
                        ad.matmul(h2, weights[f"{p}.ffn.wu"]))
         x = ad.add(x, ad.matmul(gated, weights[f"{p}.ffn.wd"]))
-    return ad.rms_norm(x, weights["final_norm.gain"], config.rms_eps)
+    return ad.rms_norm(x, weights["final_norm.gain"], RMS_EPS)

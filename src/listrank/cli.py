@@ -34,7 +34,7 @@ from .evaluation import (
 )
 from .losses import QueryGroup, TrainingBatch, all_losses
 from .model import RerankModel
-from .prompt import ORDERINGS, Document, RerankRequest, Vocabulary, check_limits, check_ordering
+from .prompt import ORDERINGS, Vocabulary, check_limits, check_ordering
 from .reranker import read_requests, rerank, write_run
 from .trainer import (
     StageConfig,
@@ -116,14 +116,10 @@ def cmd_train(args) -> int:
     model.save(args.out_checkpoint)
     if args.trace_out:
         write_jsonl(args.trace_out, trace)
-    # training-set ranking report
-    values = []
-    for qid, qtext in corpus.queries:
-        docs = [Document(d, corpus.docs[d]) for d in corpus.candidates[qid]]
-        result = rerank(model, RerankRequest(qtext, docs),
-                        max_doc_tokens=stage.max_doc_tokens)
-        values.append(ndcg_at_k(result.doc_ids(), corpus.qrels[qid]))
-    mean_ndcg = sum(values) / len(values) if values else 0.0
+    # training-set ranking report; train_stage refused an empty dataset
+    values = [ndcg_at_k(rerank(model, request, max_doc_tokens=stage.max_doc_tokens).doc_ids(),
+                        corpus.qrels[qid]) for qid, request in corpus.requests()]
+    mean_ndcg = sum(values) / len(values)
     final = trace[-1]["total"] if trace else float("nan")
     print(f"[train] steps={len(trace)} final_total_loss={final:.6f} "
           f"training nDCG@10={mean_ndcg:.4f}")

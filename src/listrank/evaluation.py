@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -13,6 +13,7 @@ import numpy as np
 
 from .checkpoint import parse_json, write_atomic, write_jsonl
 from .errors import ListrankError
+from .prompt import Document, RerankRequest
 
 
 def _check_k(k: int) -> None:
@@ -179,6 +180,9 @@ def load_run(path) -> dict[str, list[tuple[str, float]]]:
             raise ListrankError(f"{path} line {lineno}: {exc}") from exc
         if not math.isfinite(score):
             raise ListrankError(f"{path} line {lineno}: score {score_!r} is not finite")
+        # float() alone takes "1_0" and other scripts' digits
+        if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", score_):
+            raise ListrankError(f"{path} line {lineno}: bad score {score_!r}")
         raw.setdefault(qid, []).append((rank, did, score))
     return {
         qid: [(did, s) for _, did, s in sorted(rows)] for qid, rows in raw.items()
@@ -220,6 +224,13 @@ class SyntheticCorpus:
         """Distinct words of the queries, then the documents, in first-seen order."""
         texts = [text for _, text in self.queries] + list(self.docs.values())
         return list(dict.fromkeys(w for text in texts for w in text.split()))
+
+    def requests(self) -> list[tuple[str, RerankRequest]]:
+        """``(query_id, request)`` per query, refused as ``read_requests`` refuses a
+        line of requests.jsonl; first-stage scores are ``lexical_overlap_scorer``'s."""
+        return [(qid, RerankRequest(text, [
+            Document(d, self.docs[d], lexical_overlap_scorer(text, self.docs[d]))
+            for d in self.candidates[qid]])) for qid, text in self.queries]
 
 
 def generate_synthetic_corpus(
@@ -282,6 +293,7 @@ def lexical_overlap_scorer(query_text: str, doc_text: str) -> float:
 
 def write_corpus_files(corpus: SyntheticCorpus, out_dir) -> None:
     """Emit requests.jsonl, queries.jsonl, corpus.jsonl and qrels.txt."""
+    requests = corpus.requests()  # refuses what the readers would, before any write
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_jsonl(out / "queries.jsonl",
@@ -289,11 +301,8 @@ def write_corpus_files(corpus: SyntheticCorpus, out_dir) -> None:
     write_jsonl(out / "corpus.jsonl",
                 [{"doc_id": did, "text": corpus.docs[did]} for did in sorted(corpus.docs)])
     write_jsonl(out / "requests.jsonl", [
-        {"query_id": qid, "query_text": text, "documents": [
-            {"doc_id": did, "text": corpus.docs[did],
-             "first_stage_score": lexical_overlap_scorer(text, corpus.docs[did])}
-            for did in corpus.candidates[qid]]}
-        for qid, text in corpus.queries])
+        {"query_id": qid, "query_text": r.query, "documents": [asdict(d) for d in r.documents]}
+        for qid, r in requests])
     write_atomic(out / "qrels.txt", "".join(
         f"{qid} 0 {did} {corpus.qrels[qid][did]}\n"
         for qid, _ in corpus.queries for did in corpus.candidates[qid]).encode("utf-8"))

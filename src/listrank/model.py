@@ -3,11 +3,12 @@ meta holds only the vocabulary's added words and the backbone config."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .autodiff import Tensor
 from .backbone import BackboneConfig, init_weights, weight_shapes
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import from_json_object
 from .embedding import init_projector, projector_shapes
 from .errors import ListrankError
 from .prompt import Vocabulary
@@ -48,11 +49,8 @@ class RerankModel:
 
     def meta(self) -> dict:
         """Everything but the weights, as the bundle stores it."""
-        return {
-            "kind": "rerank-model",
-            "backbone": self.backbone_config.to_dict(),
-            "vocab": self.vocab.words,
-        }
+        return {"kind": "rerank-model", "backbone": asdict(self.backbone_config),
+                "vocab": self.vocab.words}
 
     def save(self, path) -> None:
         save_checkpoint(path, {k: t.data for k, t in self.weights.items()}, self.meta())
@@ -65,8 +63,9 @@ class RerankModel:
         missing = [key for key in ("vocab", "backbone") if key not in meta]
         if missing:
             raise ListrankError(f"{path}: bundle meta has no {', '.join(missing)}")
-        return cls(
-            vocab=Vocabulary.from_words(meta["vocab"]),
-            backbone_config=BackboneConfig.from_dict(meta["backbone"]),
-            weights={k: Tensor(v) for k, v in tensors.items()},
-        )
+        try:
+            return cls(Vocabulary.from_words(meta["vocab"]),
+                       from_json_object(BackboneConfig, meta["backbone"]),
+                       {k: Tensor(v) for k, v in tensors.items()})
+        except ListrankError as err:
+            raise ListrankError(f"{path}: {err}") from None

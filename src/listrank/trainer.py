@@ -59,17 +59,12 @@ class StageConfig:
             raise ListrankError("lora_rank must be >= 1")
         check_limits(self.max_doc_tokens)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    from_dict = classmethod(from_json_object)
-
     @classmethod
     def load(cls, path) -> "StageConfig":
-        return cls.from_dict(parse_json(Path(path).read_bytes(), f"stage config {path}"))
+        return from_json_object(cls, parse_json(Path(path).read_bytes(), f"stage config {path}"))
 
     def save(self, path) -> None:
-        write_atomic(path, (json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        write_atomic(path, (json.dumps(asdict(self), sort_keys=True, indent=2) + "\n")
                      .encode("utf-8"))
 
 

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ def strict_json_request(**tokens) -> str:
 def stage_json_with(field: str, value: str) -> str:
     """A one-step stage config that fits the fixture corpus, with ``field``
     spelled as the raw JSON ``value``."""
-    stage = StageConfig(steps=1, n_negatives=7, max_doc_tokens=16, lora_rank=4).to_dict()
+    stage = asdict(StageConfig(steps=1, n_negatives=7, max_doc_tokens=16, lora_rank=4))
     stage.pop(field, None)
     return json.dumps(stage)[:-1] + f', "{field}": {value}}}'
 
@@ -206,15 +207,17 @@ class TestExitCodes:
         (_old_bundle_meta, "vocabulary must be a list of words"),
         (lambda m: m["backbone"].update(n_layers="2"), "BackboneConfig.n_layers must be int"),
         (lambda m: m["backbone"].update(n_layers=True), "BackboneConfig.n_layers must be int"),
-        (lambda m: m["backbone"].update(rope_base=0), "rope_base must be positive"),
-        (lambda m: m["backbone"].update(rms_eps=10 ** 400),
+        # the rotary base and norm epsilon are constants: a bundle naming them is refused
+        (lambda m: m["backbone"].update(rope_base=10000.0, rms_eps=1e-6),
+         "bad.ckpt: unknown BackboneConfig keys: rms_eps, rope_base"),
+        (lambda m: m["backbone"].update(max_context=10 ** 400),
          "an integer of 401 digits does not fit a float"),
         # refused before a table of every declared layer's shapes is built
         (lambda m: m["backbone"].update(n_layers=10 ** 5),
          "backbone declares 100000 layers but the bundle holds"),
     ], ids=["no vocab", "unknown backbone key", "backbone list", "vocab object",
             "string vocab id", "repeated word", "old triple format", "string n_layers",
-            "bool n_layers", "zero rope base", "rms_eps beyond a float",
+            "bool n_layers", "rope_base and rms_eps keys", "max_context beyond a float",
             "more layers than tensors"])
     def test_malformed_bundle_meta(self, model_path, data_dir, tmp_path, capsys, edit, message):
         tensors, meta = load_checkpoint(model_path)
@@ -513,7 +516,7 @@ class TestExitCodes:
             argv = ["train", "--stage-config", path, "--data", data_dir, "--out-checkpoint", out]
         else:
             tensors, meta = load_checkpoint(model_path)
-            meta["backbone"]["rms_eps"] = int(big)
+            meta["backbone"]["max_context"] = int(big)
             save_checkpoint(path, tensors, meta)
             argv = ["rerank", "--model", path, "--input", data_dir / "requests.jsonl",
                     "--output", out]
@@ -767,14 +770,14 @@ class TestTrainAndMergeCommands:
     @pytest.mark.parametrize("other", ["vocabulary", "backbone"])
     def test_merge_refuses_other_bundles(self, untrained_model, model_path, tmp_path, capsys,
                                          other):
-        """Averaging rows of unrelated words, or weights trained under another
-        rotary base, gives a model that matches neither input."""
+        """Averaging rows of unrelated words, or weights of a backbone configured
+        otherwise, gives a model that matches neither input."""
         m = untrained_model
         vocab, config = m.vocab, m.backbone_config
         if other == "vocabulary":  # same size, other words
             vocab = Vocabulary([f"other{i}" for i in range(len(m.vocab) - len(Vocabulary()))])
         else:
-            config = tiny_backbone_config(vocab_size=len(m.vocab), d_ffn=64, rope_base=500.0)
+            config = tiny_backbone_config(vocab_size=len(m.vocab), d_ffn=64, max_context=256)
         other_path = tmp_path / "other.ckpt"
         RerankModel(vocab, config, m.weights).save(other_path)
         spec = tmp_path / "spec.json"
@@ -783,4 +786,21 @@ class TestTrainAndMergeCommands:
         rc = main(["merge", "--spec", str(spec), "--out", str(tmp_path / "m.ckpt")])
         assert rc == 2
         assert "other.ckpt" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda b: b.update(bogus=1), "bogus"),
+        (lambda b: b.update(rope_base=10000.0, rms_eps=1e-6), "rms_eps, rope_base"),
+    ], ids=["unknown key", "rope_base and rms_eps keys"])
+    def test_merge_names_the_bundle_it_refuses(self, model_path, tmp_path, capsys, edit, key):
+        tensors, meta = load_checkpoint(model_path)
+        edit(meta["backbone"])
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, tensors, meta)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"checkpoint": str(model_path), "weight": 0.5},
+                                    {"checkpoint": str(bad), "weight": 0.5}]))
+        rc = main(["merge", "--spec", str(spec), "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert f"{bad}: unknown BackboneConfig keys: {key}" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()

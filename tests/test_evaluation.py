@@ -176,6 +176,9 @@ class TestTrecFiles:
             ("2", "high", "could not convert string to float: 'high'"),
             ("2", "nan", "score 'nan' is not finite"),
             ("2", "-inf", "score '-inf' is not finite"),
+            # float() alone reads "1_0" as 10 and the Arabic-Indic one as 1
+            ("2", "1_0", "bad score '1_0'"),
+            ("2", "\u0661.5", "bad score '\u0661.5'"),
         ]:
             p.write_text(f"q1 Q0 d0 1 0.9 tag\nq1 Q0 d1 {rank} {score} tag\n", encoding="utf-8")
             with pytest.raises(ListrankError, match=f"run.txt line 2: {reason}$"):
@@ -266,6 +269,14 @@ class TestSyntheticCorpus:
         assert loaded.docs == synth_corpus.docs
         assert loaded.queries == synth_corpus.queries
         assert loaded.qrels == synth_corpus.qrels
+
+    def test_write_refuses_a_query_the_readers_refuse(self, tmp_path):
+        """A blank query would be written, then refused by ``load_corpus_files``."""
+        corpus = generate_synthetic_corpus(n_queries=2, docs_per_query=4, seed=0)
+        corpus.queries[1] = ("q001", "  ")
+        with pytest.raises(ListrankError, match="^empty query$"):
+            write_corpus_files(corpus, tmp_path / "data")
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("name, line, message", [
         ("corpus.jsonl", b"\xff\xfe", "corpus.jsonl line 3"),

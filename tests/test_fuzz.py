@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from listrank import BackboneConfig, RerankModel, Vocabulary
 from listrank.checkpoint import load_checkpoint, parse_json
 from listrank.cli import main
+from listrank.config import from_json_object
 from listrank.errors import ListrankError
 from listrank.evaluation import generate_synthetic_corpus, write_corpus_files
 from listrank.trainer import StageConfig
@@ -137,7 +138,7 @@ def _runs_briefly(stage_bytes) -> bool:
     """False for a valid stage whose run is long (many steps): such a stage
     is not an input fault."""
     try:
-        stage = StageConfig.from_dict(parse_json(stage_bytes, "stage"))
+        stage = from_json_object(StageConfig, parse_json(stage_bytes, "stage"))
     except ListrankError:
         return True
     return stage.steps <= 4

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from listrank.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -18,13 +20,21 @@ def _run(script: str, *args) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_overfit_then_ordering_study(tmp_path):
+def test_overfit_then_ordering_study(tmp_path, capsys):
+    """The overfit run, then the README's ordering study: the CLI reranks the
+    synthetic corpus under each ordering and evaluates each run."""
     done = _run("overfit_experiment.py", "--steps", 2, "--n-queries", 8, "--out-dir", tmp_path)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "summary.json").exists()
-    done = _run("ordering_study.py", "--model", tmp_path / "model.ckpt", "--n-queries", 5)
-    assert done.returncode == 0, done.stderr
-    assert "spread (max - min)" in done.stdout
+    assert json.loads((tmp_path / "summary.json").read_text())["stage"]["steps"] == 2
+    data = tmp_path / "data"
+    assert main(["synth", "--n-queries", "5", "--seed", "7", "--out", str(data)]) == 0
+    for ordering in ("desc", "asc", "random"):
+        run = str(tmp_path / f"{ordering}.txt")
+        assert main(["rerank", "--model", str(tmp_path / "model.ckpt"),
+                     "--input", str(data / "requests.jsonl"), "--output", run,
+                     "--ordering", ordering, "--seed", "5", "--max-doc-tokens", "16"]) == 0
+        assert main(["eval", "--run", run, "--qrels", str(data / "qrels.txt")]) == 0
+    assert capsys.readouterr().out.count("macro_average") == 3
 
 
 def test_fingerprint_is_reproducible(tmp_path):
