@@ -3,10 +3,10 @@ SiLU-gated FFN. Final-layer hidden states at the rows a caller reads
 (the marker tokens) are the only output; the last layer runs only at
 those rows, apart from its K and V. There is no LM head and no KV cache
 because reranking is a single full-sequence pass. Rotary positions are one
-complex table per forward (``autodiff.rope_table``) that ``autodiff.rope``
-multiplies into every head of K and Q. Attention is one fused, row-blocked
-op over all heads (``autodiff.causal_attention``) that masks only the keys
-past each block's least position, so no (L, L) mask is ever built.
+complex table per head width (``autodiff.rope_table``), kept across calls,
+that ``autodiff.rope`` multiplies into every head of K and Q. Attention is
+one fused, row-blocked op over all heads (``autodiff.causal_attention``)
+masking only the keys past each block's least position: no (L, L) mask.
 """
 
 from __future__ import annotations
@@ -93,6 +93,17 @@ def init_weights(config: BackboneConfig, seed: int) -> dict[str, Tensor]:
     return w
 
 
+_ROPE_TABLES: dict[int, np.ndarray] = {}  # head_dim -> turns of the longest sequence yet
+
+
+def _rope_turns(length: int, head_dim: int) -> np.ndarray:
+    """``ad.rope_table(length, head_dim, ROPE_BASE)`` bit for bit: row p depends only on p."""
+    if len(_ROPE_TABLES.get(head_dim, ())) < length:
+        _ROPE_TABLES[head_dim] = ad.rope_table(length, head_dim, ROPE_BASE)
+        _ROPE_TABLES[head_dim].flags.writeable = False  # every later forward reads it
+    return _ROPE_TABLES[head_dim][:length]
+
+
 def forward(
     tokens: Sequence[int],
     config: BackboneConfig,
@@ -127,7 +138,7 @@ def forward(
             raise ListrankError(f"rows {rows.tolist()} outside a sequence of {length} tokens")
 
     positions = np.arange(length)
-    turns = ad.rope_table(length, config.head_dim, ROPE_BASE)
+    turns = _rope_turns(length, config.head_dim)
     x = ad.gather_rows(weights["embed.weight"], ids)
     for i in range(config.n_layers):
         p = f"layers.{i}"

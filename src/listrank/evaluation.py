@@ -98,6 +98,11 @@ STRING, LIST, NUMBER_OR_NULL = (str,), (list,), (int, float, type(None))
 _KIND_NAMES = {STRING: "a string", LIST: "a list", NUMBER_OR_NULL: "a number or null"}
 
 
+def is_id(value) -> bool:
+    """The id rule: a string ``s`` with ``s.split() == [s]``, as TREC files need."""
+    return type(value) is str and value.split() == [value]
+
+
 @dataclass(slots=True)
 class Line:
     """Where a JSON-lines record was read from; its checks raise ``ListrankError``s naming it."""
@@ -119,9 +124,9 @@ class Line:
         return value
 
     def id(self, obj, name: str) -> str:
-        """The string field ``name``, if an id ``s``: ``s.split() == [s]``, as TREC files need."""
+        """The string field ``name``, if ``is_id``."""
         value = obj.get(name) if type(obj) is dict else None
-        if type(value) is str and value.split() == [value]:
+        if is_id(value):
             return value
         self.field(obj, name)  # names a missing or non-string field
         raise self.error(f"field {name!r} is {value!r}, not an id: empty or with whitespace")
@@ -294,6 +299,9 @@ def lexical_overlap_scorer(query_text: str, doc_text: str) -> float:
 def write_corpus_files(corpus: SyntheticCorpus, out_dir) -> None:
     """Emit requests.jsonl, queries.jsonl, corpus.jsonl and qrels.txt."""
     requests = corpus.requests()  # refuses what the readers would, before any write
+    bad = [i for i in [*(qid for qid, _ in corpus.queries), *corpus.docs] if not is_id(i)]
+    if bad:
+        raise ListrankError(f"id {bad[0]!r} is empty or holds whitespace")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_jsonl(out / "queries.jsonl",

@@ -9,7 +9,6 @@ adversarial document content cannot forge an embedding marker.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -61,7 +60,7 @@ class Vocabulary:
         self._word_ids: dict[str, int] = {}
         for w in [*_TEMPLATE_WORDS, *words]:
             self._add_word(w)
-        self._special_ids = {s: i for i, s in enumerate(SPECIALS)}
+        self._segment_ids = {s: (i,) for i, s in enumerate(SPECIALS)}  # template segments only
 
     def _add_word(self, word: str):
         if not word or any(ch.isspace() for ch in word):
@@ -75,7 +74,14 @@ class Vocabulary:
         return len(self._surfaces)
 
     def special_id(self, surface: str) -> int:
-        return self._special_ids[surface]
+        return SPECIALS.index(surface)
+
+    def segment_ids(self, segment: str) -> tuple[int, ...]:
+        """A template segment's ids: a special surface's id, or the text's tokens,
+        tokenized the first time it is asked for."""
+        if segment not in self._segment_ids:
+            self._segment_ids[segment] = tuple(self.tokenize(segment))
+        return self._segment_ids[segment]
 
     def surface(self, token_id: int) -> str:
         if not 0 <= token_id < len(self._surfaces):
@@ -192,25 +198,25 @@ def apply_ordering(
 
 # The listwise template, as the segments ``build_prompt`` emits in order: a
 # special-token surface or text that meets its neighbours at whitespace, so
-# tokenizing segment by segment gives the ids of the joined text. The passage
-# count and each passage id are in segments of their own (numbers from 100 up
-# are byte tokens), so packing costs them exactly without assembling a prompt.
+# tokenizing segment by segment gives the ids of the joined text; a vocabulary
+# keeps each segment's ids (``Vocabulary.segment_ids``). ``_QUERY`` stands for
+# the query, tokenized once per prompt: the text before it ends in whitespace
+# (": " and "\n"). The passage count and each passage id are segments of their
+# own (numbers from 100 up are byte tokens), so packing costs them exactly.
 _BEFORE_K, _AFTER_K = INSTRUCTION_FMT.split("{k}")
+_QUERY = object()
 _SYSTEM_BLOCK = (IM_START, "system\n" + SYSTEM_TEXT + "\n", IM_END, "\n")
 _PASSAGE_CLOSE = (DOC_EMB, "\n</passage>\n")
+_QUERY_BLOCK = ("\n<query>\n", _QUERY, QUERY_EMB, "\n</query>\n", IM_END)
 
 
-def _user_header(k: int, query: str, dual_marker: bool = False) -> list[str]:
-    return [IM_START, "user\n" + _BEFORE_K, str(k), _AFTER_K + query,
+def _user_header(k: int, dual_marker: bool = False) -> list:
+    return [IM_START, "user\n" + _BEFORE_K, str(k), _AFTER_K, _QUERY,
             *([QUERY_EMB] if dual_marker else []), "\n\n"]
 
 
 def _passage_open(slot: int) -> str:
     return f'<passage id="{slot}">\n'
-
-
-def _query_block(query: str) -> list[str]:
-    return ["\n<query>\n" + query, QUERY_EMB, "\n</query>\n", IM_END]
 
 
 def check_limits(max_doc_tokens: int, max_docs_per_pass: int = 1) -> None:
@@ -243,23 +249,21 @@ def build_prompt(
 
     ids: list[int] = []
     markers: dict[str, list[int]] = {DOC_EMB: [], QUERY_EMB: []}
+    query_ids = vocab.tokenize(query)
 
-    def emit(segments: Iterable[str]):
+    def emit(segments: Iterable):
         for segment in segments:
             if segment in markers:
                 markers[segment].append(len(ids))
-            if segment in SPECIALS:
-                ids.append(vocab.special_id(segment))
-            else:
-                ids.extend(vocab.tokenize(segment))
+            ids.extend(query_ids if segment is _QUERY else vocab.segment_ids(segment))
 
     emit(_SYSTEM_BLOCK)
-    emit(_user_header(len(passages), query, insert_dual_query_marker))
+    emit(_user_header(len(passages), insert_dual_query_marker))
     for slot, tokens in enumerate(passages, start=1):
         emit([_passage_open(slot)])
         ids.extend(tokens)
         emit(_PASSAGE_CLOSE)
-    emit(_query_block(query))
+    emit(_QUERY_BLOCK)
 
     if max_context is not None and len(ids) > max_context:
         raise ListrankError(
@@ -291,12 +295,13 @@ def chunk_into_batches(
     if not query.strip():
         raise ListrankError("empty query")
 
-    @functools.cache
-    def length(segment: str) -> int:
-        return 1 if segment in SPECIALS else len(vocab.tokenize(segment))
+    n_query = len(vocab.tokenize(query))
+
+    def length(segment) -> int:
+        return n_query if segment is _QUERY else len(vocab.segment_ids(segment))
 
     # templates for different passage counts differ only in the segment str(k)
-    fixed = sum(map(length, [*_SYSTEM_BLOCK, *_user_header(1, query), *_query_block(query)]))
+    fixed = sum(map(length, [*_SYSTEM_BLOCK, *_user_header(1), *_QUERY_BLOCK]))
     fixed -= length("1")
     close = sum(map(length, _PASSAGE_CLOSE))
 

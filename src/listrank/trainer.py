@@ -61,7 +61,12 @@ class StageConfig:
 
     @classmethod
     def load(cls, path) -> "StageConfig":
-        return from_json_object(cls, parse_json(Path(path).read_bytes(), f"stage config {path}"))
+        where = f"stage config {path}"
+        obj = parse_json(Path(path).read_bytes(), where)
+        try:
+            return from_json_object(cls, obj)
+        except ListrankError as err:
+            raise ListrankError(f"{where}: {err}") from None
 
     def save(self, path) -> None:
         write_atomic(path, (json.dumps(asdict(self), sort_keys=True, indent=2) + "\n")

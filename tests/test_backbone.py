@@ -90,6 +90,20 @@ class TestForward:
             assert (base[:p] == changed[:p]).all()
             assert (base[p:] != changed[p:]).any()
 
+    def test_same_outputs_whichever_length_runs_first(self, cfg, weights, monkeypatch):
+        """The rotary table is kept across calls, grown by the longest sequence yet."""
+        rng = np.random.default_rng(4)
+        short, long = (rng.integers(0, cfg.vocab_size, size=n).tolist() for n in (9, 60))
+        runs = []
+        for order in ((short, long), (long, short)):
+            monkeypatch.setattr(bb, "_ROPE_TABLES", {})
+            runs.append({len(t): (bb.forward(t, cfg, weights).data,
+                                  bb.forward(t, cfg, weights, rows=[len(t) - 1, 2]).data)
+                         for t in order})
+        for n in (9, 60):
+            for first, second in zip(runs[0][n], runs[1][n]):
+                assert first.tobytes() == second.tobytes()
+
     def test_rows_outside_the_sequence(self, cfg, weights):
         for rows in ([0, 5], [-1]):
             with pytest.raises(ListrankError, match="outside"):
@@ -383,6 +397,18 @@ def _reference_rotate(x, positions, base, head_dim, sign=1.0):
 
 
 class TestRope:
+    def test_kept_table_slices_equal_a_fresh_table(self, monkeypatch):
+        monkeypatch.setattr(bb, "_ROPE_TABLES", {})
+        bb._rope_turns(40, 8)
+        for length, head_dim in [(1, 8), (39, 8), (40, 8), (41, 8), (300, 8), (40, 8),
+                                 (40, 16), (7, 16)]:
+            turns = bb._rope_turns(length, head_dim)
+            fresh = ad.rope_table(length, head_dim, bb.ROPE_BASE)
+            assert turns.shape == fresh.shape and turns.tobytes() == fresh.tobytes()
+        # one table per head width, as long as its longest sequence
+        assert {hd: len(t) for hd, t in bb._ROPE_TABLES.items()} == {8: 300, 16: 40}
+        assert not bb._ROPE_TABLES[8].flags.writeable
+
     @settings(max_examples=80, deadline=None)
     @given(
         length=st.integers(1, 600),

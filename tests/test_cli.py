@@ -233,17 +233,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("content, message", [
         (b"{steps: 3}", "stage.json: Expecting property name"),
         (b'\xff\xfe{"steps": 3}', "stage.json: 'utf-8' codec can't decode byte 0xff"),
-        (b"[1]", "StageConfig must be a JSON object, got list"),
-        (b'{"bogus": 1}', "unknown StageConfig keys: bogus"),
-        (b'{"steps": "3"}', "StageConfig.steps must be int, got '3'"),
-        (b'{"train_embeddings": 1}', "StageConfig.train_embeddings must be bool"),
-        (b'{"learning_rate": true}', "StageConfig.learning_rate must be float or int"),
-        (b'{"max_doc_tokens": 0}', "max_doc_tokens must be >= 1, got 0"),
-        (b'{"seed": -1}', "seed and n_inbatch_negatives must be >= 0, got -1 and 3"),
+        (b"[1]", "stage.json: StageConfig must be a JSON object, got list"),
+        (b'{"bogus": 1}', "stage.json: unknown StageConfig keys: bogus"),
+        (b'{"steps": "3"}', "stage.json: StageConfig.steps must be int, got '3'"),
+        (b'{"train_embeddings": 1}', "stage.json: StageConfig.train_embeddings must be bool"),
+        (b'{"learning_rate": true}', "stage.json: StageConfig.learning_rate must be float or int"),
+        (b'{"max_doc_tokens": 0}', "stage.json: max_doc_tokens must be >= 1, got 0"),
+        (b'{"seed": -1}', "stage.json: seed and n_inbatch_negatives must be >= 0, got -1 and 3"),
         (b'{"n_inbatch_negatives": -5}',
-         "seed and n_inbatch_negatives must be >= 0, got 0 and -5"),
+         "stage.json: seed and n_inbatch_negatives must be >= 0, got 0 and -5"),
         (b'{"steps": 1, "temperature": 1' + b"0" * 400 + b"}",
-         "an integer of 401 digits does not fit a float"),
+         "stage.json: an integer of 401 digits does not fit a float"),
     ], ids=["not json", "not utf-8", "list", "unknown key", "string steps", "int bool",
             "bool float", "zero max_doc_tokens", "negative seed", "negative in-batch negatives",
             "temperature beyond a float"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,24 @@ class TestSyntheticCorpus:
         corpus = generate_synthetic_corpus(n_queries=2, docs_per_query=4, seed=0)
         corpus.queries[1] = ("q001", "  ")
         with pytest.raises(ListrankError, match="^empty query$"):
+            write_corpus_files(corpus, tmp_path / "data")
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("new_id", ["q 1", "", "q\u00a01", "q1\n"])
+    @pytest.mark.parametrize("kind", ["query", "doc"])
+    def test_write_refuses_an_id_the_readers_refuse(self, tmp_path, kind, new_id):
+        """Such an id would be written, then refused by ``load_corpus_files``."""
+        corpus = generate_synthetic_corpus(n_queries=2, docs_per_query=4, seed=0)
+        if kind == "query":
+            corpus.queries[1] = (new_id, corpus.queries[1][1])
+            corpus.candidates[new_id] = corpus.candidates.pop("q001")
+            corpus.qrels[new_id] = corpus.qrels.pop("q001")
+        else:
+            corpus.docs[new_id] = corpus.docs.pop("q001_d02")
+            corpus.candidates["q001"][corpus.candidates["q001"].index("q001_d02")] = new_id
+            corpus.qrels["q001"][new_id] = corpus.qrels["q001"].pop("q001_d02")
+        with pytest.raises(ListrankError, match=f"^id {re.escape(repr(new_id))} is empty or "
+                                                "holds whitespace$"):
             write_corpus_files(corpus, tmp_path / "data")
         assert not (tmp_path / "data").exists()
 

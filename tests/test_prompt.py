@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from listrank.errors import ListrankError
 from listrank.prompt import (
     DOC_EMB,
+    IM_END,
+    IM_START,
+    INSTRUCTION_FMT,
     QUERY_EMB,
+    SPECIALS,
+    SYSTEM_TEXT,
     Document,
     PromptLayout,
     RerankRequest,
@@ -126,6 +131,79 @@ class TestTokenizer:
 
 def _passages(vocab, texts, max_doc_tokens=8):
     return [vocab.tokenize(t)[:max_doc_tokens] for t in texts]
+
+
+def _reference_build_prompt(query, vocab, passages, insert_dual_query_marker=False):
+    """The prompt with each text run between special tokens and passages
+    tokenized whole, so the query is tokenized joined to the template text
+    around it."""
+    if not query.strip():
+        raise ListrankError("empty query")
+    before_k, after_k = INSTRUCTION_FMT.split("{k}")
+    parts = [IM_START, "system\n" + SYSTEM_TEXT + "\n", IM_END, "\n", IM_START,
+             "user\n" + before_k + str(len(passages)) + after_k + query,
+             *([QUERY_EMB] if insert_dual_query_marker else []), "\n\n"]
+    for slot, tokens in enumerate(passages, start=1):
+        parts += [f'<passage id="{slot}">\n', tokens, DOC_EMB, "\n</passage>\n"]
+    parts += ["\n<query>\n" + query, QUERY_EMB, "\n</query>\n", IM_END]
+    ids, markers, text = [], {special: [] for special in SPECIALS}, ""
+    for part in parts:
+        if isinstance(part, str) and part not in SPECIALS:
+            text += part
+            continue
+        ids, text = ids + vocab.tokenize(text), ""
+        if isinstance(part, list):
+            ids += part
+        else:
+            markers[part].append(len(ids))
+            ids.append(vocab.special_id(part))
+    return PromptLayout(ids, markers[DOC_EMB], markers[QUERY_EMB][-1],
+                        markers[QUERY_EMB][0] if insert_dual_query_marker else None)
+
+
+def _layout(build, *args):
+    try:
+        return build(*args)
+    except ListrankError as exc:
+        return str(exc)
+
+
+# queries with edge whitespace, template words and markup, and non-ASCII text
+queries = st.lists(st.one_of(
+    st.text(max_size=6),
+    st.sampled_from([" ", "\n", "\t", "\u00a0", "\u3000", "\u2028", "alpha", "Rank",
+                     "passages", "query:", "<query>", "</query>", "<passage", 'id="3">',
+                     "</passage>", '<passage id="1">', "system", "user", "100", DOC_EMB,
+                     "\u00e9", "\u65e5\u672c\u8a9e"])), min_size=1, max_size=8).map("".join)
+
+
+class TestTemplateIds:
+    @settings(max_examples=150, deadline=None)
+    @given(query=queries, texts=st.lists(mixed_text, max_size=4), dual=st.booleans())
+    def test_build_prompt_matches_whole_text_runs(self, vocab, query, texts, dual):
+        args = (query, vocab, _passages(vocab, texts), dual)
+        assert _layout(build_prompt, *args) == _layout(_reference_build_prompt, *args)
+
+    @settings(max_examples=80, deadline=None)
+    @given(query=queries, lengths=st.lists(st.integers(0, 30), min_size=1, max_size=40),
+           cap=st.integers(1, 12), max_context=st.integers(100, 1500),
+           max_doc_tokens=st.integers(1, 40))
+    def test_chunking_matches_whole_text_runs(self, vocab, query, lengths, cap, max_context,
+                                              max_doc_tokens):
+        args = (_word_docs(lengths), query, vocab, cap, max_context, max_doc_tokens)
+        expected = _packing(_reference_chunk_into_batches, *args)
+        assert _packing(chunk_into_batches, *args) == expected
+
+    def test_only_template_segments_are_kept(self):
+        vocab = Vocabulary(["alpha"])
+        passages = _passages(vocab, ["alpha beta", "gamma"])
+        build_prompt("alpha one", vocab, passages, insert_dual_query_marker=True)
+        chunk_into_batches(_word_docs([3, 4]), "alpha one", vocab, 2, 4096, 8)
+        kept = dict(vocab._segment_ids)
+        build_prompt("zq two", vocab, passages, insert_dual_query_marker=True)
+        chunk_into_batches(_word_docs([5, 6]), "zq two", vocab, 2, 4096, 8)
+        assert vocab._segment_ids == kept
+        assert not any(word in segment for segment in kept for word in ("one", "beta", "delta"))
 
 
 class TestBuildPrompt:
@@ -299,7 +377,7 @@ def _reference_chunk_into_batches(documents, query, vocab, max_docs_per_pass,
         return [vocab.tokenize(d.text)[:max_doc_tokens] for d in batch]
 
     def fits(batch):
-        return len(build_prompt(query, vocab, passages(batch)).token_ids) <= max_context
+        return len(_reference_build_prompt(query, vocab, passages(batch)).token_ids) <= max_context
 
     batches, current = [], []
     for doc in documents:

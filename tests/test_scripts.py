@@ -72,8 +72,9 @@ def test_attention_timing():
     done = _run("attention_timing.py", "--blocks", 64, 2, "--lengths", 3, 30, "--repeats", 2)
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
-    # per block and length: all rows, then the marker rows (all of them at L = 3)
-    assert [row[:3] for row in rows] == [[b, n, r] for b in ("64", "2")
-                                         for n, r in (("3", "3"), ("3", "3"), ("30", "30"),
-                                                      ("30", "24"))]
+    # per length: all rows, then the marker rows (all of them at L = 3), each for every block
+    assert [row[:3] for row in rows] == [[b, n, r] for n, r in (("3", "3"), ("3", "3"),
+                                                                ("30", "30"), ("30", "24"))
+                                         for b in ("64", "2")]
     assert all(float(ms) > 0 for row in rows for ms in row[3:])
+    assert all(row[5:] == ["1.000", "1.000"] for row in rows[::2])  # the first block's ratios
