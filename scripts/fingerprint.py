@@ -8,11 +8,12 @@ full fine-tuning, adapters with frozen word embeddings, and adapters with
 no in-batch negatives. It then reranks every query under the 512-token
 context (3 passes per query at D = 64) in each presentation order of
 ``ORDERINGS``, with first-stage scores from ``lexical_overlap_scorer`` and
-random seed ``RANDOM_SEED``. The output is sorted-key JSON: each stage's
-loss trace as ``float.hex``, a SHA-256 of every tensor after each stage,
-and each ranking, keyed ``<ordering>/<query id>``, with its scores as
-``float.hex`` and its batch index. Two checkouts that compute the same
-bits write the same bytes; compare runs made with BLAS on one thread.
+random seed ``RANDOM_SEED``. The output is sorted-key JSON: a SHA-256 of
+each file that ``write_corpus_files`` (what ``synth`` runs) writes for the
+corpus, each stage's loss trace as ``float.hex``, a SHA-256 of every tensor
+after each stage, and each ranking, keyed ``<ordering>/<query id>``, with
+its scores as ``float.hex`` and its batch index. Two checkouts that compute
+the same bits write the same bytes; compare runs made with BLAS on one thread.
 The script imports only the listrank package, with the model recipe and
 stage of ``overfit_experiment.py`` written out, so it runs unchanged when
 copied into an older checkout whose ``rerank`` takes ``ordering`` and ``seed``.
@@ -20,8 +21,9 @@ copied into an older checkout whose ``rerank`` takes ``ordering`` and ``seed``.
 A change that is exact only up to rounding writes other bytes. ``--compare
 OLD NEW`` checks two fingerprints: it exits 0 only when the rankings and
 batch indices are identical and every score and loss value agrees within
-``TOLERANCE`` (relative to max(1, |x|)). It prints the largest difference and
-counts the tensor digests that differ, which it does not judge.
+``TOLERANCE`` (relative to max(1, |x|)) and every corpus file digest is
+equal. It prints the largest difference and counts the tensor digests that
+differ, which it does not judge.
 
 Example:
     OPENBLAS_NUM_THREADS=1 python3 scripts/fingerprint.py --out /tmp/fp.json
@@ -32,12 +34,14 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from listrank import BackboneConfig, RerankModel, Vocabulary
-from listrank.evaluation import generate_synthetic_corpus, lexical_overlap_scorer
+from listrank.evaluation import (generate_synthetic_corpus, lexical_overlap_scorer,
+                                 write_corpus_files)
 from listrank.prompt import Document, RerankRequest
 from listrank.reranker import rerank
 from listrank.trainer import StageConfig, TrainingExample, train_stage
@@ -87,6 +91,7 @@ def compare(old: dict, new: dict, tol: float) -> int:
     def losses(fingerprint):
         return {name: stage["loss_trace"] for name, stage in fingerprint["stages"].items()}
 
+    walk(old.get("corpus"), new.get("corpus"), "corpus")
     walk(old["rankings"], new["rankings"], "rankings")
     walk(losses(old), losses(new), "loss_trace")
     digests = [(digest, new["stages"].get(name, {}).get("tensors", {}).get(tensor))
@@ -117,6 +122,10 @@ def main():
         sys.exit(compare(old, new, TOLERANCE))
 
     corpus = generate_synthetic_corpus(args.n_queries, args.docs_per_query, seed=7)
+    with tempfile.TemporaryDirectory() as data:
+        write_corpus_files(corpus, data)
+        corpus_files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(Path(data).iterdir())}
     vocab = Vocabulary(corpus.words())
     config = BackboneConfig(
         n_layers=2, d_hidden=32, n_q_heads=4, n_kv_heads=2,
@@ -152,7 +161,8 @@ def main():
                 [e.doc_id, None if e.score is None else e.score.hex(), e.batch_index]
                 for e in result.entries]
 
-    args.out.write_text(json.dumps({"stages": stages, "rankings": rankings},
+    args.out.write_text(json.dumps({"corpus": corpus_files, "stages": stages,
+                                    "rankings": rankings},
                                    sort_keys=True, indent=1) + "\n")
     print(f"fingerprint of {len(STAGES)} stages and {len(rankings)} rankings "
           f"written to {args.out}")

@@ -25,12 +25,17 @@ _MAGIC = "listrank-ckpt-v1"
 
 def write_atomic(path, data: bytes) -> None:
     """Write a temp file beside ``path``, then ``os.replace`` it over ``path``:
-    a write that fails midway leaves the old file whole and no temp file."""
+    a write that fails midway leaves the old file whole and no temp file, and
+    its ``OSError`` names ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc  # not the temp file's name
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -257,10 +257,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     _print_config("synth", args)
-    corpus = generate_synthetic_corpus(
-        n_queries=args.n_queries, docs_per_query=args.docs_per_query,
-        vocab_size=args.vocab_size, seed=args.seed,
-    )
+    corpus = generate_synthetic_corpus(args.n_queries, args.docs_per_query, seed=args.seed)
     write_corpus_files(corpus, args.out)
     print(f"[synth] wrote {len(corpus.queries)} queries / {len(corpus.docs)} docs to {args.out}")
     return 0
@@ -322,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic training corpus")
     p.add_argument("--n-queries", type=int, default=_env_default("n-queries", 50))
     p.add_argument("--docs-per-query", type=int, default=_env_default("docs-per-query", 8))
-    p.add_argument("--vocab-size", type=int, default=_env_default("vocab-size", 40))
     p.add_argument("--seed", type=int, default=_env_default("seed", 0))
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)

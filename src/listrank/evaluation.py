@@ -218,6 +218,9 @@ def evaluate_run(run_path, qrels_path, metric: str = "ndcg", k: int = 10) -> Met
 # ----------------------------------------------------------------------
 
 
+FILLER_WORDS = 40  # the synthetic corpus's filler words are w000..w039
+
+
 @dataclass
 class SyntheticCorpus:
     queries: list[tuple[str, str]]  # (query_id, text)
@@ -238,27 +241,17 @@ class SyntheticCorpus:
             for d in self.candidates[qid]])) for qid, text in self.queries]
 
 
-def generate_synthetic_corpus(
-    n_queries: int,
-    docs_per_query: int,
-    vocab_size: int = 40,
-    seed: int = 0,
-) -> SyntheticCorpus:
+def generate_synthetic_corpus(n_queries: int, docs_per_query: int, *,
+                              seed: int = 0) -> SyntheticCorpus:
     """Token-pattern relevance corpus: each query is a distinctive token
     pattern; its single positive embeds the pattern, negatives never do
     (they reuse other queries' patterns plus filler). Deterministic."""
     if n_queries < 1 or docs_per_query < 1:
         raise ListrankError("corpus sizes must be >= 1")
-    draws = 3 if docs_per_query > 1 else 2  # filler words per negative, per positive
-    if vocab_size < draws:
-        raise ListrankError(f"vocab_size={vocab_size} is fewer than the {draws} distinct "
-                            "filler words a document draws")
-    if vocab_size >= 2 ** 63:  # numpy draws indices as int64
-        raise ListrankError(f"vocab_size={vocab_size} must be below 2**63")
     rng = np.random.default_rng(seed)
 
-    def filler(n: int) -> list[str]:  # n distinct words w000, w001, ... by index
-        return [f"w{j:03d}" for j in rng.choice(vocab_size, size=n, replace=False)]
+    def filler(n: int) -> list[str]:  # n distinct filler words, drawn by index
+        return [f"w{j:03d}" for j in rng.choice(FILLER_WORDS, size=n, replace=False)]
 
     queries, docs, candidates, qrels = [], {}, {}, {}
     for i in range(n_queries):

@@ -71,7 +71,7 @@ def rerank(
         max_doc_tokens=max_doc_tokens,
     )
 
-    scored: list[tuple[str, Optional[float], int, Optional[str]]] = []
+    entries: list[RankedEntry] = []
     for batch_idx, batch in enumerate(batches):
         layout = build_prompt(request.query, model.vocab, [tokens for _, tokens in batch])
         hidden = bb.forward(layout.token_ids, model.backbone_config, model.weights,
@@ -86,17 +86,12 @@ def rerank(
         sims = score(Tensor(emb[-1:]), Tensor(emb[live])).data[0].tolist() if live.size else []
         by_doc = dict(zip(live.tolist(), sims))
         for i, (doc, _) in enumerate(batch):
-            scored.append((doc.doc_id, by_doc.get(i), batch_idx,
-                           None if i in by_doc else "zero-norm embedding: cosine is undefined"))
+            error = None if i in by_doc else "zero-norm embedding: cosine is undefined"
+            entries.append(RankedEntry(doc.doc_id, by_doc.get(i), 0, batch_idx, error))
 
-    valid = sorted(
-        (t for t in scored if t[1] is not None), key=lambda t: (-t[1], t[0])
-    )
-    broken = sorted((t for t in scored if t[1] is None), key=lambda t: t[0])
-    entries = [
-        RankedEntry(doc_id=d, score=s, rank=i + 1, batch_index=b, error=e)
-        for i, (d, s, b, e) in enumerate(valid + broken)
-    ]
+    entries.sort(key=lambda e: (e.score is None, -(e.score or 0.0), e.doc_id))
+    for rank, entry in enumerate(entries, start=1):
+        entry.rank = rank
     return RankedResult(entries=entries, ordering=ordering)
 
 

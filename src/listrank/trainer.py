@@ -18,7 +18,7 @@ from .backbone import ATTN_MATS, FFN_MATS
 from .checkpoint import parse_json, write_atomic
 from .config import from_json_object
 from .embedding import extract, project
-from .errors import ListrankError, NonFiniteLossError
+from .errors import DegenerateEmbeddingError, ListrankError, NonFiniteLossError
 from .losses import QueryGroup, TrainingBatch, all_losses
 from .model import RerankModel
 from .prompt import build_prompt, check_limits
@@ -263,8 +263,8 @@ def train_stage(
 ) -> list[dict]:
     """Run one optimization stage in place; returns the per-step loss trace.
 
-    Deterministic given (model, dataset, stage.seed). Non-finite losses
-    abort with diagnostics.
+    Deterministic given (model, dataset, stage.seed). Non-finite losses,
+    and degenerate embeddings after the first update, abort with diagnostics.
     """
     if len(dataset) < stage.batch_size:
         raise ListrankError(
@@ -311,7 +311,12 @@ def train_stage(
                     g.negatives = g.negatives + [groups[int(j)].positive for j in pick]
             embeddings = project(ad.concat_rows(raw), weights)
             batch = TrainingBatch(embeddings, groups, stage.temperature)
-            total, components = all_losses(batch)
+            try:
+                total, components = all_losses(batch)
+            except DegenerateEmbeddingError as exc:
+                if step == 0:  # still the input model's weights: not a divergence
+                    raise
+                raise NonFiniteLossError(f"step {step}: {exc}") from exc
             record = {
                 "step": step,
                 **{k: float(v.data) for k, v in components.items()},

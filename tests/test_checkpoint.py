@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from listrank.checkpoint import load_checkpoint, save_checkpoint, write_jsonl
+from listrank.checkpoint import load_checkpoint, save_checkpoint, write_atomic, write_jsonl
 from listrank.errors import ListrankError
 from listrank.reranker import RankedEntry, RankedResult, write_run
 from listrank.trainer import StageConfig
@@ -107,3 +107,16 @@ def test_failed_write_keeps_the_old_file(writer, tmp_path, monkeypatch):
         WRITERS[writer](path, 0.25)
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory in the way"])
+def test_failed_write_names_the_file_asked_for(where, tmp_path):
+    """The error names ``path``, not the hidden temp file written beside it."""
+    path = tmp_path / "nodir" / "out" if where == "missing directory" else tmp_path / "out"
+    if where == "directory in the way":
+        path.mkdir()
+    with pytest.raises(OSError) as info:
+        write_atomic(path, b"data")
+    assert (info.value.filename, info.value.filename2) == (str(path), None)
+    assert str(info.value).endswith(f": {str(path)!r}")
+    assert not list(tmp_path.rglob("*.tmp"))

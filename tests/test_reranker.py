@@ -147,6 +147,33 @@ class TestDegenerateEmbeddings:
         assert res.doc_ids()[len(res.entries) - len(sunk):] == sunk
         assert all("zero-norm" in e.error for e in res.entries if e.score is None)
 
+    def test_exact_ties_and_sunk_documents_across_passes(self, untrained_model, monkeypatch):
+        """Every live score is exactly 1.0: the global sort orders the live
+        documents by doc_id, then the sunk ones by doc_id, whatever their pass."""
+        project = reranker.project
+        passes = iter(range(4))
+        sunk_rows = {0: 1, 2: 0}  # pass -> the document row whose embedding is zero
+
+        def query_rows(raw, weights):
+            out = project(raw, weights)
+            out.data[:] = 0.0
+            out.data[:, 0] = 1.0  # every document row equals the query row
+            k = next(passes)
+            if k in sunk_rows:
+                out.data[sunk_rows[k]] = 0.0
+            return out
+
+        monkeypatch.setattr(reranker, "project", query_rows)
+        ids = ["d5", "d2", "d6", "d0", "d4", "d1", "d3"]  # passes [d5 d2] [d6 d0] [d4 d1] [d3]
+        docs = [Document(d, f"w{i:03d} w{i + 1:03d}") for i, d in enumerate(ids)]
+        res = rerank(untrained_model, RerankRequest("topic000 key000", docs),
+                     max_docs_per_pass=2, max_doc_tokens=16)
+        assert [(e.doc_id, e.rank, e.batch_index) for e in res.entries] == [
+            ("d0", 1, 1), ("d1", 2, 2), ("d3", 3, 3), ("d5", 4, 0), ("d6", 5, 1),
+            ("d2", 6, 0), ("d4", 7, 2)]
+        assert [e.score for e in res.entries] == [1.0] * 5 + [None] * 2
+        assert [e.error is None for e in res.entries] == [True] * 5 + [False] * 2
+
     def test_non_finite_weight_fails_the_request(self, untrained_model, synth_corpus):
         w1 = untrained_model.weights["projector.w1"].data.copy()
         w1[0, 0] = np.nan

@@ -47,6 +47,8 @@ def test_fingerprint_is_reproducible(tmp_path):
     fingerprint = json.loads(outs[0].read_text())
     assert sorted(fingerprint["stages"]) == ["adapters", "frozen_embeddings", "full",
                                              "no_inbatch_negatives"]
+    assert sorted(fingerprint["corpus"]) == ["corpus.jsonl", "qrels.txt", "queries.jsonl",
+                                             "requests.jsonl"]
     assert len(fingerprint["rankings"]) == 16  # 4 queries under 4 orderings
     assert sorted({key.split("/")[0] for key in fingerprint["rankings"]}) == \
         ["asc", "desc", "given", "random"]
@@ -66,6 +68,8 @@ def test_fingerprint_is_reproducible(tmp_path):
     spec.loader.exec_module(script)
     first, second = (json.loads(out.read_text()) for out in outs)
     assert script.compare(first, second, 1e-8) == 0
+    second["corpus"]["qrels.txt"] = "0" * 64  # a synth file that differs
+    assert script.compare(first, second, 1e-8) == 1
 
 
 def test_attention_timing():
