@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from listrank import BackboneConfig, RerankModel, Vocabulary
-from listrank.checkpoint import write_jsonl
+from listrank.checkpoint import jsonl_bytes, write_atomic
 from listrank.evaluation import generate_synthetic_corpus, ndcg_at_k
 from listrank.reranker import rerank
 from listrank.trainer import StageConfig, TrainingExample, train_stage
@@ -74,7 +74,7 @@ def main():
     print(f"loss: first={trace[0]['total']:.4f} last={trace[-1]['total']:.4f}")
 
     model.save(args.out_dir / "model.ckpt")
-    write_jsonl(args.out_dir / "loss_trace.jsonl", trace)
+    write_atomic({args.out_dir / "loss_trace.jsonl": jsonl_bytes(trace)})
     summary = {
         "baseline_ndcg10": baseline,
         "trained_ndcg10": trained,

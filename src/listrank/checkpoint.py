@@ -23,27 +23,28 @@ from .errors import ListrankError
 _MAGIC = "listrank-ckpt-v1"
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write a temp file beside ``path``, then ``os.replace`` it over ``path``:
-    a write that fails midway leaves the old file whole and no temp file, and
-    its ``OSError`` names ``path``."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def write_atomic(files: dict) -> None:
+    """Write each ``{path: bytes}`` item to a temp file beside its path, then ``os.replace``
+    every one: a failed write leaves each old file whole and no temp file (none is
+    replaced before all are written), and its ``OSError`` names the path asked for."""
+    tmps = {path: Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp") for path in files}
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        for path, tmp in tmps.items():
+            tmp.write_bytes(files[path])
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     except OSError as exc:
         if exc.errno is None:
             raise
         raise OSError(exc.errno, exc.strerror, str(path)) from exc  # not the temp file's name
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
 
 
-def write_jsonl(path, records) -> None:
-    """One JSON object per line, keys sorted, written through ``write_atomic``."""
-    write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-                 .encode("utf-8"))
+def jsonl_bytes(records) -> bytes:
+    """One JSON object per line, keys sorted."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")
 
 
 def _refuse_constant(name: str):
@@ -88,7 +89,11 @@ def parse_json(data, where: str):
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write ``{name: ndarray}`` to ``path``."""
+    write_atomic({path: checkpoint_bytes(tensors, meta)})
+
+
+def checkpoint_bytes(tensors: dict[str, np.ndarray], meta: dict | None = None) -> bytes:
+    """The checkpoint file of ``{name: ndarray}``."""
     arrays = {}
     for name in sorted(tensors):
         arr = np.asarray(tensors[name], dtype=np.float64)
@@ -105,7 +110,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
         separators=(",", ":"),
     ).encode("utf-8")
     blobs = [arr.astype("<f8", copy=False).tobytes() for arr in arrays.values()]
-    write_atomic(path, b"".join([struct.pack(">Q", len(header)), header, *blobs]))
+    return b"".join([struct.pack(">Q", len(header)), header, *blobs])
 
 
 def load_checkpoint(path):

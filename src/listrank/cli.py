@@ -1,9 +1,8 @@
 """Operator surface: rerank, train, merge, eval, gradcheck, synth.
 
-Every flag's default may be overridden by an environment variable named
-``LISTRANK_<FLAG>`` (resolved before parsing, so explicit flags win).
-Exit codes: 0 ok, else the ``exit_code`` of the ``listrank.errors`` class
-raised (2 bad input or config, 3 numeric inference failure, 4 training
+Flags are the only settings; a set ``LISTRANK_*`` environment variable is
+refused. Exit codes: 0 ok, else the ``exit_code`` of the ``listrank.errors``
+class raised (2 bad input or config, 3 numeric inference failure, 4 training
 divergence), and 2 for a missing or unreadable file.
 """
 
@@ -21,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, finite_diff_check
-from .checkpoint import parse_json, write_jsonl
+from .checkpoint import jsonl_bytes, parse_json, write_atomic
 from .embedding import init_projector, project
 from .errors import ListrankError
 from .evaluation import (
@@ -34,7 +33,7 @@ from .evaluation import (
 )
 from .losses import QueryGroup, TrainingBatch, all_losses
 from .model import RerankModel
-from .prompt import ORDERINGS, Vocabulary, check_limits, check_ordering
+from .prompt import ORDERINGS, Vocabulary, check_limits
 from .reranker import read_requests, rerank, write_run
 from .trainer import (
     StageConfig,
@@ -46,19 +45,6 @@ from .trainer import (
 )
 
 GRADCHECK_THRESHOLD = 1e-4
-
-
-def _env_default(flag: str, fallback):
-    name = f"LISTRANK_{flag.upper().replace('-', '_')}"
-    value = os.environ.get(name)
-    if value is None:
-        return fallback
-    try:
-        return type(fallback)(value)
-    except ValueError:
-        raise ListrankError(
-            f"{name}={value!r} is not a valid {type(fallback).__name__}"
-        ) from None
 
 
 def _print_config(name: str, args: argparse.Namespace):
@@ -74,8 +60,6 @@ def _print_config(name: str, args: argparse.Namespace):
 def cmd_rerank(args) -> int:
     _print_config("rerank", args)
     check_limits(args.max_doc_tokens, args.max_docs_per_pass)
-    # argparse does not hold a LISTRANK_ORDERING default to its choices
-    check_ordering(args.ordering)
     model = RerankModel.load(args.model)
     results = {}
     for query_id, request in read_requests(args.input):
@@ -104,8 +88,6 @@ def _training_examples(corpus: SyntheticCorpus) -> list[TrainingExample]:
 def cmd_train(args) -> int:
     _print_config("train", args)
     stage = StageConfig.load(args.stage_config)
-    if args.seed is not None:
-        stage = replace(stage, seed=args.seed)  # runs the StageConfig checks
     corpus = load_corpus_files(args.data)
     dataset = _training_examples(corpus)
     if args.init_checkpoint:
@@ -113,9 +95,8 @@ def cmd_train(args) -> int:
     else:
         model = RerankModel.create(Vocabulary(corpus.words()), seed=stage.seed)
     trace = train_stage(model, dataset, stage)
-    model.save(args.out_checkpoint)
-    if args.trace_out:
-        write_jsonl(args.trace_out, trace)
+    trace_file = {args.trace_out: jsonl_bytes(trace)} if args.trace_out else {}
+    write_atomic({args.out_checkpoint: model.to_bytes(), **trace_file})  # both or neither
     # training-set ranking report; train_stage refused an empty dataset
     values = [ndcg_at_k(rerank(model, request, max_doc_tokens=stage.max_doc_tokens).doc_ids(),
                         corpus.qrels[qid]) for qid, request in corpus.requests()]
@@ -130,12 +111,13 @@ def cmd_train(args) -> int:
 def cmd_merge(args) -> int:
     _print_config("merge", args)
     spec_doc = parse_json(Path(args.spec).read_bytes(), f"merge spec {args.spec}")
-    # type() rather than isinstance: JSON true/false is not a weight
+    # type() rather than isinstance: JSON true/false is not a weight; no path holds a NUL
     if not (isinstance(spec_doc, list) and all(
             isinstance(e, dict) and isinstance(e.get("checkpoint"), str)
-            and type(e.get("weight")) in (int, float) for e in spec_doc)):
+            and "\0" not in e["checkpoint"] and type(e.get("weight")) in (int, float)
+            for e in spec_doc)):
         raise ListrankError(f"merge spec {args.spec} must be a JSON list of "
-                            '{"checkpoint": string, "weight": number} objects')
+                            '{"checkpoint": path, "weight": number} objects')
     models = []
     for item in spec_doc:
         models.append(RerankModel.load(item["checkpoint"]))
@@ -279,13 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model checkpoint path")
     p.add_argument("--input", required=True, help="JSONL request file")
     p.add_argument("--output", required=True, help="TREC run output path")
-    p.add_argument("--ordering", choices=ORDERINGS,
-                   default=_env_default("ordering", "given"))
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
-    p.add_argument("--max-docs-per-pass", type=int,
-                   default=_env_default("max-docs-per-pass", 64))
-    p.add_argument("--max-doc-tokens", type=int,
-                   default=_env_default("max-doc-tokens", 256))
+    p.add_argument("--ordering", choices=ORDERINGS, default="given")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-docs-per-pass", type=int, default=64)
+    p.add_argument("--max-doc-tokens", type=int, default=256)
     p.set_defaults(func=cmd_rerank)
 
     p = sub.add_parser("train", help="run one training stage")
@@ -294,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--init-checkpoint", default=None)
     p.add_argument("--trace-out", default=None, help="loss trace JSONL path")
-    p.add_argument("--seed", type=int, default=None, help="override stage seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("merge", help="linear model merging")
@@ -306,20 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a TREC run against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--metric", choices=("ndcg", "recall"),
-                   default=_env_default("metric", "ndcg"))
-    p.add_argument("--k", type=int, default=_env_default("k", 10))
+    p.add_argument("--metric", choices=("ndcg", "recall"), default="ndcg")
+    p.add_argument("--k", type=int, default=10)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--component", choices=sorted(_GRADCHECKS), required=True)
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic training corpus")
-    p.add_argument("--n-queries", type=int, default=_env_default("n-queries", 50))
-    p.add_argument("--docs-per-query", type=int, default=_env_default("docs-per-query", 8))
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    p.add_argument("--n-queries", type=int, default=50)
+    p.add_argument("--docs-per-query", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -328,11 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # the parser reads LISTRANK_* defaults, so a bad value fails here
+        for name in sorted(os.environ):
+            if name.startswith("LISTRANK_"):  # older versions read these: refuse, not ignore
+                raise ListrankError(f"{name} is set, but listrank takes its settings "
+                                    "from flags only")
         args = build_parser().parse_args(argv)
-        # numpy refuses a negative seed; this covers every --seed and LISTRANK_SEED
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ListrankError(f"--seed/LISTRANK_SEED must be >= 0, got {args.seed}")
+        # numpy refuses a negative seed with a traceback
+        if getattr(args, "seed", 0) < 0:
+            raise ListrankError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ListrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import parse_json, write_atomic, write_jsonl
+from .checkpoint import jsonl_bytes, parse_json, write_atomic
 from .errors import ListrankError
 from .prompt import Document, RerankRequest
 
@@ -297,16 +297,17 @@ def write_corpus_files(corpus: SyntheticCorpus, out_dir) -> None:
         raise ListrankError(f"id {bad[0]!r} is empty or holds whitespace")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_jsonl(out / "queries.jsonl",
-                [{"query_id": qid, "text": text} for qid, text in corpus.queries])
-    write_jsonl(out / "corpus.jsonl",
-                [{"doc_id": did, "text": corpus.docs[did]} for did in sorted(corpus.docs)])
-    write_jsonl(out / "requests.jsonl", [
-        {"query_id": qid, "query_text": r.query, "documents": [asdict(d) for d in r.documents]}
-        for qid, r in requests])
-    write_atomic(out / "qrels.txt", "".join(
-        f"{qid} 0 {did} {corpus.qrels[qid][did]}\n"
-        for qid, _ in corpus.queries for did in corpus.candidates[qid]).encode("utf-8"))
+    write_atomic({
+        out / "queries.jsonl": jsonl_bytes(
+            [{"query_id": qid, "text": text} for qid, text in corpus.queries]),
+        out / "corpus.jsonl": jsonl_bytes(
+            [{"doc_id": did, "text": corpus.docs[did]} for did in sorted(corpus.docs)]),
+        out / "requests.jsonl": jsonl_bytes([
+            {"query_id": qid, "query_text": r.query, "documents": [asdict(d) for d in r.documents]}
+            for qid, r in requests]),
+        out / "qrels.txt": "".join(
+            f"{qid} 0 {did} {corpus.qrels[qid][did]}\n"
+            for qid, _ in corpus.queries for did in corpus.candidates[qid]).encode("utf-8")})
 
 
 def load_corpus_files(data_dir) -> SyntheticCorpus:

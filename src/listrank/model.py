@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 
 from .autodiff import Tensor
 from .backbone import BackboneConfig, init_weights, weight_shapes
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_bytes, load_checkpoint, write_atomic
 from .config import from_json_object
 from .embedding import init_projector, projector_shapes
 from .errors import ListrankError
@@ -52,8 +52,12 @@ class RerankModel:
         return {"kind": "rerank-model", "backbone": asdict(self.backbone_config),
                 "vocab": self.vocab.words}
 
+    def to_bytes(self) -> bytes:
+        """The checkpoint file ``save`` writes."""
+        return checkpoint_bytes({k: t.data for k, t in self.weights.items()}, self.meta())
+
     def save(self, path) -> None:
-        save_checkpoint(path, {k: t.data for k, t in self.weights.items()}, self.meta())
+        write_atomic({path: self.to_bytes()})
 
     @classmethod
     def load(cls, path) -> "RerankModel":

@@ -171,19 +171,14 @@ class PromptLayout:
 ORDERINGS = ("given", "desc", "asc", "random")  # orders candidates can be shown in
 
 
-def check_ordering(ordering: str) -> None:
-    """Refuse an unknown ordering; reads no input, so callers can check first."""
-    if ordering not in ORDERINGS:
-        raise ListrankError(f"unknown ordering {ordering!r}, expected one of {ORDERINGS}")
-
-
 def apply_ordering(
     documents: Sequence[Document], ordering: str, seed: Optional[int] = None
 ) -> list[Document]:
     """The candidates in the order they are shown: as given, by descending
     or ascending first-stage score (ties keep the given order), or in a
     seeded random order."""
-    check_ordering(ordering)
+    if ordering not in ORDERINGS:
+        raise ListrankError(f"unknown ordering {ordering!r}, expected one of {ORDERINGS}")
     if ordering == "given":
         return list(documents)
     if ordering == "random":

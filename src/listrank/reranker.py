@@ -123,4 +123,4 @@ def write_run(path, results: dict[str, RankedResult]) -> None:
         for e in results[query_id].entries:
             s = e.score if e.score is not None else -2.0
             lines.append(f"{query_id} Q0 {e.doc_id} {e.rank} {s:.6f} listrank")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomic({path: ("\n".join(lines) + "\n").encode("utf-8")})

@@ -69,8 +69,8 @@ class StageConfig:
             raise ListrankError(f"{where}: {err}") from None
 
     def save(self, path) -> None:
-        write_atomic(path, (json.dumps(asdict(self), sort_keys=True, indent=2) + "\n")
-                     .encode("utf-8"))
+        write_atomic({path: (json.dumps(asdict(self), sort_keys=True, indent=2) + "\n")
+                      .encode("utf-8")})
 
 
 @dataclass

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from listrank.checkpoint import load_checkpoint, save_checkpoint, write_atomic, write_jsonl
+from listrank.checkpoint import jsonl_bytes, load_checkpoint, save_checkpoint, write_atomic
 from listrank.errors import ListrankError
 from listrank.reranker import RankedEntry, RankedResult, write_run
 from listrank.trainer import StageConfig
@@ -92,7 +92,7 @@ WRITERS = {
     "checkpoint": lambda path, v: save_checkpoint(path, {"w": np.full(4, v)}),
     "run": lambda path, v: write_run(
         path, {"q1": RankedResult([RankedEntry("d1", v, 1, 0)], "given")}),
-    "loss trace": lambda path, v: write_jsonl(path, [{"step": 0, "total": v}]),
+    "loss trace": lambda path, v: write_atomic({path: jsonl_bytes([{"step": 0, "total": v}])}),
     "stage config": lambda path, v: StageConfig(temperature=v).save(path),
 }
 
@@ -116,7 +116,7 @@ def test_failed_write_names_the_file_asked_for(where, tmp_path):
     if where == "directory in the way":
         path.mkdir()
     with pytest.raises(OSError) as info:
-        write_atomic(path, b"data")
+        write_atomic({path: b"data"})
     assert (info.value.filename, info.value.filename2) == (str(path), None)
     assert str(info.value).endswith(f": {str(path)!r}")
     assert not list(tmp_path.rglob("*.tmp"))

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -77,17 +79,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_env_default_overridden_by_flag(self, monkeypatch):
-        monkeypatch.setenv("LISTRANK_K", "5")
-        args = build_parser().parse_args(
-            ["eval", "--run", "r", "--qrels", "q", "--k", "20"]
-        )
-        assert args.k == 20
+    def test_train_takes_its_seed_from_the_stage_file(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["train", "--stage-config", "s", "--data", "d",
+                                       "--out-checkpoint", "m", "--seed", "3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
-    def test_env_default_used_without_flag(self, monkeypatch):
-        monkeypatch.setenv("LISTRANK_K", "5")
-        args = build_parser().parse_args(["eval", "--run", "r", "--qrels", "q"])
-        assert args.k == 5
+    def test_readme_commands_parse(self):
+        """Every ``listrank ...`` line of the README's bash blocks parses, with
+        its continuations joined and ``$o`` an ordering."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        script = "".join(re.findall(r"```bash\n(.*?)```", readme, flags=re.S))
+        lines = script.replace("\\\n", " ").replace("$o", "desc").splitlines()
+        commands = [shlex.split(line.split("|")[0])[1:] for line in lines
+                    if line.strip().startswith("listrank ")]
+        assert {argv[0] for argv in commands} == {"synth", "train", "rerank", "eval", "merge",
+                                                  "gradcheck"}
+        for argv in commands:
+            build_parser().parse_args(argv)
 
 
 def _old_bundle_meta(meta):
@@ -121,12 +131,25 @@ class TestExitCodes:
         assert rc == 2
         assert "outside" in capsys.readouterr().err
 
+    def test_settings_variable_is_refused(self, model_path, data_dir, tmp_path, capsys,
+                                          monkeypatch):
+        """Older versions read LISTRANK_MAX_DOC_TOKENS=512 as the default: ignoring
+        it would change truncation, and so scores, without a word."""
+        monkeypatch.setenv("LISTRANK_MAX_DOC_TOKENS", "512")
+        rc = main(["rerank", "--model", str(model_path),
+                   "--input", str(data_dir / "requests.jsonl"),
+                   "--output", str(tmp_path / "run.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: LISTRANK_MAX_DOC_TOKENS is set, but listrank "
+                                           "takes its settings from flags only\n")
+        assert not (tmp_path / "run.txt").exists()
+
     def test_bad_env_value_names_the_variable(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("LISTRANK_K", "ten")
         rc = main(["eval", "--run", str(tmp_path / "run.txt"),
                    "--qrels", str(tmp_path / "qrels.txt")])
         assert rc == 2
-        assert "LISTRANK_K='ten'" in capsys.readouterr().err
+        assert "LISTRANK_K is set" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["length", "header", "blob", "last byte"])
     def test_truncated_checkpoint(self, model_path, data_dir, tmp_path, capsys, where):
@@ -282,8 +305,10 @@ class TestExitCodes:
         ('{"checkpoint": "MODEL", "weight": 1.0}', "must be a JSON list"),
         ('[{"weight": 1.0}]', "must be a JSON list"),
         ('[{"checkpoint": "MODEL", "weight": "half"}]', "must be a JSON list"),
+        ('[{"checkpoint": "MODEL\\u0000", "weight": 1.0}]', "must be a JSON list"),
         ('[{"checkpoint": "PLAIN", "weight": 1.0}]', "not a rerank model bundle"),
-    ], ids=["not json", "not a list", "no checkpoint", "no weight", "not a bundle"])
+    ], ids=["not json", "not a list", "no checkpoint", "no weight", "NUL in the path",
+            "not a bundle"])
     def test_bad_merge_spec(self, model_path, tmp_path, capsys, spec, message):
         plain = tmp_path / "plain.ckpt"
         save_checkpoint(plain, {"w": np.ones(3)})
@@ -409,31 +434,44 @@ class TestExitCodes:
         # the path asked for, not the temp file a write goes through
         assert err.startswith("error: ") and f"'{tmp_path / bad}'" in err
 
-    @pytest.mark.parametrize("command, extra, env_seed", [
-        ("synth", ["--seed", "-1"], None),
-        ("rerank", ["--ordering", "random", "--seed", "-1"], None),
-        ("rerank", ["--ordering", "random"], "-3"),
-        ("gradcheck", ["--seed", "-1"], None),
-        ("train", ["--seed", "-1"], None),
-    ], ids=["synth", "rerank", "rerank LISTRANK_SEED", "gradcheck", "train"])
-    def test_negative_seed(self, model_path, data_dir, tmp_path, capsys, monkeypatch,
-                           command, extra, env_seed):
+    @pytest.mark.parametrize("command, extra", [
+        ("synth", ["--seed", "-1"]),
+        ("rerank", ["--ordering", "random", "--seed", "-1"]),
+        ("gradcheck", ["--seed", "-1"]),
+    ], ids=["synth", "rerank", "gradcheck"])
+    def test_negative_seed(self, model_path, data_dir, tmp_path, capsys, command, extra):
         """numpy refuses a negative seed with a traceback, so the CLI refuses it first."""
-        if env_seed is not None:
-            monkeypatch.setenv("LISTRANK_SEED", env_seed)
-        stage_path, out = tmp_path / "stage.json", tmp_path / "out"
-        StageConfig(steps=1, n_negatives=7, max_doc_tokens=16, lora_rank=4).save(stage_path)
+        out = tmp_path / "out"
         args = {"synth": ["--out", out],
                 "rerank": ["--model", model_path, "--input", data_dir / "requests.jsonl",
                            "--output", out],
-                "gradcheck": ["--component", "losses"],
-                "train": ["--stage-config", stage_path, "--data", data_dir,
-                          "--out-checkpoint", out]}[command]
+                "gradcheck": ["--component", "losses"]}[command]
         rc = main([command, *map(str, args), *extra])
         assert rc == 2
-        assert f"--seed/LISTRANK_SEED must be >= 0, got {env_seed or -1}" in \
-            capsys.readouterr().err
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("unwritable", ["checkpoint", "trace"])
+    @pytest.mark.parametrize("old", [None, b"old"], ids=["absent", "present"])
+    def test_failed_train_writes_neither_output(self, small_data_dir, tmp_path, capsys,
+                                                unwritable, old):
+        """Every temp file is written before any is renamed, so the writable
+        destination is neither created nor replaced."""
+        stage_path = tmp_path / "stage.json"
+        stage_path.write_text('{"steps": 1, "batch_size": 2, "n_negatives": 3}')
+        paths = {"checkpoint": tmp_path / "m.ckpt", "trace": tmp_path / "t.jsonl"}
+        paths[unwritable] = tmp_path / "nodir" / paths[unwritable].name
+        other = paths["trace" if unwritable == "checkpoint" else "checkpoint"]
+        if old is not None:
+            other.write_bytes(old)
+        rc = main(["train", "--stage-config", str(stage_path), "--data", str(small_data_dir),
+                   "--out-checkpoint", str(paths["checkpoint"]),
+                   "--trace-out", str(paths["trace"])])
+        assert rc == 2
+        assert f"'{paths[unwritable]}'" in capsys.readouterr().err
+        assert not paths[unwritable].parent.exists()
+        assert (other.read_bytes() if other.exists() else None) == old
+        assert not list(tmp_path.glob(".*.tmp"))
 
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_max_doc_tokens_below_one(self, model_path, data_dir, tmp_path, capsys, value):
@@ -459,18 +497,6 @@ class TestExitCodes:
                    "--output", str(tmp_path / "run.txt"), *flags])
         assert rc == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "run.txt").exists()
-
-    def test_bad_env_ordering_on_an_empty_request_file(self, model_path, tmp_path, capsys,
-                                                       monkeypatch):
-        """argparse does not hold an environment default to its choices."""
-        monkeypatch.setenv("LISTRANK_ORDERING", "bogus")
-        (tmp_path / "requests.jsonl").write_text("")
-        rc = main(["rerank", "--model", str(model_path),
-                   "--input", str(tmp_path / "requests.jsonl"),
-                   "--output", str(tmp_path / "run.txt")])
-        assert rc == 2
-        assert "unknown ordering 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "run.txt").exists()
 
     @pytest.mark.parametrize("key", ["w_disperse", "w_dual", "w_similar"])

@@ -1,6 +1,7 @@
 """Byte-mutation fuzzing of the files the CLI reads: whatever their bytes,
 ``cli.main`` returns a documented exit code (0 ok, 2 bad input, 3 numeric
-failure, 4 training divergence) and no exception escapes it."""
+failure, 4 training divergence) and no exception escapes it; ``train`` and
+``merge`` write their outputs only when they exit 0."""
 
 import json
 import shutil
@@ -124,14 +125,14 @@ def train_dir(tmp_path_factory):
 
 def _train(train_dir, target, data):
     """Exit code of ``train`` on the valid files with ``target`` holding
-    ``data``, and the path of the checkpoint it was told to write."""
+    ``data``, and the paths of the checkpoint and the trace it was told to write."""
     work = train_dir / "work"
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(train_dir / "valid", work)
     (work / target).write_bytes(data)
-    out = work / "out.ckpt"
+    out, trace = work / "out.ckpt", work / "trace.jsonl"
     return main(["train", "--stage-config", str(work / "stage.json"), "--data", str(work),
-                 "--out-checkpoint", str(out)]), out
+                 "--out-checkpoint", str(out), "--trace-out", str(trace)]), out, trace
 
 
 def _runs_briefly(stage_bytes) -> bool:
@@ -145,8 +146,8 @@ def _runs_briefly(stage_bytes) -> bool:
 
 
 def test_valid_training_input_exits_0(train_dir):
-    rc, out = _train(train_dir, "stage.json", _STAGE)
-    assert rc == 0 and out.exists()
+    rc, out, trace = _train(train_dir, "stage.json", _STAGE)
+    assert rc == 0 and out.exists() and trace.exists()
 
 
 # mutated learning rates and weights overflow to inf and nan
@@ -157,12 +158,38 @@ def test_valid_training_input_exits_0(train_dir):
 @example(mutations=[("insert", _STAGE.index(b"0.001") + len(b"0.001"), b"e311")])
 @example(mutations=[("insert", len(b'{"doc_id": "q000_d00", "text": '), b'" ","x":')])
 def test_mutated_training_input_exits_with_a_documented_code(train_dir, target, mutations):
-    """Whatever the exit code, a checkpoint that ``train`` writes is finite."""
+    """The checkpoint and the trace exist exactly when ``train`` exits 0, and
+    the checkpoint is finite."""
     data = _mutate((train_dir / "valid" / target).read_bytes(), mutations)
     assume(target != "stage.json" or _runs_briefly(data))
-    rc, out = _train(train_dir, target, data)
+    rc, out, trace = _train(train_dir, target, data)
     assert rc in (0, 2, 3, 4)
-    assert out.exists() or rc != 0
+    assert out.exists() == trace.exists() == (rc == 0)
     if out.exists():
         tensors, _ = load_checkpoint(out)
         assert all(np.isfinite(t).all() for t in tensors.values())
+
+
+def _merge_spec(model: str) -> bytes:
+    return json.dumps([{"checkpoint": model, "weight": 0.5},
+                       {"checkpoint": model, "weight": 0.25}]).encode("utf-8")
+
+
+def test_valid_merge_spec_exits_0(valid_files, tmp_path):
+    spec, out = tmp_path / "spec.json", tmp_path / "merged.ckpt"
+    spec.write_bytes(_merge_spec(str(valid_files["model.ckpt"])))
+    assert main(["merge", "--spec", str(spec), "--out", str(out)]) == 0 and out.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutations=_mutations)
+@example(mutations=[("insert", len(b'[{"checkpoint": "'), b"\\u0000")])
+def test_mutated_merge_spec_exits_with_a_documented_code(valid_files, tmp_path_factory,
+                                                         mutations):
+    """``merge`` exits 0 or 2 and writes ``--out`` only on 0."""
+    d = tmp_path_factory.mktemp("fuzz-merge")
+    spec, out = d / "spec.json", d / "merged.ckpt"
+    spec.write_bytes(_mutate(_merge_spec(str(valid_files["model.ckpt"])), mutations))
+    rc = main(["merge", "--spec", str(spec), "--out", str(out)])
+    assert rc in (0, 2)
+    assert out.exists() == (rc == 0)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from listrank.checkpoint import load_checkpoint, parse_json, save_checkpoint, write_jsonl
+from listrank.checkpoint import (jsonl_bytes, load_checkpoint, parse_json, save_checkpoint,
+                                 write_atomic)
 from listrank.evaluation import (
     SyntheticCorpus,
     lexical_overlap_scorer,
@@ -120,7 +121,7 @@ def test_checkpoint(work, tensors, meta):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(json_values, max_size=5))
 def test_jsonl(work, records):
-    write_jsonl(work / "records.jsonl", records)
+    write_atomic({work / "records.jsonl": jsonl_bytes(records)})
     lines = list(read_lines(work / "records.jsonl"))
     assert [n for n, _ in lines] == list(range(1, len(records) + 1))
     assert [parse_json(text, "records.jsonl") for _, text in lines] == records

@@ -10,7 +10,7 @@ import pytest
 from listrank import autodiff as ad
 from listrank import trainer
 from listrank.autodiff import Tensor
-from listrank.checkpoint import write_jsonl
+from listrank.checkpoint import jsonl_bytes, write_atomic
 from listrank.errors import ListrankError
 from listrank.evaluation import ndcg_at_k
 from listrank.model import RerankModel
@@ -355,7 +355,7 @@ class TestTrainStage:
     def test_loss_trace_file(self, tmp_path):
         trace = [{"step": 0, "total": 1.5}, {"step": 1, "total": 1.2}]
         p = tmp_path / "trace.jsonl"
-        write_jsonl(p, trace)
+        write_atomic({p: jsonl_bytes(trace)})
         lines = [json.loads(l) for l in p.read_text().splitlines()]
         assert lines == trace
 
