@@ -72,6 +72,21 @@ def test_fingerprint_is_reproducible(tmp_path):
     assert script.compare(first, second, 1e-8) == 1
 
 
+def test_fingerprint_matches_the_golden_file(tmp_path):
+    """Training and reranking compute what ``tests/golden/fingerprint.json``
+    holds, written with ``OPENBLAS_NUM_THREADS=1 python3 scripts/fingerprint.py
+    --out F --steps 10 --n-queries 6 --docs-per-query 64``. A refactor that
+    moves one rounding lands elsewhere in this chaotic run; regenerate the file
+    only for a change that means to alter the numbers."""
+    fresh = tmp_path / "fresh.json"
+    done = _run("fingerprint.py", "--out", fresh, "--steps", 10, "--n-queries", 6,
+                "--docs-per-query", 64)
+    assert done.returncode == 0, done.stderr
+    done = _run("fingerprint.py", "--compare", ROOT / "tests" / "golden" / "fingerprint.json",
+                fresh)
+    assert done.returncode == 0 and "clean" in done.stdout, done.stdout
+
+
 def test_attention_timing():
     done = _run("attention_timing.py", "--blocks", 64, 2, "--lengths", 3, 30, "--repeats", 2)
     assert done.returncode == 0, done.stderr
