@@ -1,19 +1,26 @@
-"""The four-part training objective, over one similarity matrix.
+"""The four-part training objective, read off one similarity matrix.
 
-The total is rank + 0.45 disperse + 0.85 dual + 0.85 similar: the
-weights are fixed. A batch holds one matrix E of projected embeddings;
-each query group names rows of it. Every loss is a row-logsumexp over
-entries of the flattened cos(E, E) / tau, one row per query, padded with
--inf where a group has fewer negatives: the losses' tape nodes do not grow
-with the batch or its negatives, and the forms stay finite even at the
-lowest temperature (0.05).
+A batch holds one matrix E of projected embeddings; each query group names
+rows of it, and every group has the same number K of negatives. With
+S = cos(E, E) / tau, each component is a mean over groups:
+
+- rank: logsumexp(S[q, p], S[q, n_1..n_K]) - S[q, p], the InfoNCE of the
+  query q against its positive p with the negatives n as contrast set;
+- dual: the same, anchored at the leading (dual) query marker;
+- similar: the same, anchored at p against its augmented duplicate;
+- disperse: log (1/K) [sum_k e^{S[p, n_k]} + sum_{k<j} e^{S[n_k, n_j]}],
+  verbatim, with its asymmetric count of the two kinds of term.
+
+The total is rank + 0.45 disperse + 0.85 dual + 0.85 similar: the weights
+are fixed. Each component gathers one (groups, terms) index array from the
+flattened S into one row-logsumexp, so the tape does not grow with the batch
+or its negatives, and the forms stay finite at the lowest temperature (0.05).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,14 +32,14 @@ from .errors import ListrankError
 @dataclass
 class QueryGroup:
     """Rows of the batch's embedding matrix for one query: trailing-marker
-    query embedding, positive, negatives, optional leading-marker duplicate
-    of the query, optional augmented positive."""
+    query embedding, positive, negatives, leading-marker duplicate of the
+    query, augmented positive."""
 
     query: int
     positive: int
     negatives: list[int]
-    dual_query: Optional[int] = None
-    augmented: Optional[int] = None
+    dual_query: int
+    augmented: int
 
 
 @dataclass
@@ -46,89 +53,44 @@ class TrainingBatch:
             raise ListrankError(f"temperature must be positive, got {self.temperature}")
         if not self.groups:
             raise ListrankError("empty training batch")
+        counts = sorted({len(g.negatives) for g in self.groups})
+        if counts[0] == 0:
+            raise ListrankError("every query needs at least one negative")
+        if len(counts) > 1:
+            raise ListrankError(f"query groups have {counts} negatives: "
+                                "every group needs the same number")
         rows = self.embeddings.shape[0]
         for g in self.groups:
-            if not g.negatives:
-                raise ListrankError("every query needs at least one negative")
-            named = [g.query, g.positive, *g.negatives, g.dual_query, g.augmented]
-            if not all(i is None or 0 <= i < rows for i in named):
+            if not all(0 <= i < rows for i in (g.query, g.positive, *g.negatives,
+                                               g.dual_query, g.augmented)):
                 raise ListrankError(f"query group {g} names a row outside 0..{rows - 1}")
 
 
-def similarities(batch: TrainingBatch) -> Tensor:
-    """cos(E, E) / tau, flattened: entry i * rows + j compares rows i and j."""
-    e = batch.embeddings
-    return ad.reshape(ad.mul(ad.cosine(e, e), 1.0 / batch.temperature), (-1,))
-
-
-def _logsumexp_rows(sims: Tensor, rows: int, pairs: list[list[tuple[int, int]]]) -> Tensor:
-    """One logsumexp per list of (i, j) row pairs, over their similarities;
-    shorter lists are padded with -inf."""
-    idx = np.zeros((len(pairs), max(map(len, pairs))), dtype=np.int64)
-    pad = np.full(idx.shape, -np.inf)
-    for r, row in enumerate(pairs):
-        idx[r, : len(row)] = [i * rows + j for i, j in row]
-        pad[r, : len(row)] = 0.0
-    return ad.logsumexp(ad.add(ad.gather_rows(sims, idx), pad))
-
-
-def _infonce(batch: TrainingBatch, sims: Optional[Tensor],
-             anchored: list[tuple[int, int]]) -> Tensor:
-    """Mean over groups of -log( e^{s(a,p)/tau} / (e^{s(a,p)/tau} + sum_k
-    e^{s(a,n_k)/tau}) ), computed as logsumexp(all/tau) - s(a,p)/tau, for
-    each group's (anchor, positive) pair."""
-    sims = similarities(batch) if sims is None else sims
-    rows = batch.embeddings.shape[0]
-    pairs = [[(a, p)] + [(a, n) for n in g.negatives] for (a, p), g in zip(anchored, batch.groups)]
-    pos = ad.gather_rows(sims, [a * rows + p for a, p in anchored])
-    return ad.tmean(ad.sub(_logsumexp_rows(sims, rows, pairs), pos))
-
-
-def rank_loss(batch: TrainingBatch, sims: Optional[Tensor] = None) -> Tensor:
-    """Contrastive ranking loss: query against positive vs K negatives.
-    ``sims`` is ``similarities(batch)`` when already computed."""
-    return _infonce(batch, sims, [(g.query, g.positive) for g in batch.groups])
-
-
-def dual_loss(batch: TrainingBatch, sims: Optional[Tensor] = None) -> Tensor:
-    """Same form as ``rank_loss`` but anchored at the leading query marker."""
-    if any(g.dual_query is None for g in batch.groups):
-        raise ListrankError("dual loss requires dual query embeddings")
-    return _infonce(batch, sims, [(g.dual_query, g.positive) for g in batch.groups])
-
-
-def similar_loss(batch: TrainingBatch, sims: Optional[Tensor] = None) -> Tensor:
-    """Anchor each positive against its augmented duplicate, with the
-    query's negatives as contrast set."""
-    if any(g.augmented is None for g in batch.groups):
-        raise ListrankError("similarity loss requires augmented duplicates")
-    return _infonce(batch, sims, [(g.positive, g.augmented) for g in batch.groups])
-
-
-def disperse_loss(batch: TrainingBatch, sims: Optional[Tensor] = None) -> Tensor:
-    """Penalize pairwise similarity among the documents of each query:
-
-        (1/N) sum_i log (1/K) [ sum_k e^{s(d+, d_k)/tau}
-                                + sum_{k<j} e^{s(d_k, d_j)/tau} ]
-
-    implemented verbatim, including the asymmetric count between
-    positive-negative and negative-negative terms."""
-    sims = similarities(batch) if sims is None else sims
-    pairs = []
-    for g in batch.groups:
-        negs = g.negatives
-        pairs.append([(g.positive, n) for n in negs]
-                     + [(a, b) for k, a in enumerate(negs) for b in negs[k + 1 :]])
-    log_k = Tensor([math.log(len(g.negatives)) for g in batch.groups])
-    return ad.tmean(ad.sub(_logsumexp_rows(sims, batch.embeddings.shape[0], pairs), log_k))
-
-
-def all_losses(batch: TrainingBatch):
+def all_losses(batch: TrainingBatch) -> tuple[Tensor, dict[str, Tensor]]:
     """Compute every component once, from one similarity matrix; returns
     (rank + 0.45 disperse + 0.85 dual + 0.85 similar, components dict)."""
-    sims = similarities(batch)
-    c = {"rank": rank_loss(batch, sims), "disperse": disperse_loss(batch, sims),
-         "dual": dual_loss(batch, sims), "similar": similar_loss(batch, sims)}
+    e, rows = batch.embeddings, batch.embeddings.shape[0]
+    # S, flattened: entry i * rows + j compares rows i and j
+    sims = ad.reshape(ad.mul(ad.cosine(e, e), 1.0 / batch.temperature), (-1,))
+    query, positive, dual_query, augmented = (
+        np.array([getattr(g, name) for g in batch.groups])
+        for name in ("query", "positive", "dual_query", "augmented"))
+    negatives = np.array([g.negatives for g in batch.groups])  # (G, K)
+
+    def infonce(anchor: np.ndarray, target: np.ndarray) -> Tensor:
+        pos = ad.gather_rows(sims, anchor * rows + target)
+        terms = anchor[:, None] * rows + np.column_stack([target, negatives])
+        return ad.tmean(ad.sub(ad.logsumexp(ad.gather_rows(sims, terms)), pos))
+
+    a, b = np.triu_indices(negatives.shape[1], 1)  # row-major: (0, 1), (0, 2), ..., (1, 2), ...
+    disperse = np.hstack([positive[:, None] * rows + negatives,
+                          negatives[:, a] * rows + negatives[:, b]])
+    # this order of the ops fixes backward's rounding (tests/golden/fingerprint.json)
+    c = {"rank": infonce(query, positive),
+         "disperse": ad.tmean(ad.sub(ad.logsumexp(ad.gather_rows(sims, disperse)),
+                                     math.log(negatives.shape[1]))),
+         "dual": infonce(dual_query, positive),
+         "similar": infonce(positive, augmented)}
     total = ad.add(c["rank"], ad.add(ad.mul(c["disperse"], 0.45),
                                      ad.add(ad.mul(c["dual"], 0.85),
                                             ad.mul(c["similar"], 0.85))))

@@ -20,21 +20,23 @@ def tiny_backbone_config(vocab_size: int = 50, **overrides) -> BackboneConfig:
 def stacked_batch(groups, temperature: float) -> TrainingBatch:
     """A TrainingBatch from per-query vectors. Each group is a dict with
     ``query``, ``positive`` and ``negatives``, and optionally ``dual_query``
-    and ``augmented``; every vector becomes one row of the embedding matrix."""
+    and ``augmented``; every vector becomes one row of the embedding matrix.
+    A group without ``dual_query`` names its query's row there, and one
+    without ``augmented`` its positive's."""
     rows = []
 
     def row(vector):
-        if vector is None:
-            return None
         rows.append(np.asarray(vector, dtype=np.float64))
         return len(rows) - 1
 
-    index_groups = [
-        QueryGroup(query=row(g["query"]), positive=row(g["positive"]),
-                   negatives=[row(n) for n in g["negatives"]],
-                   dual_query=row(g.get("dual_query")), augmented=row(g.get("augmented")))
-        for g in groups
-    ]
+    index_groups = []
+    for g in groups:
+        query, positive = row(g["query"]), row(g["positive"])
+        negatives = [row(n) for n in g["negatives"]]
+        index_groups.append(QueryGroup(
+            query=query, positive=positive, negatives=negatives,
+            dual_query=row(g["dual_query"]) if "dual_query" in g else query,
+            augmented=row(g["augmented"]) if "augmented" in g else positive))
     return TrainingBatch(Tensor(np.array(rows)), index_groups, temperature)
 
 

@@ -17,11 +17,7 @@ from listrank.evaluation import (
     ndcg_at_k,
     recall_at_k,
 )
-from listrank.losses import (
-    all_losses,
-    disperse_loss,
-    rank_loss,
-)
+from listrank.losses import all_losses
 from listrank.model import RerankModel
 from listrank.prompt import Document, RerankRequest, Vocabulary, build_prompt
 from listrank.reranker import rerank
@@ -67,14 +63,14 @@ class TestAcceptance:
                 positive=eye[0],
                 negatives=[eye[1 + i] for i in range(k)],
             )
-            got = float(rank_loss(stacked_batch([g], temperature=0.25)).data)
+            got = float(all_losses(stacked_batch([g], temperature=0.25))[1]["rank"].data)
             assert abs(got - math.log(k + 1)) < 1e-9, (k, got)
         eye = np.eye(5)
         g = dict(
             query=eye[0], positive=eye[1],
             negatives=[eye[2], eye[3]],
         )
-        got = float(disperse_loss(stacked_batch([g], temperature=0.25)).data)
+        got = float(all_losses(stacked_batch([g], temperature=0.25))[1]["disperse"].data)
         assert abs(got - math.log(1.5)) < 1e-9
         _report(2, "closed-form losses", "ln(K+1) for K in {1,9,15,25}; ln(3/2)")
 

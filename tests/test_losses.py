@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 from listrank import autodiff as ad
 from listrank.autodiff import Tensor, backward
 from listrank.errors import ListrankError
-from listrank.losses import (
-    QueryGroup,
-    TrainingBatch,
-    all_losses,
-    disperse_loss,
-    dual_loss,
-    rank_loss,
-    similar_loss,
-)
+from listrank.losses import QueryGroup, TrainingBatch, all_losses
 
 from conftest import stacked_batch
+
+
+def _component(batch, name):
+    return all_losses(batch)[1][name]
 
 
 def _orthonormal_group(k, dim, base=0):
@@ -75,7 +71,7 @@ class TestClosedForms:
             positive=eye[0],
             negatives=[eye[1 + i] for i in range(k)],
         )
-        loss = rank_loss(stacked_batch([g], temperature=0.25))
+        loss = _component(stacked_batch([g], temperature=0.25), "rank")
         assert float(loss.data) == pytest.approx(math.log(k + 1), abs=1e-12)
 
     def test_disperse_two_orthogonal_negatives(self):
@@ -86,7 +82,7 @@ class TestClosedForms:
             query=eye[0], positive=eye[1],
             negatives=[eye[2], eye[3]],
         )
-        loss = disperse_loss(stacked_batch([g], temperature=0.05))
+        loss = _component(stacked_batch([g], temperature=0.05), "disperse")
         assert float(loss.data) == pytest.approx(math.log(3.0 / 2.0), abs=1e-12)
 
     def test_similar_hand_case(self):
@@ -100,7 +96,7 @@ class TestClosedForms:
             query=p, positive=p,
             negatives=[neg], augmented=aug,
         )
-        loss = similar_loss(stacked_batch([g], temperature=0.25))
+        loss = _component(stacked_batch([g], temperature=0.25), "similar")
         expected = math.log(1.0 + math.exp((-0.2 - 0.9) / 0.25))
         assert float(loss.data) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(
@@ -113,7 +109,7 @@ class TestClosedForms:
             positive=np.array([1.0, 0.0]),
             negatives=[np.array([-1.0, 0.0])],
         )
-        tight = float(rank_loss(stacked_batch([g], temperature=0.05)).data)
+        tight = float(_component(stacked_batch([g], temperature=0.05), "rank").data)
         assert tight < 1e-15
 
 
@@ -121,9 +117,9 @@ class TestAgainstReference:
     def test_rank_and_dual_and_similar(self):
         rng = np.random.default_rng(0)
         batch, arrays = _random_batch(rng)
-        got_rank = float(rank_loss(batch).data)
-        got_dual = float(dual_loss(batch).data)
-        got_sim = float(similar_loss(batch).data)
+        _, parts = all_losses(batch)
+        got_rank, got_dual, got_sim = (float(parts[name].data)
+                                       for name in ("rank", "dual", "similar"))
         tau = batch.temperature
         exp_rank = np.mean([_reference_infonce(q, p, negs, tau) for q, p, negs, _, _ in arrays])
         exp_dual = np.mean([_reference_infonce(dq, p, negs, tau) for _, p, negs, dq, _ in arrays])
@@ -149,7 +145,7 @@ class TestAgainstReference:
             logits = np.array(terms)
             m = logits.max()
             expected.append(m + np.log(np.exp(logits - m).sum()) - np.log(len(negs)))
-        got = float(disperse_loss(batch).data)
+        got = float(_component(batch, "disperse").data)
         assert got == pytest.approx(np.mean(expected), abs=1e-12)
 
     def test_total_is_weighted_sum(self):
@@ -203,18 +199,14 @@ def _reference_disperse(positive, negatives, tau):
 
 @st.composite
 def index_batches(draw):
-    """Groups with their own negative counts (so the logit rows need -inf
-    padding), some of whose negatives are other groups' positives."""
-    n_groups = draw(st.integers(1, 4))
-    counts = draw(st.lists(st.integers(1, 6), min_size=n_groups, max_size=n_groups))
+    """Groups with one negative count per batch, some of whose negatives are
+    other groups' positives."""
+    n_groups, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rows = sum(4 + k for k in counts)
-    embeddings = rng.normal(size=(rows, draw(st.integers(2, 7))))
-    groups, r = [], 0
-    for k in counts:
-        groups.append(QueryGroup(query=r, dual_query=r + 1, positive=r + 2, augmented=r + 3,
-                                 negatives=list(range(r + 4, r + 4 + k))))
-        r += 4 + k
+    embeddings = rng.normal(size=(n_groups * (4 + k), draw(st.integers(2, 7))))
+    groups = [QueryGroup(query=r, dual_query=r + 1, positive=r + 2, augmented=r + 3,
+                         negatives=list(range(r + 4, r + 4 + k)))
+              for r in range(0, n_groups * (4 + k), 4 + k)]
     n_shared = draw(st.integers(0, n_groups - 1))
     for gi, g in enumerate(groups):
         others = [groups[j].positive for j in range(n_groups) if j != gi]
@@ -244,10 +236,9 @@ class TestMatchesNumpyReference:
 
 class TestValidation:
     def test_group_rows_inside_the_matrix(self):
-        g = QueryGroup(query=0, positive=1, negatives=[2, 3])
+        g = QueryGroup(query=0, positive=1, negatives=[2, 3], dual_query=0, augmented=1)
         with pytest.raises(ListrankError, match="outside"):
             TrainingBatch(Tensor(np.eye(3)), [g], temperature=0.25)
-
 
     def test_temperature_positive(self):
         with pytest.raises(ListrankError, match="temperature must be positive, got 0.0"):
@@ -262,14 +253,10 @@ class TestValidation:
         with pytest.raises(ListrankError, match="every query needs at least one negative"):
             stacked_batch([g], temperature=0.25)
 
-    def test_dual_requires_embeddings(self):
-        eye = np.eye(4)
-        g = dict(query=eye[0], positive=eye[1], negatives=[eye[2]])
-        with pytest.raises(ListrankError, match="dual"):
-            dual_loss(stacked_batch([g], temperature=0.25))
-
-    def test_similar_requires_augmented(self):
-        eye = np.eye(4)
-        g = dict(query=eye[0], positive=eye[1], negatives=[eye[2]])
-        with pytest.raises(ListrankError, match="augmented|similarity"):
-            similar_loss(stacked_batch([g], temperature=0.25))
+    def test_unequal_negative_counts_refused(self):
+        eye = np.eye(5)
+        groups = [dict(query=eye[0], positive=eye[1], negatives=[eye[2], eye[3]]),
+                  dict(query=eye[0], positive=eye[1], negatives=[eye[4]])]
+        with pytest.raises(ListrankError, match=r"query groups have \[1, 2\] negatives: "
+                                                "every group needs the same number"):
+            stacked_batch(groups, temperature=0.25)
