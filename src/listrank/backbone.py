@@ -41,7 +41,7 @@ class BackboneConfig:
 
     def __post_init__(self):
         if min(self.n_layers, self.d_hidden, self.n_q_heads, self.n_kv_heads,
-               self.d_ffn, self.max_context, self.vocab_size) < 1:
+               self.d_ffn, self.max_context, self.effective_seq_len, self.vocab_size) < 1:
             raise ListrankError("all backbone extents must be positive")
         if self.d_hidden % self.n_q_heads != 0:
             raise ListrankError(

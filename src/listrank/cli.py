@@ -87,6 +87,8 @@ def _training_examples(corpus: SyntheticCorpus) -> list[TrainingExample]:
 
 def cmd_train(args) -> int:
     _print_config("train", args)
+    if args.trace_out and Path(args.trace_out).resolve() == Path(args.out_checkpoint).resolve():
+        raise ListrankError(f"--trace-out {args.trace_out} is the --out-checkpoint file")
     stage = StageConfig.load(args.stage_config)
     corpus = load_corpus_files(args.data)
     dataset = _training_examples(corpus)

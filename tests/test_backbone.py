@@ -30,6 +30,12 @@ class TestConfig:
         with pytest.raises(ListrankError, match="n_kv_heads"):
             tiny_backbone_config(n_q_heads=4, n_kv_heads=3)
 
+    @pytest.mark.parametrize("field", ["max_context", "effective_seq_len"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_context_lengths_positive(self, field, value):
+        with pytest.raises(ListrankError, match="all backbone extents must be positive"):
+            tiny_backbone_config(**{field: value})
+
     def test_paper_scale_is_representable(self):
         big = bb.BackboneConfig(
             n_layers=28, d_hidden=1024, n_q_heads=16, n_kv_heads=8,
@@ -144,6 +150,35 @@ class TestForwardAtRows:
         at_rows = bb.forward(tokens, cfg, weights, rows=rows).data
         assert at_rows.shape == (len(rows), cfg.d_hidden)
         np.testing.assert_allclose(at_rows, full[rows], rtol=0, atol=1e-12)
+
+
+class TestAttentionBlockSize:
+    @pytest.mark.parametrize("length", [63, 64, 65, 129])
+    @pytest.mark.parametrize("at_rows", [False, True], ids=["all-rows", "at-rows"])
+    def test_forward_and_gradients_do_not_depend_on_it(self, length, at_rows, monkeypatch):
+        """``ATTENTION_BLOCK`` only splits the query rows into blocks: every
+        size gives the same hidden states and weight gradients."""
+        cfg = tiny_backbone_config(max_context=256)
+        rng = np.random.default_rng(length)
+        tokens = rng.integers(0, cfg.vocab_size, size=length).tolist()
+        # unsorted, always holding the last row
+        rows = [*rng.permutation(length - 1)[:40].tolist(), length - 1] if at_rows else None
+        g = Tensor(rng.normal(size=(length if rows is None else len(rows), cfg.d_hidden)))
+        runs = []
+        for block in (16, 32, 64, 128):
+            monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
+            weights = bb.init_weights(cfg, seed=4)
+            for w in weights.values():  # x10: rows differ by far more than roundoff
+                w.data, w.requires_grad = w.data * 10.0, True
+            with ad.Tape():
+                hidden = bb.forward(tokens, cfg, weights, rows=rows)
+                ad.backward(ad.tsum(ad.mul(hidden, g)))
+            runs.append({"hidden": hidden.data, **{n: w.grad for n, w in weights.items()}})
+        for run in runs[1:]:
+            for name, want in runs[0].items():
+                np.testing.assert_allclose(run[name], want, rtol=0,
+                                           atol=1e-12 * max(1.0, np.abs(want).max()),
+                                           err_msg=name)
 
 
 def _reference_mha(q, k, v, n_heads, n_kv_heads):

@@ -238,10 +238,12 @@ class TestExitCodes:
         # refused before a table of every declared layer's shapes is built
         (lambda m: m["backbone"].update(n_layers=10 ** 5),
          "backbone declares 100000 layers but the bundle holds"),
+        (lambda m: m["backbone"].update(effective_seq_len=-5),
+         "bad.ckpt: all backbone extents must be positive"),
     ], ids=["no vocab", "unknown backbone key", "backbone list", "vocab object",
             "string vocab id", "repeated word", "old triple format", "string n_layers",
             "bool n_layers", "rope_base and rms_eps keys", "max_context beyond a float",
-            "more layers than tensors"])
+            "more layers than tensors", "negative effective_seq_len"])
     def test_malformed_bundle_meta(self, model_path, data_dir, tmp_path, capsys, edit, message):
         tensors, meta = load_checkpoint(model_path)
         edit(meta)
@@ -451,26 +453,35 @@ class TestExitCodes:
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("unwritable", ["checkpoint", "trace"])
+    @pytest.mark.parametrize("fault", ["checkpoint", "trace", "m.ckpt", "./m.ckpt"])
     @pytest.mark.parametrize("old", [None, b"old"], ids=["absent", "present"])
     def test_failed_train_writes_neither_output(self, small_data_dir, tmp_path, capsys,
-                                                unwritable, old):
+                                                monkeypatch, fault, old):
         """Every temp file is written before any is renamed, so the writable
-        destination is neither created nor replaced."""
+        destination is neither created nor replaced. ``fault`` names the
+        unwritable output, or is a ``--trace-out`` spelling of the checkpoint
+        path, which ``train`` refuses before it reads anything."""
+        monkeypatch.chdir(tmp_path)
         stage_path = tmp_path / "stage.json"
         stage_path.write_text('{"steps": 1, "batch_size": 2, "n_negatives": 3}')
         paths = {"checkpoint": tmp_path / "m.ckpt", "trace": tmp_path / "t.jsonl"}
-        paths[unwritable] = tmp_path / "nodir" / paths[unwritable].name
-        other = paths["trace" if unwritable == "checkpoint" else "checkpoint"]
+        if fault in paths:
+            paths[fault] = tmp_path / "nodir" / paths[fault].name
+            message = f"'{paths[fault]}'"
+            kept = paths["trace" if fault == "checkpoint" else "checkpoint"]
+        else:
+            paths["trace"] = fault
+            message = f"--trace-out {fault} is the --out-checkpoint file"
+            kept = paths["checkpoint"]
         if old is not None:
-            other.write_bytes(old)
+            kept.write_bytes(old)
         rc = main(["train", "--stage-config", str(stage_path), "--data", str(small_data_dir),
                    "--out-checkpoint", str(paths["checkpoint"]),
                    "--trace-out", str(paths["trace"])])
         assert rc == 2
-        assert f"'{paths[unwritable]}'" in capsys.readouterr().err
-        assert not paths[unwritable].parent.exists()
-        assert (other.read_bytes() if other.exists() else None) == old
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "nodir").exists()
+        assert (kept.read_bytes() if kept.exists() else None) == old
         assert not list(tmp_path.glob(".*.tmp"))
 
     @pytest.mark.parametrize("value", ["-1", "0"])

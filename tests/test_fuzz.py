@@ -1,7 +1,7 @@
 """Byte-mutation fuzzing of the files the CLI reads: whatever their bytes,
 ``cli.main`` returns a documented exit code (0 ok, 2 bad input, 3 numeric
-failure, 4 training divergence) and no exception escapes it; ``train`` and
-``merge`` write their outputs only when they exit 0."""
+failure, 4 training divergence) and no exception escapes it; ``train``,
+``merge`` and ``rerank`` write their outputs only when they exit 0."""
 
 import json
 import shutil
@@ -87,17 +87,23 @@ def test_valid_input_exits_0(valid_files, target):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("target", ["model.ckpt", "requests.jsonl", "qrels.txt", "run.txt"])
 @settings(max_examples=150, deadline=None)
-@given(mutations=_mutations)
-@example(mutations=[("insert", _REQUEST_DOC_ID, b" ")])
-def test_mutated_input_exits_with_a_documented_code(valid_files, target, mutations):
-    """A run file that ``rerank`` writes, ``eval`` reads."""
+@given(mutations=_mutations, old=st.sampled_from([None, b"q1 Q0 q1d0 1 1.0 listrank\n"]))
+@example(mutations=[("insert", _REQUEST_DOC_ID, b" ")], old=None)
+def test_mutated_input_exits_with_a_documented_code(valid_files, target, mutations, old):
+    """A run file that ``rerank`` writes, ``eval`` reads. A failed ``rerank``
+    leaves ``out.txt`` as it was: absent (``old`` None) or holding ``old``."""
     mutated = valid_files[target].with_name(f"mutated-{target}")
     mutated.write_bytes(_mutate(valid_files[target].read_bytes(), mutations))
+    out = valid_files["out.txt"]
+    out.unlink(missing_ok=True)
+    if old is not None:
+        out.write_bytes(old)
     rc = _run(target, {**valid_files, target: mutated})
     assert rc in (0, 2, 3)
-    if rc == 0 and target in ("model.ckpt", "requests.jsonl"):
-        assert main(["eval", "--run", str(valid_files["out.txt"]),
-                     "--qrels", str(valid_files["qrels.txt"])]) == 0
+    if target in ("model.ckpt", "requests.jsonl") and rc == 0:
+        assert main(["eval", "--run", str(out), "--qrels", str(valid_files["qrels.txt"])]) == 0
+    elif target in ("model.ckpt", "requests.jsonl"):
+        assert (out.read_bytes() if out.exists() else None) == old
 
 
 # A one-step stage that fits the corpus of ``train_dir``; seed 3 draws the
