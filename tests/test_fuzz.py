@@ -100,10 +100,11 @@ def test_mutated_input_exits_with_a_documented_code(valid_files, target, mutatio
         out.write_bytes(old)
     rc = _run(target, {**valid_files, target: mutated})
     assert rc in (0, 2, 3)
-    if target in ("model.ckpt", "requests.jsonl") and rc == 0:
-        assert main(["eval", "--run", str(out), "--qrels", str(valid_files["qrels.txt"])]) == 0
-    elif target in ("model.ckpt", "requests.jsonl"):
-        assert (out.read_bytes() if out.exists() else None) == old
+    if target in ("model.ckpt", "requests.jsonl"):
+        if rc == 0:
+            assert main(["eval", "--run", str(out), "--qrels", str(valid_files["qrels.txt"])]) == 0
+        else:
+            assert (out.read_bytes() if out.exists() else None) == old
 
 
 # A one-step stage that fits the corpus of ``train_dir``; seed 3 draws the
