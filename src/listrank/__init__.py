@@ -12,7 +12,7 @@ from .autodiff import Tape, Tensor, backward, finite_diff_check
 from .backbone import BackboneConfig, forward, init_weights
 from .embedding import extract, project, score
 from .evaluation import generate_synthetic_corpus, ndcg_at_k, recall_at_k
-from .losses import QueryGroup, TrainingBatch
+from .losses import TrainingBatch
 from .model import RerankModel
 from .prompt import Document, PromptLayout, RerankRequest, Vocabulary, build_prompt
 from .reranker import RankedResult, rerank
@@ -21,8 +21,8 @@ from .trainer import StageConfig, TrainingExample, merge_models, train_stage
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackboneConfig", "Document", "PromptLayout",
-    "QueryGroup", "RankedResult", "RerankModel", "RerankRequest", "StageConfig",
+    "BackboneConfig", "Document", "PromptLayout", "RankedResult", "RerankModel",
+    "RerankRequest", "StageConfig",
     "Tape", "Tensor", "TrainingBatch", "TrainingExample", "Vocabulary",
     "backward", "build_prompt", "extract", "finite_diff_check", "forward",
     "generate_synthetic_corpus", "init_weights", "merge_models", "ndcg_at_k",

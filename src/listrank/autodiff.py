@@ -279,9 +279,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 
 def logsumexp(x: Tensor) -> Tensor:
-    """Row-wise log(sum(exp(x))) of a matrix, max-shifted for stability.
-    Entries of -inf are padding: they add nothing and get no gradient, but
-    every row needs one finite entry."""
+    """Row-wise log(sum(exp(x))) of a matrix, max-shifted for stability."""
     x = _as_tensor(x)
     m = x.data.max(axis=1, keepdims=True)
     e = np.exp(x.data - m)

@@ -63,10 +63,6 @@ class BackboneConfig:
         return self.n_kv_heads * self.head_dim
 
 
-ATTN_MATS = ("wq", "wk", "wv", "wo")
-FFN_MATS = ("wg", "wu", "wd")
-
-
 def weight_shapes(config: BackboneConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every backbone tensor, in initialization order."""
     d, kv, f = config.d_hidden, config.kv_dim, config.d_ffn

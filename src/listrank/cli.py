@@ -31,7 +31,7 @@ from .evaluation import (
     ndcg_at_k,
     write_corpus_files,
 )
-from .losses import QueryGroup, TrainingBatch, all_losses
+from .losses import TrainingBatch, all_losses
 from .model import RerankModel
 from .prompt import ORDERINGS, Vocabulary, check_limits
 from .reranker import read_requests, rerank, write_run
@@ -149,11 +149,10 @@ def _gradcheck_losses(seed: int) -> float:
     width = 4 + n_neg
     X = Tensor(rng.normal(size=(n_queries * width, dim)), requires_grad=True)
     # each query's rows: query, dual query, positive, augmented, negatives
-    groups = [QueryGroup(query=r, dual_query=r + 1, positive=r + 2, augmented=r + 3,
-                         negatives=list(range(r + 4, r + width)))
-              for r in range(0, n_queries * width, width)]
-    return finite_diff_check(
-        lambda x: all_losses(TrainingBatch(x, groups, temperature=0.25))[0], X)
+    first = np.arange(n_queries) * width
+    rows = dict(query=first, dual_query=first + 1, positive=first + 2, augmented=first + 3,
+                negatives=first[:, None] + np.arange(4, width))
+    return finite_diff_check(lambda x: all_losses(TrainingBatch(x, 0.25, **rows))[0], X)
 
 
 def _gradcheck_projector(seed: int) -> float:
@@ -312,6 +311,9 @@ def main(argv=None) -> int:
                 raise ListrankError(f"{name} is set, but listrank takes its settings "
                                     "from flags only")
         args = build_parser().parse_args(argv)
+        for name, value in vars(args).items():  # the OS refuses a NUL in a path
+            if isinstance(value, str) and "\0" in value:
+                raise ListrankError(f"--{name.replace('_', '-')} holds a NUL character")
         # numpy refuses a negative seed with a traceback
         if getattr(args, "seed", 0) < 0:
             raise ListrankError(f"--seed must be >= 0, got {args.seed}")

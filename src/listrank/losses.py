@@ -1,8 +1,10 @@
 """The four-part training objective, read off one similarity matrix.
 
-A batch holds one matrix E of projected embeddings; each query group names
-rows of it, and every group has the same number K of negatives. With
-S = cos(E, E) / tau, each component is a mean over groups:
+A batch holds one matrix E of projected embeddings and the rows of it that
+its G query groups read: (G,) index arrays of queries q, positives p, dual
+query markers and augmented positives, and a (G, K) array of negatives n,
+so every group has the same number K of negatives. With S = cos(E, E) / tau,
+each component is a mean over groups:
 
 - rank: logsumexp(S[q, p], S[q, n_1..n_K]) - S[q, p], the InfoNCE of the
   query q against its positive p with the negatives n as contrast set;
@@ -30,40 +32,44 @@ from .errors import ListrankError
 
 
 @dataclass
-class QueryGroup:
-    """Rows of the batch's embedding matrix for one query: trailing-marker
-    query embedding, positive, negatives, leading-marker duplicate of the
-    query, augmented positive."""
-
-    query: int
-    positive: int
-    negatives: list[int]
-    dual_query: int
-    augmented: int
-
-
-@dataclass
 class TrainingBatch:
-    embeddings: Tensor  # (rows, d), indexed by the groups
-    groups: list[QueryGroup]
+    """One (rows, d) matrix of projected embeddings and the rows that each of
+    its G query groups reads: ``query``, ``positive``, ``dual_query`` (the
+    leading query marker) and ``augmented`` (the augmented positive) are (G,)
+    integer arrays, ``negatives`` is (G, K). Index lists become arrays here."""
+
+    embeddings: Tensor
     temperature: float
+    query: np.ndarray
+    positive: np.ndarray
+    negatives: np.ndarray
+    dual_query: np.ndarray
+    augmented: np.ndarray
 
     def __post_init__(self):
         if self.temperature <= 0:
             raise ListrankError(f"temperature must be positive, got {self.temperature}")
-        if not self.groups:
+        try:  # numpy refuses a ragged list
+            self.query, self.positive, self.negatives, self.dual_query, self.augmented = (
+                np.asarray(a) for a in (self.query, self.positive, self.negatives,
+                                        self.dual_query, self.augmented))
+        except ValueError:
+            raise ListrankError("ragged batch indices: every query group needs "
+                                "the same number of negatives") from None
+        singles = (self.query, self.positive, self.dual_query, self.augmented)
+        shapes = [a.shape for a in (*singles, self.negatives)]
+        g = shapes[0][:1]
+        if g == (0,):
             raise ListrankError("empty training batch")
-        counts = sorted({len(g.negatives) for g in self.groups})
-        if counts[0] == 0:
+        if shapes[:4] != [g] * 4 or shapes[4][:1] != g or len(shapes[4]) != 2:
+            raise ListrankError(f"query, positive, dual_query, augmented and negatives have "
+                                f"shapes {shapes}: need (G,) four times and (G, K)")
+        if shapes[4][1] == 0:
             raise ListrankError("every query needs at least one negative")
-        if len(counts) > 1:
-            raise ListrankError(f"query groups have {counts} negatives: "
-                                "every group needs the same number")
         rows = self.embeddings.shape[0]
-        for g in self.groups:
-            if not all(0 <= i < rows for i in (g.query, g.positive, *g.negatives,
-                                               g.dual_query, g.augmented)):
-                raise ListrankError(f"query group {g} names a row outside 0..{rows - 1}")
+        every = np.concatenate([a.ravel() for a in (*singles, self.negatives)])
+        if every.dtype.kind not in "iu" or every.min() < 0 or every.max() >= rows:
+            raise ListrankError(f"batch rows must be integers, none outside 0..{rows - 1}")
 
 
 def all_losses(batch: TrainingBatch) -> tuple[Tensor, dict[str, Tensor]]:
@@ -72,10 +78,7 @@ def all_losses(batch: TrainingBatch) -> tuple[Tensor, dict[str, Tensor]]:
     e, rows = batch.embeddings, batch.embeddings.shape[0]
     # S, flattened: entry i * rows + j compares rows i and j
     sims = ad.reshape(ad.mul(ad.cosine(e, e), 1.0 / batch.temperature), (-1,))
-    query, positive, dual_query, augmented = (
-        np.array([getattr(g, name) for g in batch.groups])
-        for name in ("query", "positive", "dual_query", "augmented"))
-    negatives = np.array([g.negatives for g in batch.groups])  # (G, K)
+    negatives = batch.negatives  # (G, K)
 
     def infonce(anchor: np.ndarray, target: np.ndarray) -> Tensor:
         pos = ad.gather_rows(sims, anchor * rows + target)
@@ -83,14 +86,14 @@ def all_losses(batch: TrainingBatch) -> tuple[Tensor, dict[str, Tensor]]:
         return ad.tmean(ad.sub(ad.logsumexp(ad.gather_rows(sims, terms)), pos))
 
     a, b = np.triu_indices(negatives.shape[1], 1)  # row-major: (0, 1), (0, 2), ..., (1, 2), ...
-    disperse = np.hstack([positive[:, None] * rows + negatives,
+    disperse = np.hstack([batch.positive[:, None] * rows + negatives,
                           negatives[:, a] * rows + negatives[:, b]])
     # this order of the ops fixes backward's rounding (tests/golden/fingerprint.json)
-    c = {"rank": infonce(query, positive),
+    c = {"rank": infonce(batch.query, batch.positive),
          "disperse": ad.tmean(ad.sub(ad.logsumexp(ad.gather_rows(sims, disperse)),
                                      math.log(negatives.shape[1]))),
-         "dual": infonce(dual_query, positive),
-         "similar": infonce(positive, augmented)}
+         "dual": infonce(batch.dual_query, batch.positive),
+         "similar": infonce(batch.positive, batch.augmented)}
     total = ad.add(c["rank"], ad.add(ad.mul(c["disperse"], 0.45),
                                      ad.add(ad.mul(c["dual"], 0.85),
                                             ad.mul(c["similar"], 0.85))))

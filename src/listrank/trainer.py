@@ -14,12 +14,11 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from .autodiff import Tape, Tensor, backward
-from .backbone import ATTN_MATS, FFN_MATS
 from .checkpoint import parse_json, write_atomic
 from .config import from_json_object
 from .embedding import extract, project
 from .errors import DegenerateEmbeddingError, ListrankError, NonFiniteLossError
-from .losses import QueryGroup, TrainingBatch, all_losses
+from .losses import TrainingBatch, all_losses
 from .model import RerankModel
 from .prompt import build_prompt, check_limits
 
@@ -85,11 +84,10 @@ class TrainingExample:
 # LoRA
 # ----------------------------------------------------------------------
 
-LORA_TARGET_MATS = tuple(f"attn.{m}" for m in ATTN_MATS) + tuple(f"ffn.{m}" for m in FFN_MATS)
-
-
-def lora_target_names(n_layers: int) -> list[str]:
-    return [f"layers.{i}.{m}" for i in range(n_layers) for m in LORA_TARGET_MATS]
+def lora_target_names(config: bb.BackboneConfig) -> list[str]:
+    """Every layer matrix of the backbone, in ``weight_shapes`` order."""
+    return [name for name, shape in bb.weight_shapes(config).items()
+            if name.startswith("layers.") and len(shape) == 2]
 
 
 def create_adapters(
@@ -229,11 +227,11 @@ def _encode_group(
     negatives: list[str],
     stage: StageConfig,
     rng: np.random.Generator,
-    first_row: int,
-) -> tuple[Tensor, QueryGroup]:
+) -> Tensor:
     """One training forward: positive + negatives + augmented positive in a
     shuffled listwise prompt with the dual query marker. Returns the raw
-    marker rows and the group naming them, counted from ``first_row``."""
+    marker rows: positive, negatives, augmented positive (the order of
+    ``texts``, not the order shown), query, dual query."""
     texts = [example.positive, *negatives, augment_text(example.positive, rng)]
     order = np.random.default_rng(int(rng.integers(2 ** 31))).permutation(len(texts))
     config = model.backbone_config
@@ -243,17 +241,9 @@ def _encode_group(
         insert_dual_query_marker=True,
         max_context=min(config.effective_seq_len, config.max_context),
     )
-    # rows: positive, negatives, augmented positive (the order of ``texts``,
-    # not the order shown), query, dual query
     positions = extract(layout)
     rows = [positions[slot] for slot in np.argsort(order)] + positions[len(texts):]
-    hidden = bb.forward(layout.token_ids, config, weights, rows=rows)
-    k = len(negatives)
-    group = QueryGroup(
-        query=first_row + k + 2, dual_query=first_row + k + 3, positive=first_row,
-        negatives=list(range(first_row + 1, first_row + 1 + k)), augmented=first_row + k + 1,
-    )
-    return hidden, group
+    return bb.forward(layout.token_ids, config, weights, rows=rows)
 
 
 def train_stage(
@@ -278,8 +268,7 @@ def train_stage(
             )
     rng = np.random.default_rng(stage.seed)
     # full mode is the adapter path with no adapters
-    targets = (lora_target_names(model.backbone_config.n_layers)
-               if stage.mode == "adapters" else [])
+    targets = lora_target_names(model.backbone_config) if stage.mode == "adapters" else []
     adapters = create_adapters(model.weights, targets, stage.lora_rank, stage.seed)
     params = _trainable_params(model, adapters, stage)
     for name, w in model.weights.items():
@@ -293,24 +282,25 @@ def train_stage(
         idx = rng.choice(len(dataset), size=stage.batch_size, replace=False)
         with Tape():
             weights = apply_lora(model.weights, adapters, stage.lora_alpha)
-            raw, groups = [], []
+            raw = []
             for i in idx:
                 ex = dataset[int(i)]
                 neg_idx = rng.choice(len(ex.negatives), size=stage.n_negatives, replace=False)
-                negatives = [ex.negatives[int(j)] for j in neg_idx]
-                rows, group = _encode_group(model, weights, ex, negatives, stage, rng,
-                                            sum(r.shape[0] for r in raw))
-                raw.append(rows)
-                groups.append(group)
+                raw.append(_encode_group(model, weights, ex,
+                                         [ex.negatives[int(j)] for j in neg_idx], stage, rng))
+            # group g's rows start at first[g], in ``_encode_group``'s order
+            g, k = stage.batch_size, stage.n_negatives
+            first = np.arange(g) * (k + 4)
+            negatives = first[:, None] + np.arange(1, k + 1)
             # in-batch negatives: other queries' positives join each contrast set
-            if stage.n_inbatch_negatives > 0 and len(groups) > 1:
-                n_extra = min(stage.n_inbatch_negatives, len(groups) - 1)
-                for gi, g in enumerate(groups):
-                    others = [j for j in range(len(groups)) if j != gi]
-                    pick = rng.choice(others, size=n_extra, replace=False)
-                    g.negatives = g.negatives + [groups[int(j)].positive for j in pick]
-            embeddings = project(ad.concat_rows(raw), weights)
-            batch = TrainingBatch(embeddings, groups, stage.temperature)
+            if stage.n_inbatch_negatives > 0 and g > 1:
+                n_extra = min(stage.n_inbatch_negatives, g - 1)
+                picks = [rng.choice([j for j in range(g) if j != gi], size=n_extra, replace=False)
+                         for gi in range(g)]
+                negatives = np.hstack([negatives, first[np.array(picks)]])
+            batch = TrainingBatch(project(ad.concat_rows(raw), weights), stage.temperature,
+                                  query=first + k + 2, positive=first, negatives=negatives,
+                                  dual_query=first + k + 3, augmented=first + k + 1)
             try:
                 total, components = all_losses(batch)
             except DegenerateEmbeddingError as exc:

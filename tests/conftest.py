@@ -3,7 +3,7 @@ import pytest
 
 from listrank import BackboneConfig, RerankModel, Vocabulary
 from listrank.autodiff import Tensor
-from listrank.losses import QueryGroup, TrainingBatch
+from listrank.losses import TrainingBatch
 from listrank.evaluation import generate_synthetic_corpus
 from listrank.trainer import StageConfig, TrainingExample, train_stage
 
@@ -29,15 +29,15 @@ def stacked_batch(groups, temperature: float) -> TrainingBatch:
         rows.append(np.asarray(vector, dtype=np.float64))
         return len(rows) - 1
 
-    index_groups = []
+    index = {name: [] for name in ("query", "positive", "negatives", "dual_query", "augmented")}
     for g in groups:
         query, positive = row(g["query"]), row(g["positive"])
-        negatives = [row(n) for n in g["negatives"]]
-        index_groups.append(QueryGroup(
-            query=query, positive=positive, negatives=negatives,
-            dual_query=row(g["dual_query"]) if "dual_query" in g else query,
-            augmented=row(g["augmented"]) if "augmented" in g else positive))
-    return TrainingBatch(Tensor(np.array(rows)), index_groups, temperature)
+        index["query"].append(query)
+        index["positive"].append(positive)
+        index["negatives"].append([row(n) for n in g["negatives"]])
+        index["dual_query"].append(row(g["dual_query"]) if "dual_query" in g else query)
+        index["augmented"].append(row(g["augmented"]) if "augmented" in g else positive)
+    return TrainingBatch(Tensor(np.array(rows)), temperature, **index)
 
 
 @pytest.fixture(scope="session")

@@ -187,7 +187,7 @@ class TestAcceptance:
         """Folding freshly initialized adapters (B = 0) into the base model
         changes nothing: identical rankings and scores on 100 requests."""
         base = untrained_model
-        targets = lora_target_names(base.backbone_config.n_layers)
+        targets = lora_target_names(base.backbone_config)
         adapters = create_adapters(base.weights, targets, rank=8, seed=42)
         folded = fold_adapters(base.weights, adapters, alpha=16.0)
         with_adapters = RerankModel(

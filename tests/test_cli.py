@@ -436,6 +436,23 @@ class TestExitCodes:
         # the path asked for, not the temp file a write goes through
         assert err.startswith("error: ") and f"'{tmp_path / bad}'" in err
 
+    @pytest.mark.parametrize("args, flag", [
+        (["rerank", "--model", "m", "--input", "r.jsonl", "--output", "run.txt"], "--model"),
+        (["train", "--stage-config", "s.json", "--data", "d", "--out-checkpoint", "m"],
+         "--stage-config"),
+        (["merge", "--spec", "spec.json", "--out", "m"], "--out"),
+        (["eval", "--run", "run.txt", "--qrels", "q.txt"], "--run"),
+        (["synth", "--out", "d"], "--out"),
+    ], ids=["rerank", "train", "merge", "eval", "synth"])
+    def test_nul_in_a_path(self, tmp_path, capsys, monkeypatch, args, flag):
+        """The OS takes no NUL in a path; Python refuses one with a ValueError."""
+        monkeypatch.chdir(tmp_path)
+        at = args.index(flag) + 1
+        rc = main([*args[:at], "a\0" + args[at], *args[at + 1:]])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} holds a NUL character\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command, extra", [
         ("synth", ["--seed", "-1"]),
         ("rerank", ["--ordering", "random", "--seed", "-1"]),

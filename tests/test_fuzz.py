@@ -130,14 +130,18 @@ def train_dir(tmp_path_factory):
     return d
 
 
-def _train(train_dir, target, data):
+def _train(train_dir, target, data, old_out=None, old_trace=None):
     """Exit code of ``train`` on the valid files with ``target`` holding
-    ``data``, and the paths of the checkpoint and the trace it was told to write."""
+    ``data``, and the paths of the checkpoint and the trace it was told to
+    write, which hold ``old_out`` and ``old_trace`` beforehand (None: absent)."""
     work = train_dir / "work"
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(train_dir / "valid", work)
     (work / target).write_bytes(data)
     out, trace = work / "out.ckpt", work / "trace.jsonl"
+    for path, old in ((out, old_out), (trace, old_trace)):
+        if old is not None:
+            path.write_bytes(old)
     return main(["train", "--stage-config", str(work / "stage.json"), "--data", str(work),
                  "--out-checkpoint", str(out), "--trace-out", str(trace)]), out, trace
 
@@ -157,24 +161,33 @@ def test_valid_training_input_exits_0(train_dir):
     assert rc == 0 and out.exists() and trace.exists()
 
 
+_OLD = st.sampled_from([None, b"old output\n"])  # what an output path holds beforehand
+
+
 # mutated learning rates and weights overflow to inf and nan
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("target", _TRAIN_FILES)
 @settings(max_examples=15, deadline=None)
-@given(mutations=_mutations)
-@example(mutations=[("insert", _STAGE.index(b"0.001") + len(b"0.001"), b"e311")])
-@example(mutations=[("insert", len(b'{"doc_id": "q000_d00", "text": '), b'" ","x":')])
-def test_mutated_training_input_exits_with_a_documented_code(train_dir, target, mutations):
-    """The checkpoint and the trace exist exactly when ``train`` exits 0, and
-    the checkpoint is finite."""
+@given(mutations=_mutations, old_out=_OLD, old_trace=_OLD)
+@example(mutations=[("insert", _STAGE.index(b"0.001") + len(b"0.001"), b"e311")],
+         old_out=b"old output\n", old_trace=None)
+@example(mutations=[("insert", len(b'{"doc_id": "q000_d00", "text": '), b'" ","x":')],
+         old_out=None, old_trace=b"old output\n")
+def test_mutated_training_input_exits_with_a_documented_code(train_dir, target, mutations,
+                                                             old_out, old_trace):
+    """On exit 0 the checkpoint and the trace are written and the checkpoint
+    is finite; otherwise each is left as it was: absent, or holding its old bytes."""
     data = _mutate((train_dir / "valid" / target).read_bytes(), mutations)
     assume(target != "stage.json" or _runs_briefly(data))
-    rc, out, trace = _train(train_dir, target, data)
+    rc, out, trace = _train(train_dir, target, data, old_out, old_trace)
     assert rc in (0, 2, 3, 4)
-    assert out.exists() == trace.exists() == (rc == 0)
-    if out.exists():
+    if rc == 0:
         tensors, _ = load_checkpoint(out)
         assert all(np.isfinite(t).all() for t in tensors.values())
+        assert trace.read_bytes() != old_trace
+    else:
+        for path, old in ((out, old_out), (trace, old_trace)):
+            assert (path.read_bytes() if path.exists() else None) == old, path.name
 
 
 def _merge_spec(model: str) -> bytes:
@@ -189,14 +202,18 @@ def test_valid_merge_spec_exits_0(valid_files, tmp_path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(mutations=_mutations)
-@example(mutations=[("insert", len(b'[{"checkpoint": "'), b"\\u0000")])
+@given(mutations=_mutations, old=_OLD)
+@example(mutations=[("insert", len(b'[{"checkpoint": "'), b"\\u0000")], old=None)
 def test_mutated_merge_spec_exits_with_a_documented_code(valid_files, tmp_path_factory,
-                                                         mutations):
-    """``merge`` exits 0 or 2 and writes ``--out`` only on 0."""
+                                                         mutations, old):
+    """``merge`` exits 0 or 2; a failed merge leaves ``--out`` as it was:
+    absent (``old`` None) or holding ``old``."""
     d = tmp_path_factory.mktemp("fuzz-merge")
     spec, out = d / "spec.json", d / "merged.ckpt"
     spec.write_bytes(_mutate(_merge_spec(str(valid_files["model.ckpt"])), mutations))
+    if old is not None:
+        out.write_bytes(old)
     rc = main(["merge", "--spec", str(spec), "--out", str(out)])
     assert rc in (0, 2)
-    assert out.exists() == (rc == 0)
+    written = out.read_bytes() if out.exists() else None
+    assert (written is not None and written != old) if rc == 0 else written == old

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from listrank import autodiff as ad
 from listrank.autodiff import Tensor, backward
 from listrank.errors import ListrankError
-from listrank.losses import QueryGroup, TrainingBatch, all_losses
+from listrank.losses import TrainingBatch, all_losses
 
 from conftest import stacked_batch
 
@@ -179,9 +179,9 @@ class TestProperties:
         batch.embeddings.requires_grad = True
         with ad.Tape():
             backward(all_losses(batch)[0])
-        for g in batch.groups:
-            assert batch.embeddings.grad is not None
-            assert np.linalg.norm(batch.embeddings.grad[g.query]) > 0
+        assert batch.embeddings.grad is not None
+        for q in batch.query:
+            assert np.linalg.norm(batch.embeddings.grad[q]) > 0
 
 
 def _reference_disperse(positive, negatives, tau):
@@ -204,14 +204,16 @@ def index_batches(draw):
     n_groups, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     embeddings = rng.normal(size=(n_groups * (4 + k), draw(st.integers(2, 7))))
-    groups = [QueryGroup(query=r, dual_query=r + 1, positive=r + 2, augmented=r + 3,
-                         negatives=list(range(r + 4, r + 4 + k)))
-              for r in range(0, n_groups * (4 + k), 4 + k)]
+    first = np.arange(n_groups) * (4 + k)
+    positive = first + 2
     n_shared = draw(st.integers(0, n_groups - 1))
-    for gi, g in enumerate(groups):
-        others = [groups[j].positive for j in range(n_groups) if j != gi]
-        g.negatives += [int(p) for p in rng.choice(others, size=n_shared, replace=False)]
-    return TrainingBatch(Tensor(embeddings), groups, draw(st.floats(0.05, 1.0)))
+    shared = [rng.choice(np.delete(positive, gi), size=n_shared, replace=False)
+              for gi in range(n_groups)]
+    negatives = np.hstack([first[:, None] + np.arange(4, 4 + k),
+                           np.array(shared, dtype=int).reshape(n_groups, n_shared)])
+    return TrainingBatch(Tensor(embeddings), draw(st.floats(0.05, 1.0)), query=first,
+                         dual_query=first + 1, positive=positive, augmented=first + 3,
+                         negatives=negatives)
 
 
 class TestMatchesNumpyReference:
@@ -219,15 +221,17 @@ class TestMatchesNumpyReference:
     @given(index_batches())
     def test_all_four_losses(self, batch):
         e, tau = batch.embeddings.data, batch.temperature
+        groups = list(zip(batch.query, batch.positive, batch.negatives, batch.dual_query,
+                          batch.augmented))
         expected = {
-            "rank": np.mean([_reference_infonce(e[g.query], e[g.positive], e[g.negatives], tau)
-                             for g in batch.groups]),
-            "dual": np.mean([_reference_infonce(e[g.dual_query], e[g.positive], e[g.negatives],
-                                                tau) for g in batch.groups]),
-            "similar": np.mean([_reference_infonce(e[g.positive], e[g.augmented],
-                                                   e[g.negatives], tau) for g in batch.groups]),
-            "disperse": np.mean([_reference_disperse(e[g.positive], e[g.negatives], tau)
-                                 for g in batch.groups]),
+            "rank": np.mean([_reference_infonce(e[q], e[p], e[n], tau)
+                             for q, p, n, _, _ in groups]),
+            "dual": np.mean([_reference_infonce(e[dq], e[p], e[n], tau)
+                             for _, p, n, dq, _ in groups]),
+            "similar": np.mean([_reference_infonce(e[p], e[aug], e[n], tau)
+                                for _, p, n, _, aug in groups]),
+            "disperse": np.mean([_reference_disperse(e[p], e[n], tau)
+                                 for _, p, n, _, _ in groups]),
         }
         _, parts = all_losses(batch)
         for name, value in expected.items():
@@ -236,9 +240,9 @@ class TestMatchesNumpyReference:
 
 class TestValidation:
     def test_group_rows_inside_the_matrix(self):
-        g = QueryGroup(query=0, positive=1, negatives=[2, 3], dual_query=0, augmented=1)
         with pytest.raises(ListrankError, match="outside"):
-            TrainingBatch(Tensor(np.eye(3)), [g], temperature=0.25)
+            TrainingBatch(Tensor(np.eye(3)), 0.25, query=[0], positive=[1],
+                          negatives=[[2, 3]], dual_query=[0], augmented=[1])
 
     def test_temperature_positive(self):
         with pytest.raises(ListrankError, match="temperature must be positive, got 0.0"):
@@ -257,6 +261,21 @@ class TestValidation:
         eye = np.eye(5)
         groups = [dict(query=eye[0], positive=eye[1], negatives=[eye[2], eye[3]]),
                   dict(query=eye[0], positive=eye[1], negatives=[eye[4]])]
-        with pytest.raises(ListrankError, match=r"query groups have \[1, 2\] negatives: "
-                                                "every group needs the same number"):
+        with pytest.raises(ListrankError, match="ragged batch indices: every query group "
+                                                "needs the same number of negatives"):
             stacked_batch(groups, temperature=0.25)
+
+    def test_index_shapes_must_agree(self):
+        """Each of the four (G,) arrays and the (G, K) block name G groups."""
+        good = dict(query=[0, 4], positive=[1, 5], negatives=[[2], [6]],
+                    dual_query=[3, 7], augmented=[1, 5])
+        TrainingBatch(Tensor(np.eye(8)), 0.25, **good)
+        for name, value in [("positive", [1]), ("negatives", [2, 6]),
+                            ("negatives", [[2], [6], [3]]), ("augmented", [[1, 5]])]:
+            with pytest.raises(ListrankError, match=r"need \(G,\) four times and \(G, K\)"):
+                TrainingBatch(Tensor(np.eye(8)), 0.25, **{**good, name: value})
+
+    def test_row_indices_must_be_integers(self):
+        with pytest.raises(ListrankError, match="must be integers"):
+            TrainingBatch(Tensor(np.eye(3)), 0.25, query=[0.0], positive=[1],
+                          negatives=[[2]], dual_query=[0], augmented=[1])

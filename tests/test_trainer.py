@@ -82,20 +82,20 @@ class TestLora:
             create_adapters(base, ["w"], rank=6, seed=0)
 
     def test_target_names_cover_all_layers(self):
-        names = lora_target_names(2)
+        names = lora_target_names(tiny_backbone_config())  # 2 layers
         assert len(names) == 2 * 7  # four attention + three feed-forward mats
         assert "layers.0.attn.wq" in names and "layers.1.ffn.wd" in names
 
     def test_zero_init_is_identity(self):
         cfg, base = self._base()
-        adapters = create_adapters(base, lora_target_names(cfg.n_layers), rank=4, seed=1)
+        adapters = create_adapters(base, lora_target_names(cfg), rank=4, seed=1)
         eff = apply_lora(base, adapters, alpha=8.0)
-        for name in lora_target_names(cfg.n_layers):
+        for name in lora_target_names(cfg):
             np.testing.assert_array_equal(eff[name].data, base[name].data)
 
     def test_fold_matches_apply(self):
         cfg, base = self._base()
-        names = lora_target_names(cfg.n_layers)
+        names = lora_target_names(cfg)
         adapters = create_adapters(base, names, rank=4, seed=1)
         rng = np.random.default_rng(2)
         for a, b in adapters.values():
@@ -283,8 +283,8 @@ class TestTrainStage:
                             prompts.append(tokens) or forward(tokens, config, weights, rows))
         positive_slots = set()
         for seed in range(4):
-            hidden, _ = trainer._encode_group(model, model.weights, example, example.negatives,
-                                              stage, np.random.default_rng(seed), first_row=0)
+            hidden = trainer._encode_group(model, model.weights, example, example.negatives,
+                                           stage, np.random.default_rng(seed))
             tokens = prompts[-1]
             full = forward(tokens, model.backbone_config, model.weights).data
             markers = [i for i, t in enumerate(tokens) if t == vocab.special_id(DOC_EMB)]
@@ -345,7 +345,7 @@ class TestTrainStage:
         stage = dataclasses.replace(overfit_stage_config(steps=2), mode=mode,
                                     train_embeddings=train_embeddings)
         train_stage(model, corpus_dataset(synth_corpus), stage)
-        targets = lora_target_names(cfg.n_layers)
+        targets = lora_target_names(cfg)
         for k, w in model.weights.items():
             trained = (mode == "full" or k in targets or k.startswith("projector.")
                        or (k == "embed.weight" and train_embeddings))
