@@ -204,6 +204,7 @@ def test_valid_merge_spec_exits_0(valid_files, tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(mutations=_mutations, old=_OLD)
 @example(mutations=[("insert", len(b'[{"checkpoint": "'), b"\\u0000")], old=None)
+@example(mutations=[("insert", len(b'[{"checkpoint": "'), b"x")], old=b"old output\n")
 def test_mutated_merge_spec_exits_with_a_documented_code(valid_files, tmp_path_factory,
                                                          mutations, old):
     """``merge`` exits 0 or 2; a failed merge leaves ``--out`` as it was:
