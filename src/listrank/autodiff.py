@@ -180,16 +180,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
-
-    def bwd(g):
-        return (g.reshape(a.data.shape),)
-
-    return _record(out, (a,), bwd)
-
-
 def tsum(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.sum())
@@ -253,9 +243,11 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows of ``x`` by integer index (embedding lookup / extraction)."""
+    """Select rows of ``x`` by integer index (embedding lookup / extraction), or
+    entries by a ``(rows, cols)`` tuple of index arrays, as ``x.data[rows, cols]``."""
     x = _as_tensor(x)
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = (tuple(np.asarray(i, dtype=np.int64) for i in indices)
+           if isinstance(indices, tuple) else np.asarray(indices, dtype=np.int64))
     out = Tensor(x.data[idx])
 
     def bwd(g):

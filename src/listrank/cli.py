@@ -58,7 +58,6 @@ def _print_config(name: str, args: argparse.Namespace):
 
 
 def cmd_rerank(args) -> int:
-    _print_config("rerank", args)
     check_limits(args.max_doc_tokens, args.max_docs_per_pass)
     model = RerankModel.load(args.model)
     results = {}
@@ -86,7 +85,6 @@ def _training_examples(corpus: SyntheticCorpus) -> list[TrainingExample]:
 
 
 def cmd_train(args) -> int:
-    _print_config("train", args)
     if args.trace_out and Path(args.trace_out).resolve() == Path(args.out_checkpoint).resolve():
         raise ListrankError(f"--trace-out {args.trace_out} is the --out-checkpoint file")
     stage = StageConfig.load(args.stage_config)
@@ -111,7 +109,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    _print_config("merge", args)
     spec_doc = parse_json(Path(args.spec).read_bytes(), f"merge spec {args.spec}")
     # type() rather than isinstance: JSON true/false is not a weight; no path holds a NUL
     if not (isinstance(spec_doc, list) and all(
@@ -134,7 +131,6 @@ def cmd_merge(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _print_config("eval", args)
     report = evaluate_run(args.run, args.qrels, metric=args.metric, k=args.k)
     if not report.per_query:
         print("[eval] warning: empty run file (0 queries)")
@@ -229,7 +225,6 @@ _GRADCHECKS = {
 
 
 def cmd_gradcheck(args) -> int:
-    _print_config("gradcheck", args)
     worst = _GRADCHECKS[args.component](args.seed)
     ok = worst < GRADCHECK_THRESHOLD
     print(f"[gradcheck] component={args.component} seed={args.seed} "
@@ -239,7 +234,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _print_config("synth", args)
     corpus = generate_synthetic_corpus(args.n_queries, args.docs_per_query, seed=args.seed)
     write_corpus_files(corpus, args.out)
     print(f"[synth] wrote {len(corpus.queries)} queries / {len(corpus.docs)} docs to {args.out}")
@@ -317,6 +311,7 @@ def main(argv=None) -> int:
         # numpy refuses a negative seed with a traceback
         if getattr(args, "seed", 0) < 0:
             raise ListrankError(f"--seed must be >= 0, got {args.seed}")
+        _print_config(args.command, args)
         return args.func(args)
     except (ListrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

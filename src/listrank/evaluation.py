@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -75,25 +76,6 @@ class MetricReport:
         return out
 
 
-def read_lines(path):
-    """``(line number, text)`` of each non-blank line; bad UTF-8 raises ``ListrankError``."""
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ListrankError(f"{path} line {lineno}: {exc}") from exc
-        if line.strip():
-            yield lineno, line
-
-
-def refuse_repeat(first_line: dict, key, what: str, path, lineno: int) -> None:
-    """Remember the line ``key`` first appears on; a later line with the same
-    key raises ``ListrankError`` naming both lines."""
-    if first_line.setdefault(key, lineno) != lineno:
-        raise ListrankError(f"{path} line {lineno}: duplicate {what}, first on line "
-                            f"{first_line[key]}")
-
-
 STRING, LIST, NUMBER_OR_NULL = (str,), (list,), (int, float, type(None))
 _KIND_NAMES = {STRING: "a string", LIST: "a list", NUMBER_OR_NULL: "a number or null"}
 
@@ -105,13 +87,17 @@ def is_id(value) -> bool:
 
 @dataclass(slots=True)
 class Line:
-    """Where a JSON-lines record was read from; its checks raise ``ListrankError``s naming it."""
+    """One line of a file, numbered from 1; its checks raise ``ListrankError``s naming it."""
 
     path: Path | str
     number: int
+    text: str
+
+    def __str__(self) -> str:
+        return f"{self.path} line {self.number}"
 
     def error(self, message) -> ListrankError:
-        return ListrankError(f"{self.path} line {self.number}: {message}")
+        return ListrankError(f"{self}: {message}")
 
     def field(self, obj, name: str, kind: tuple = STRING):
         """``obj[name]`` of a JSON object, typed in ``kind``; a nullable field may be absent."""
@@ -131,38 +117,57 @@ class Line:
         self.field(obj, name)  # names a missing or non-string field
         raise self.error(f"field {name!r} is {value!r}, not an id: empty or with whitespace")
 
+    def integer(self, text: str, what: str) -> int:
+        """``text`` as an int if ASCII digits, signed or not (``int`` takes ``1_0``, ``١``)."""
+        if not re.fullmatch(r"[+-]?[0-9]+", text):
+            raise self.error(f"bad {what} {text!r}")
+        try:
+            return int(text)
+        except ValueError as exc:  # more digits than int() converts
+            raise self.error(f"bad {what}: {len(text)} characters long") from exc
+
+
+def read_lines(path, parse):
+    """Yield ``(Line, value)`` per non-blank line of ``path`` for ``parse(line) ->
+    (key, value)``; bad UTF-8 and a key an earlier line gave raise ``ListrankError``."""
+    first_line: dict = {}
+    for number, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise Line(path, number, "").error(exc) from exc
+        if text.strip():
+            line = Line(path, number, text)
+            key, value = parse(line)
+            if first_line.setdefault(key, number) != number:
+                raise line.error(f"duplicate {key}, first on line {first_line[key]}")
+            yield line, value
+
 
 def read_records(path, key: str):
     """Yield ``(Line, object)`` per JSON line of ``path``; ``key`` is an id no line repeats."""
-    first_line: dict[str, int] = {}
-    for lineno, text in read_lines(path):
-        line, rec = Line(path, lineno), parse_json(text, f"{path} line {lineno}")
-        value = line.id(rec, key)
-        refuse_repeat(first_line, value, f"{key} {value!r}", path, lineno)
-        yield line, rec
+    def parse(line: Line):
+        rec = parse_json(line.text, str(line))
+        return f"{key} {line.id(rec, key)!r}", rec
+    return read_lines(path, parse)
 
 
-def read_integer(text: str, what: str, path, lineno: int) -> int:
-    """``text`` as an int if ASCII digits after an optional sign (``int`` takes ``1_0``, ``١``)."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise ListrankError(f"{path} line {lineno}: bad {what} {text!r}")
-    return int(text)
+def _trec_line(count: int, line: Line):
+    """The ``count`` whitespace-split fields of a TREC line, keyed ``(query_id, doc_id)``."""
+    fields = line.text.split()
+    if len(fields) != count:
+        raise line.error(f"expected {count} fields")
+    return f"({fields[0]}, {fields[2]})", fields
 
 
 def load_qrels(path) -> dict[str, dict[str, int]]:
     """TREC qrels: ``query_id 0 doc_id rel``."""
     qrels: dict[str, dict[str, int]] = {}
-    first_line: dict[tuple[str, str], int] = {}
-    for lineno, line in read_lines(path):
-        fields = line.split()
-        if len(fields) != 4:
-            raise ListrankError(f"{path} line {lineno}: expected 4 fields")
-        qid, _, did, rel = fields
-        rel = read_integer(rel, "relevance", path, lineno)
+    for line, (qid, _, did, rel) in read_lines(path, partial(_trec_line, 4)):
+        rel = line.integer(rel, "relevance")
         # a negative gain 2.0 ** rel - 1 takes nDCG below 0; above 1023 the gain overflows
         if not 0 <= rel <= 1023:
-            raise ListrankError(f"{path} line {lineno}: relevance {rel} outside 0..1023")
-        refuse_repeat(first_line, (qid, did), f"({qid}, {did})", path, lineno)
+            raise line.error(f"relevance {rel} outside 0..1023")
         qrels.setdefault(qid, {})[did] = rel
     return qrels
 
@@ -171,23 +176,17 @@ def load_run(path) -> dict[str, list[tuple[str, float]]]:
     """TREC run: ``query_id Q0 doc_id rank score tag``; returns doc lists
     sorted by the recorded rank."""
     raw: dict[str, list[tuple[int, str, float]]] = {}
-    first_line: dict[tuple[str, str], int] = {}
-    for lineno, line in read_lines(path):
-        fields = line.split()
-        if len(fields) != 6:
-            raise ListrankError(f"{path} line {lineno}: expected 6 fields")
-        qid, _, did, rank, score_, _tag = fields
-        refuse_repeat(first_line, (qid, did), f"({qid}, {did})", path, lineno)
-        rank = read_integer(rank, "rank", path, lineno)
+    for line, (qid, _, did, rank, score_, _tag) in read_lines(path, partial(_trec_line, 6)):
+        rank = line.integer(rank, "rank")
         try:
             score = float(score_)
         except ValueError as exc:
-            raise ListrankError(f"{path} line {lineno}: {exc}") from exc
+            raise line.error(exc) from exc
         if not math.isfinite(score):
-            raise ListrankError(f"{path} line {lineno}: score {score_!r} is not finite")
+            raise line.error(f"score {score_!r} is not finite")
         # float() alone takes "1_0" and other scripts' digits
         if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", score_):
-            raise ListrankError(f"{path} line {lineno}: bad score {score_!r}")
+            raise line.error(f"bad score {score_!r}")
         raw.setdefault(qid, []).append((rank, did, score))
     return {
         qid: [(did, s) for _, did, s in sorted(rows)] for qid, rows in raw.items()

@@ -14,9 +14,9 @@ each component is a mean over groups:
   verbatim, with its asymmetric count of the two kinds of term.
 
 The total is rank + 0.45 disperse + 0.85 dual + 0.85 similar: the weights
-are fixed. Each component gathers one (groups, terms) index array from the
-flattened S into one row-logsumexp, so the tape does not grow with the batch
-or its negatives, and the forms stay finite at the lowest temperature (0.05).
+are fixed. Each component gathers S[rows, cols] for (groups, terms) index
+arrays into one row-logsumexp, so the tape does not grow with the batch or
+its negatives, and the forms stay finite at the lowest temperature (0.05).
 """
 
 from __future__ import annotations
@@ -75,19 +75,18 @@ class TrainingBatch:
 def all_losses(batch: TrainingBatch) -> tuple[Tensor, dict[str, Tensor]]:
     """Compute every component once, from one similarity matrix; returns
     (rank + 0.45 disperse + 0.85 dual + 0.85 similar, components dict)."""
-    e, rows = batch.embeddings, batch.embeddings.shape[0]
-    # S, flattened: entry i * rows + j compares rows i and j
-    sims = ad.reshape(ad.mul(ad.cosine(e, e), 1.0 / batch.temperature), (-1,))
-    negatives = batch.negatives  # (G, K)
+    e, negatives = batch.embeddings, batch.negatives  # negatives: (G, K)
+    sims = ad.mul(ad.cosine(e, e), 1.0 / batch.temperature)  # S
 
     def infonce(anchor: np.ndarray, target: np.ndarray) -> Tensor:
-        pos = ad.gather_rows(sims, anchor * rows + target)
-        terms = anchor[:, None] * rows + np.column_stack([target, negatives])
-        return ad.tmean(ad.sub(ad.logsumexp(ad.gather_rows(sims, terms)), pos))
+        pos = ad.gather_rows(sims, (anchor, target))
+        terms = ad.gather_rows(sims, (anchor[:, None], np.column_stack([target, negatives])))
+        return ad.tmean(ad.sub(ad.logsumexp(terms), pos))
 
-    a, b = np.triu_indices(negatives.shape[1], 1)  # row-major: (0, 1), (0, 2), ..., (1, 2), ...
-    disperse = np.hstack([batch.positive[:, None] * rows + negatives,
-                          negatives[:, a] * rows + negatives[:, b]])
+    # the pairs of (p, n_1..n_K) in row-major order: (p, n_1), ..., (p, n_K), (n_1, n_2), ...;
+    # take(): members[:, idx] would be F-ordered, and that changes logsumexp's rounding
+    members = np.column_stack([batch.positive, negatives])
+    disperse = tuple(members.take(i, axis=1) for i in np.triu_indices(negatives.shape[1] + 1, 1))
     # this order of the ops fixes backward's rounding (tests/golden/fingerprint.json)
     c = {"rank": infonce(batch.query, batch.positive),
          "disperse": ad.tmean(ad.sub(ad.logsumexp(ad.gather_rows(sims, disperse)),

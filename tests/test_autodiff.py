@@ -234,6 +234,18 @@ class TestConcatRows:
         assert finite_diff_check(lambda t: ad.tsum(ad.mul(ad.concat_rows([t, b]), w)), a) < 1e-8
 
 
+class TestGatherRows:
+    def test_pairs_with_repeats(self):
+        """A (rows, cols) tuple reads x[rows, cols]; a pair read twice gets both gradients."""
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        rows, cols = np.array([[0, 3, 0], [2, 0, 3]]), np.array([[1, 4, 1], [2, 1, 4]])
+        w = Tensor(rng.normal(size=(2, 3)))
+        np.testing.assert_array_equal(ad.gather_rows(x, (rows, cols)).data, x.data[rows, cols])
+        assert finite_diff_check(
+            lambda t: ad.tsum(ad.mul(ad.gather_rows(t, (rows, cols)), w)), x) < 1e-8
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)

@@ -124,6 +124,18 @@ class TestExitCodes:
                    "--qrels", str(tmp_path / "qrels.txt")])
         assert rc == 2
 
+    @pytest.mark.parametrize("run, qrels", [
+        ("q1 Q0 d1 {} 0.9 t", "q1 0 d1 1"), ("q1 Q0 d1 1 0.9 t", "q1 0 d1 {}"),
+    ], ids=["rank", "relevance"])
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys, run, qrels):
+        (tmp_path / "run.txt").write_text(run.format("1" * 5000) + "\n")
+        (tmp_path / "qrels.txt").write_text(qrels.format("1" * 5000) + "\n")
+        rc = main(["eval", "--run", str(tmp_path / "run.txt"),
+                   "--qrels", str(tmp_path / "qrels.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and " line 1: bad " in err
+
     def test_bad_merge_weight(self, model_path, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([{"checkpoint": str(model_path), "weight": 2.0}]))

@@ -126,6 +126,10 @@ class TestTrecFiles:
             p.write_text(f"q1 0 d0 0\nq1 0 d1 {rel}\n", encoding="utf-8")
             with pytest.raises(ListrankError, match=f"qrels.txt line 2: bad relevance '{rel}'$"):
                 load_qrels(p)
+        # int() refuses more than 4,300 digits with a ValueError of its own
+        p.write_text(f"q1 0 d0 0\nq1 0 d1 {'1' * 5000}\n")
+        with pytest.raises(ListrankError, match="qrels.txt line 2: bad relevance: 5000 characters"):
+            load_qrels(p)
 
     def test_qrels_negative_relevance(self, tmp_path):
         """A negative gain 2^rel - 1 would take nDCG below 0, and training would
@@ -174,6 +178,7 @@ class TestTrecFiles:
             # int() alone reads "1_0" as 10 and the Arabic-Indic two as 2
             ("1_0", "0.9", "bad rank '1_0'"),
             ("\u0662", "0.9", "bad rank '\u0662'"),
+            ("1" * 5000, "0.9", "bad rank: 5000 characters long"),
             ("2", "high", "could not convert string to float: 'high'"),
             ("2", "nan", "score 'nan' is not finite"),
             ("2", "-inf", "score '-inf' is not finite"),

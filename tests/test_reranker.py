@@ -4,9 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listrank import reranker
-from listrank.autodiff import Tensor
+from listrank.autodiff import ATTENTION_BLOCK, Tensor
+from listrank.backbone import RMS_EPS, ROPE_BASE, BackboneConfig
 from listrank.errors import DegenerateEmbeddingError, ListrankError
 from listrank.evaluation import load_run, ndcg_at_k
 from listrank.model import RerankModel
@@ -18,6 +21,8 @@ from listrank.reranker import (
     rerank,
     write_run,
 )
+from test_backbone import _reference_mha, _reference_rotate
+from test_prompt import _reference_build_prompt, _reference_chunk_into_batches
 
 
 def _request_from_corpus(corpus, qid, qtext, n=None):
@@ -115,6 +120,99 @@ class TestRerank:
             assert res.ordering == ordering
             assert sorted(res.doc_ids()) == sorted(synth_corpus.candidates[qid])
             assert 0.0 <= ndcg_at_k(res.doc_ids(), synth_corpus.qrels[qid]) <= 1.0
+
+
+def _reference_forward(tokens, config, w):
+    """The backbone in plain numpy: every row through every layer, rotary
+    angles built per call, and attention head by head over each row's whole
+    prefix, with no row blocks."""
+    def norm(x, gain):
+        return gain * x / np.sqrt((x * x).mean(axis=1, keepdims=True) + RMS_EPS)
+
+    positions, hd = np.arange(len(tokens)), config.head_dim
+    x = w["embed.weight"][tokens]
+    for i in range(config.n_layers):
+        p = f"layers.{i}"
+        h = norm(x, w[f"{p}.attn_norm.gain"])
+        q = _reference_rotate(h @ w[f"{p}.attn.wq"], positions, ROPE_BASE, hd)
+        k = _reference_rotate(h @ w[f"{p}.attn.wk"], positions, ROPE_BASE, hd)
+        attn = _reference_mha(q, k, h @ w[f"{p}.attn.wv"], config.n_q_heads, config.n_kv_heads)
+        x = x + attn @ w[f"{p}.attn.wo"]
+        h = norm(x, w[f"{p}.ffn_norm.gain"])
+        gate = h @ w[f"{p}.ffn.wg"]
+        x = x + (gate / (1.0 + np.exp(-gate)) * (h @ w[f"{p}.ffn.wu"])) @ w[f"{p}.ffn.wd"]
+    return norm(x, w["final_norm.gain"])
+
+
+def _reference_rerank(model, request, max_docs_per_pass, max_doc_tokens):
+    """``(doc_id, score, batch index)`` per candidate, best first: each batch
+    of the reference packer is run whole through ``_reference_forward``, and
+    its marker rows are projected and scored by cosine. A zero embedding
+    scores None, as ``rerank`` has it."""
+    cfg, w = model.backbone_config, {name: t.data for name, t in model.weights.items()}
+    scored = []
+    for b, batch in enumerate(_reference_chunk_into_batches(
+            request.documents, request.query, model.vocab, max_docs_per_pass,
+            cfg.max_context, max_doc_tokens)):
+        layout = _reference_build_prompt(request.query, model.vocab, [t for _, t in batch])
+        hidden = _reference_forward(layout.token_ids, cfg, w)
+        rows = hidden[[*layout.doc_marker_positions, layout.query_marker_position]]
+        emb = (np.maximum(rows @ w["projector.w1"] + w["projector.b1"], 0.0)
+               @ w["projector.w2"] + w["projector.b2"])
+        norms = np.linalg.norm(emb, axis=1)
+        for (doc, _), e, n in zip(batch, emb, norms):
+            live = n > 0 and norms[-1] > 0
+            scored.append((doc.doc_id, e @ emb[-1] / (n * norms[-1]) if live else None, b))
+    return sorted(scored, key=lambda s: (s[1] is None, -(s[1] or 0.0), s[0]))
+
+
+class TestRerankMatchesReference:
+    """``rerank`` against ``_reference_rerank``: scores within 1e-12, and the
+    same ranking wherever two scores differ by more than 1e-10."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_layers=st.integers(1, 3),
+        n_kv_heads=st.integers(1, 2),
+        ratio=st.integers(1, 4),
+        head_dim=st.sampled_from([2, 4, 8, 16]),
+        scale=st.sampled_from([1.0, 25.0]),
+        max_context=st.integers(180, 2 * ATTENTION_BLOCK + 200),
+        max_docs_per_pass=st.integers(1, 8),
+        max_doc_tokens=st.integers(1, 40),
+        texts=st.lists(st.lists(st.sampled_from(["alpha", "beta", "gamma", "zq", "\u00e9"]),
+                                max_size=30).map(" ".join), min_size=1, max_size=12),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_scores_and_ranking(self, n_layers, n_kv_heads, ratio, head_dim, scale,
+                                max_context, max_docs_per_pass, max_doc_tokens, texts, seed):
+        vocab = Vocabulary(["alpha", "beta", "gamma"])
+        n_q_heads = n_kv_heads * ratio
+        cfg = BackboneConfig(n_layers=n_layers, d_hidden=n_q_heads * head_dim,
+                             n_q_heads=n_q_heads, n_kv_heads=n_kv_heads, d_ffn=16,
+                             max_context=max_context, vocab_size=len(vocab))
+        model = RerankModel.create(vocab, cfg, seed=seed)
+        # larger weights sharpen attention, so a key read by mistake moves the scores
+        model = _with_weights(model, {name: t.data * scale for name, t in model.weights.items()
+                                      if not name.endswith(".gain")})
+        request = RerankRequest("alpha beta zq", [Document(f"d{i:02d}", t)
+                                                  for i, t in enumerate(texts)])
+        want = _reference_rerank(model, request, max_docs_per_pass, max_doc_tokens)
+        got = rerank(model, request, max_docs_per_pass=max_docs_per_pass,
+                     max_doc_tokens=max_doc_tokens)
+        assert {e.doc_id: e.batch_index for e in got.entries} == {d: b for d, _, b in want}
+        ref = {d: s for d, s, _ in want}
+        for e in got.entries:
+            if ref[e.doc_id] is None or e.score is None:
+                assert ref[e.doc_id] is e.score is None, e.doc_id
+            else:
+                assert abs(e.score - ref[e.doc_id]) <= 1e-12, e.doc_id
+        order = [e.doc_id for e in got.entries]
+        worst = -np.inf  # a None score ranks below every number
+        for i, a in enumerate(order):
+            for b in order[i + 1:]:
+                sa, sb = (worst if ref[d] is None else ref[d] for d in (a, b))
+                assert not sb > sa + 1e-10, (a, b)
 
 
 class TestDegenerateEmbeddings:

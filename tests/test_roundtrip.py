@@ -122,6 +122,7 @@ def test_checkpoint(work, tensors, meta):
 @given(st.lists(json_values, max_size=5))
 def test_jsonl(work, records):
     write_atomic({work / "records.jsonl": jsonl_bytes(records)})
-    lines = list(read_lines(work / "records.jsonl"))
-    assert [n for n, _ in lines] == list(range(1, len(records) + 1))
-    assert [parse_json(text, "records.jsonl") for _, text in lines] == records
+    lines = [line for line, _ in read_lines(work / "records.jsonl",
+                                            lambda line: (line.number, None))]
+    assert [line.number for line in lines] == list(range(1, len(records) + 1))
+    assert [parse_json(line.text, str(line)) for line in lines] == records
