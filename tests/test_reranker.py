@@ -145,10 +145,10 @@ def _reference_forward(tokens, config, w):
 
 
 def _reference_rerank(model, request, max_docs_per_pass, max_doc_tokens):
-    """``(doc_id, score, batch index)`` per candidate, best first: each batch
-    of the reference packer is run whole through ``_reference_forward``, and
-    its marker rows are projected and scored by cosine. A zero embedding
-    scores None, as ``rerank`` has it."""
+    """``(doc_id, score, batch index)`` per candidate: each batch of the
+    reference packer is run whole through ``_reference_forward``, and its
+    marker rows are projected and scored by cosine. A zero embedding scores
+    None, as ``rerank`` has it."""
     cfg, w = model.backbone_config, {name: t.data for name, t in model.weights.items()}
     scored = []
     for b, batch in enumerate(_reference_chunk_into_batches(
@@ -163,7 +163,7 @@ def _reference_rerank(model, request, max_docs_per_pass, max_doc_tokens):
         for (doc, _), e, n in zip(batch, emb, norms):
             live = n > 0 and norms[-1] > 0
             scored.append((doc.doc_id, e @ emb[-1] / (n * norms[-1]) if live else None, b))
-    return sorted(scored, key=lambda s: (s[1] is None, -(s[1] or 0.0), s[0]))
+    return scored
 
 
 class TestRerankMatchesReference:
@@ -208,11 +208,9 @@ class TestRerankMatchesReference:
             else:
                 assert abs(e.score - ref[e.doc_id]) <= 1e-12, e.doc_id
         order = [e.doc_id for e in got.entries]
-        worst = -np.inf  # a None score ranks below every number
+        ranked = {d: -np.inf if s is None else s for d, s in ref.items()}  # None ranks last
         for i, a in enumerate(order):
-            for b in order[i + 1:]:
-                sa, sb = (worst if ref[d] is None else ref[d] for d in (a, b))
-                assert not sb > sa + 1e-10, (a, b)
+            assert all(ranked[b] <= ranked[a] + 1e-10 for b in order[i + 1:]), a
 
 
 class TestDegenerateEmbeddings:
