@@ -15,12 +15,27 @@ once; a second call raises ``ListrankError`` rather than silently accumulating.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateEmbeddingError, ListrankError
 
+
+def _keep_freed_arrays() -> None:
+    """Keep freed arrays under 32 MiB in glibc's heap, so that the next forward
+    reuses their pages instead of faulting them in again."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt (macOS), no CDLL(None) (Windows)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at the ceiling of glibc's dynamic threshold
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice that, as glibc's dynamic rule pairs them
+
+
+_keep_freed_arrays()
 _ACTIVE_TAPES: list["Tape"] = []
 
 

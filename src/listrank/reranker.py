@@ -117,10 +117,10 @@ def read_requests(path) -> list[tuple[str, RerankRequest]]:
 
 
 def write_run(path, results: dict[str, RankedResult]) -> None:
-    """TREC run format: query_id Q0 doc_id rank score listrank."""
+    """TREC run format: query_id Q0 doc_id rank score listrank; scores round-trip."""
     lines = []
     for query_id in results:
         for e in results[query_id].entries:
             s = e.score if e.score is not None else -2.0
-            lines.append(f"{query_id} Q0 {e.doc_id} {e.rank} {s:.6f} listrank")
+            lines.append(f"{query_id} Q0 {e.doc_id} {e.rank} {float(s)!r} listrank")
     write_atomic({path: ("\n".join(lines) + "\n").encode("utf-8")})

@@ -1,3 +1,6 @@
+import platform
+import resource
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -525,3 +528,45 @@ class TestGradient:
 
         coords = np.random.default_rng(0).choice(target.data.size, size=48, replace=False)
         assert finite_diff_check(f, target, h=1e-5, coords=coords.tolist()) < 1e-4
+
+
+class TestHeapReuse:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap thresholds are glibc's")
+    def test_warm_forwards_fault_no_pages_in(self):
+        """Importing autodiff keeps freed arrays in the heap, so a warm forward
+        of the benchmark's model reuses the pages of the one before. Where glibc
+        hands them back, 20 forwards at L = 470 fault about 9,000 pages in."""
+        cfg = tiny_backbone_config(d_ffn=64)
+        weights = bb.init_weights(cfg, seed=0)
+        tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, 470).tolist()
+        rows = np.linspace(94, 469, 24).astype(int).tolist()
+        for _ in range(3):
+            bb.forward(tokens, cfg, weights, rows=rows)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            bb.forward(tokens, cfg, weights, rows=rows)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 40
+
+    @pytest.mark.parametrize("libc", [None, object()], ids=["no CDLL(None)", "no mallopt"])
+    def test_threshold_setter_is_quiet_without_mallopt(self, monkeypatch, libc):
+        def cdll(name):
+            if libc is None:
+                raise OSError("no such library")
+            return libc
+
+        monkeypatch.setattr(ad.ctypes, "CDLL", cdll)
+        assert ad._keep_freed_arrays() is None
+
+    def test_threshold_setter_sets_the_mmap_and_trim_thresholds(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: Libc)
+        ad._keep_freed_arrays()
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]

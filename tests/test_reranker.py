@@ -386,8 +386,15 @@ class TestRunFile:
         p = tmp_path / "run.txt"
         write_run(p, results)
         lines = p.read_text().splitlines()
-        assert lines[0] == "q1 Q0 d2 1 0.750000 listrank"
+        assert lines[0] == "q1 Q0 d2 1 0.75 listrank"
         # unscorable documents sink with the sentinel score
-        assert lines[2] == "q1 Q0 d3 3 -2.000000 listrank"
+        assert lines[2] == "q1 Q0 d3 3 -2.0 listrank"
         run = load_run(p)
         assert [d for d, _ in run["q1"]] == ["d2", "d1", "d3"]
+
+    def test_scores_closer_than_six_decimals_read_back_exactly(self, tmp_path):
+        scores = [0.8123456, 0.8123455]  # 1e-7 apart: both print as 0.812346 to six places
+        results = {"q1": RankedResult([RankedEntry(f"d{i}", s, i + 1, 0)
+                                       for i, s in enumerate(scores)], "given")}
+        write_run(tmp_path / "run.txt", results)
+        assert [s for _, s in load_run(tmp_path / "run.txt")["q1"]] == scores

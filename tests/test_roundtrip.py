@@ -53,7 +53,7 @@ def test_run_file(work, rows):
     for qid, docs in rows.items():
         assert [did for did, _ in run[qid]] == [did for did, _ in docs]
         for (_, read), (_, score) in zip(run[qid], docs):
-            assert abs(read - (-2.0 if score is None else score)) <= 5e-7
+            assert read == (-2.0 if score is None else score)
 
 
 @st.composite

@@ -20,6 +20,13 @@ def _run(script: str, *args) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True, timeout=300)
 
 
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_overfit_then_ordering_study(tmp_path, capsys):
     """The overfit run, then the README's ordering study: the CLI reranks the
     synthetic corpus under each ordering and evaluates each run."""
@@ -63,9 +70,7 @@ def test_fingerprint_is_reproducible(tmp_path):
     done = _run("fingerprint.py", "--compare", *outs)
     assert done.returncode == 1
     assert "MISMATCH rankings/" in done.stdout
-    spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "scripts" / "fingerprint.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load_script("fingerprint")
     first, second = (json.loads(out.read_text()) for out in outs)
     assert script.compare(first, second, 1e-8) == 0
     second["corpus"]["qrels.txt"] = "0" * 64  # a synth file that differs
@@ -95,5 +100,61 @@ def test_attention_timing():
     assert [row[:3] for row in rows] == [[b, n, r] for n, r in (("3", "3"), ("3", "3"),
                                                                 ("30", "30"), ("30", "24"))
                                          for b in ("64", "2")]
-    assert all(float(ms) > 0 for row in rows for ms in row[3:])
-    assert all(row[5:] == ["1.000", "1.000"] for row in rows[::2])  # the first block's ratios
+    # forward ms, its faults, forward+backward ms, its faults, then the two ratios
+    assert all(float(row[3]) > 0 and float(row[5]) > 0 for row in rows)
+    assert all(float(row[4]) >= 0 and float(row[6]) >= 0 for row in rows)
+    assert all(row[7:] == ["1.000", "1.000"] for row in rows[::2])  # the first block's ratios
+
+
+def _fake_benchmark(calls: list, fail_on: int | None = None):
+    """Stands in for ``subprocess.run`` of ``perfbench/run.py``: it writes a
+    canned ``--out`` record whose p90 is 10 + 2 * seed ms, and exits 1 on
+    call number ``fail_on``."""
+    def fake_run(cmd, cwd, stdout):
+        flags = dict(zip(cmd[2::2], cmd[3::2]))
+        calls.append((cwd, flags["--workload"], int(flags["--seed"]), int(flags["--trace"])))
+        seed, trace = int(flags["--seed"]), int(flags["--trace"])
+        metrics = ({"backbone.forward_ms": {"value": 1.5, "unit": "ms"}} if trace else
+                   {"latency_p90_ms": {"value": 10.0 + 2 * seed, "unit": "ms"},
+                    "peak_rss_mb": {"value": 50.0, "unit": "MB"}})
+        record = {"workload": flags["--workload"], "env": {"seed": seed, "nproc": 2},
+                  "correct": True, "attempted": 100, "failed": seed == 1, "metrics": metrics,
+                  "also": {} if trace else {"items_per_s": {"value": 9.0, "unit": "1/s"}}}
+        Path(flags["--out"]).write_text(json.dumps(record))
+        return subprocess.CompletedProcess(cmd, 1 if len(calls) == fail_on else 0)
+    return fake_run
+
+
+def test_bench_record_aggregates_the_runs(tmp_path, monkeypatch):
+    script = _load_script("bench_record")
+    calls = []
+    monkeypatch.setattr(script.subprocess, "run", _fake_benchmark(calls))
+    out = tmp_path / "BENCH_7.json"
+    assert script.main(["7", "--runs", "5", "--seconds", "2", "--checkout", str(tmp_path),
+                        "--out", str(out)]) == 0
+    workloads = [w["name"] for w in script.SPEC["workloads"]]
+    # each workload: seeds 0..4 untraced, then one traced run, all from the checkout's root
+    assert calls == [(tmp_path, w, seed, trace) for w in workloads
+                     for seed, trace in [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 1)]]
+    record = json.loads(out.read_text())
+    assert (record["pr"], record["runs"], record["seconds"]) == (7, 5, 2.0)
+    assert record["env"] == {"nproc": 2}
+    assert sorted(record["workloads"]) == sorted(workloads)
+    for summary in record["workloads"].values():
+        assert (summary["attempted"], summary["failed"]) == (500, 1)
+        assert summary["end_to_end"]["latency_p90_ms"] == {
+            "unit": "ms", "median": 14.0, "q1": 11.0, "q3": 17.0,
+            "values": [10.0, 12.0, 14.0, 16.0, 18.0]}
+        assert summary["end_to_end"]["peak_rss_mb"]["median"] == 50.0
+        assert summary["end_to_end"]["items_per_s"]["unit"] == "1/s"
+        assert summary["per_layer"] == {"backbone.forward_ms": {"value": 1.5, "unit": "ms"}}
+
+
+def test_bench_record_writes_nothing_when_a_run_fails(tmp_path, monkeypatch, capsys):
+    script = _load_script("bench_record")
+    calls = []
+    monkeypatch.setattr(script.subprocess, "run", _fake_benchmark(calls, fail_on=2))
+    out = tmp_path / "BENCH_7.json"
+    assert script.main(["7", "--runs", "3", "--out", str(out)]) == 1
+    assert len(calls) == 2 and not out.exists()
+    assert "seed 1 trace 0 exited 1" in capsys.readouterr().err
