@@ -15,7 +15,7 @@ per-layer metric of the traced run (a median over its operations). If any
 run exits non-zero, the script names it, writes nothing and exits 1.
 
 Example:
-    python3 scripts/bench_record.py 31 --runs 5
+    python3 scripts/bench_record.py 42 --runs 5
 """
 
 import argparse
@@ -93,10 +93,10 @@ def main(argv=None) -> int:
                     traced[name] = record
                 else:
                     untraced.setdefault(name, []).append(record)
-    record = {"pr": args.pr, "runs": args.runs, "seconds": args.seconds,
-              **summarize(untraced, traced)}
+    bench = {"pr": args.pr, "runs": args.runs, "seconds": args.seconds,
+             **summarize(untraced, traced)}
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
