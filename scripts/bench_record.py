@@ -3,7 +3,9 @@
 
 For each workload in BENCHMARK.json and each seed 0..N-1, it runs
 ``perfbench/run.py --workload W --seed i --seconds S --out F`` in a process
-of its own, then one ``--trace 1`` run of each workload on seed 0. Like
+of its own, then one ``--trace 1`` run of each workload on seed 0. S is
+always BENCHMARK.json's ``run_seconds``, so every record is made at the run
+length the benchmark uses and can be compared with the others. Like
 ``perfbench/compare.py``, it runs this repository's copy of the benchmark
 from the root of ``--checkout``, so the program measured is the one under
 that checkout's ``src/``.
@@ -31,11 +33,10 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 RUN = ROOT / "perfbench" / "run.py"
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
-        out: Path) -> dict | None:
+def run(checkout: Path, workload: str, seed: int, trace: int, out: Path) -> dict | None:
     """One benchmark run's ``--out`` record, or None if it exited non-zero."""
     cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace), "--out", str(out)]
+           "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace), "--out", str(out)]
     print(f"{workload} seed {seed} trace {trace}", file=sys.stderr)
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.DEVNULL)
     if proc.returncode != 0:
@@ -71,29 +72,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("pr", type=int, help="the number in BENCH_<pr>.json")
     parser.add_argument("--runs", type=int, default=5, help="untraced runs (seeds) per workload")
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="root of the checkout to measure (default: this one)")
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the root of "
                         "this repository")
     args = parser.parse_args(argv)
-    if args.runs < 2 or args.seconds <= 0:
-        parser.error("--runs must be at least 2 (for quartiles) and --seconds positive")
+    if args.runs < 2:
+        parser.error("--runs must be at least 2 (for quartiles)")
     checkout = args.checkout.resolve()
     untraced, traced = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for spec in SPEC["workloads"]:
             name = spec["name"]
             for seed, trace in [(seed, 0) for seed in range(args.runs)] + [(0, 1)]:
-                record = run(checkout, name, seed, args.seconds, trace,
-                             Path(tmp) / f"{name}-{seed}-{trace}.json")
+                record = run(checkout, name, seed, trace, Path(tmp) / f"{name}-{seed}-{trace}.json")
                 if record is None:
                     return 1
                 if trace:
                     traced[name] = record
                 else:
                     untraced.setdefault(name, []).append(record)
-    bench = {"pr": args.pr, "runs": args.runs, "seconds": args.seconds,
+    bench = {"pr": args.pr, "runs": args.runs, "seconds": SPEC["run_seconds"],
              **summarize(untraced, traced)}
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="utf-8")

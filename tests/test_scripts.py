@@ -130,14 +130,14 @@ def test_bench_record_aggregates_the_runs(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(script.subprocess, "run", _fake_benchmark(calls))
     out = tmp_path / "BENCH_7.json"
-    assert script.main(["7", "--runs", "5", "--seconds", "2", "--checkout", str(tmp_path),
+    assert script.main(["7", "--runs", "5", "--checkout", str(tmp_path),
                         "--out", str(out)]) == 0
     workloads = [w["name"] for w in script.SPEC["workloads"]]
     # each workload: seeds 0..4 untraced, then one traced run, all from the checkout's root
     assert calls == [(tmp_path, w, seed, trace) for w in workloads
                      for seed, trace in [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 1)]]
     record = json.loads(out.read_text())
-    assert (record["pr"], record["runs"], record["seconds"]) == (7, 5, 2.0)
+    assert (record["pr"], record["runs"], record["seconds"]) == (7, 5, script.SPEC["run_seconds"])
     assert record["env"] == {"nproc": 2}
     assert sorted(record["workloads"]) == sorted(workloads)
     for summary in record["workloads"].values():
