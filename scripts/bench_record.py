@@ -3,7 +3,7 @@
 
 For each workload in BENCHMARK.json and each seed 0..N-1, it runs
 ``perfbench/run.py --workload W --seed i --seconds S --out F`` in a process
-of its own, then one ``--trace 1`` run of each workload on seed 0. S is
+of its own, then a ``--trace 1`` run of each workload on the same seeds. S is
 always BENCHMARK.json's ``run_seconds``, so every record is made at the run
 length the benchmark uses and can be compared with the others. Like
 ``perfbench/compare.py``, it runs this repository's copy of the benchmark
@@ -11,10 +11,12 @@ from the root of ``--checkout``, so the program measured is the one under
 that checkout's ``src/``.
 
 The record holds the environment of the first run (its seed left out), and
-for each workload the operations attempted and failed over the N runs, each
-end-to-end metric's median and quartiles over the N runs, and each
-per-layer metric of the traced run (a median over its operations). If any
-run exits non-zero, the script names it, writes nothing and exits 1.
+for each workload the operations attempted and failed over the N untraced
+runs, each end-to-end metric's median and quartiles over the N untraced
+runs, and each per-layer metric's median and quartiles over the N traced
+runs (each run's figure is itself a median over its operations), so a slow
+spell of the host during one run moves no column. If any run exits
+non-zero, the script names it, writes nothing and exits 1.
 
 Example:
     python3 scripts/bench_record.py 42 --runs 5
@@ -46,24 +48,28 @@ def run(checkout: Path, workload: str, seed: int, trace: int, out: Path) -> dict
     return json.loads(out.read_text(encoding="utf-8"))
 
 
-def summarize(untraced: dict[str, list[dict]], traced: dict[str, dict]) -> dict:
-    """The record of each workload's untraced runs and its traced run."""
+def spread(metrics: list[dict]) -> dict:
+    """Each metric's unit, median, quartiles and values over the runs' ``metrics``."""
+    out = {}
+    for metric, first in metrics[0].items():
+        values = [m[metric]["value"] for m in metrics]
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        out[metric] = {"unit": first["unit"], "median": median, "q1": q1, "q3": q3,
+                       "values": values}
+    return out
+
+
+def summarize(untraced: dict[str, list[dict]], traced: dict[str, list[dict]]) -> dict:
+    """The record of each workload's untraced and traced runs."""
     env = dict(next(iter(untraced.values()))[0]["env"])
     env.pop("seed", None)
     workloads = {}
     for name, runs in untraced.items():
-        metrics = [{**r["metrics"], **r["also"]} for r in runs]
-        end_to_end = {}
-        for metric, first in metrics[0].items():
-            values = [m[metric]["value"] for m in metrics]
-            q1, median, q3 = statistics.quantiles(values, n=4)
-            end_to_end[metric] = {"unit": first["unit"], "median": median, "q1": q1, "q3": q3,
-                                  "values": values}
         workloads[name] = {
             "attempted": sum(r["attempted"] for r in runs),
             "failed": sum(r["failed"] for r in runs),
-            "end_to_end": end_to_end,
-            "per_layer": traced[name]["metrics"],
+            "end_to_end": spread([{**r["metrics"], **r["also"]} for r in runs]),
+            "per_layer": spread([r["metrics"] for r in traced[name]]),
         }
     return {"env": env, "workloads": workloads}
 
@@ -71,7 +77,8 @@ def summarize(untraced: dict[str, list[dict]], traced: dict[str, dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("pr", type=int, help="the number in BENCH_<pr>.json")
-    parser.add_argument("--runs", type=int, default=5, help="untraced runs (seeds) per workload")
+    parser.add_argument("--runs", type=int, default=5,
+                        help="untraced and traced runs (seeds) per workload")
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="root of the checkout to measure (default: this one)")
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the root of "
@@ -84,14 +91,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for spec in SPEC["workloads"]:
             name = spec["name"]
-            for seed, trace in [(seed, 0) for seed in range(args.runs)] + [(0, 1)]:
-                record = run(checkout, name, seed, trace, Path(tmp) / f"{name}-{seed}-{trace}.json")
-                if record is None:
-                    return 1
-                if trace:
-                    traced[name] = record
-                else:
-                    untraced.setdefault(name, []).append(record)
+            for trace, runs in ((0, untraced), (1, traced)):
+                for seed in range(args.runs):
+                    record = run(checkout, name, seed, trace,
+                                 Path(tmp) / f"{name}-{seed}-{trace}.json")
+                    if record is None:
+                        return 1
+                    runs.setdefault(name, []).append(record)
     bench = {"pr": args.pr, "runs": args.runs, "seconds": SPEC["run_seconds"],
              **summarize(untraced, traced)}
     out = args.out or ROOT / f"BENCH_{args.pr}.json"

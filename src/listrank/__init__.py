@@ -8,7 +8,7 @@ and augmentation-consistency objectives, optimized through LoRA adapters
 and finished by linear checkpoint merging.
 """
 
-from .autodiff import Tape, Tensor, backward, finite_diff_check
+from .autodiff import Tape, Tensor, backward
 from .backbone import BackboneConfig, forward, init_weights
 from .embedding import extract, project, score
 from .evaluation import generate_synthetic_corpus, ndcg_at_k, recall_at_k
@@ -24,7 +24,7 @@ __all__ = [
     "BackboneConfig", "Document", "PromptLayout", "RankedResult", "RerankModel",
     "RerankRequest", "StageConfig",
     "Tape", "Tensor", "TrainingBatch", "TrainingExample", "Vocabulary",
-    "backward", "build_prompt", "extract", "finite_diff_check", "forward",
+    "backward", "build_prompt", "extract", "forward",
     "generate_synthetic_corpus", "init_weights", "merge_models", "ndcg_at_k",
     "project", "recall_at_k", "rerank", "score", "train_stage",
 ]

@@ -1,8 +1,7 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Everything the backbone and the losses need, nothing more: dense tensors,
-a replay tape, and a central finite-difference checker that serves as the
-independent gradient oracle for the whole project.
+Everything the backbone and the losses need, nothing more: dense tensors
+and a replay tape.
 
 Graphs are recorded only inside ``with Tape():``. Outside one, every op
 just computes its value, so inference needs no switch of its own.
@@ -16,7 +15,7 @@ once; a second call raises ``ListrankError`` rather than silently accumulating.
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +57,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
@@ -432,49 +428,3 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_q_heads: int, n_kv_heads
                      for t, gt in ((q, dq), (k, dk), (v, dv)))
 
     return _record(Tensor(out.reshape(rows, width)), (q, k, v), bwd)
-
-
-# ----------------------------------------------------------------------
-# finite-difference oracle
-# ----------------------------------------------------------------------
-
-
-def finite_diff_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    h: float = 1e-6,
-    coords: Optional[Iterable[int]] = None,
-) -> float:
-    """Compare taped gradients of ``f`` at ``x`` against central differences.
-
-    Returns the worst relative error with denominator
-    max(|analytic|, |numeric|, 1e-8), or NaN when a gradient or a
-    difference is not finite. ``coords`` restricts the check to a subset
-    of flat coordinates (all of them by default).
-    """
-    if not (1e-7 <= h <= 1e-4):
-        raise ValueError(f"step size {h} outside the supported range [1e-7, 1e-4]")
-    x.zero_grad()
-    with Tape():
-        y = f(x)
-        backward(y)
-    if x.grad is None:
-        raise ListrankError("function output does not depend on x (no gradient recorded)")
-    analytic = x.grad.reshape(-1).copy()
-    flat = x.data.reshape(-1)
-    idx = range(flat.size) if coords is None else list(coords)
-    worst = 0.0
-    for i in idx:
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(x).data)
-        flat[i] = orig - h
-        fm = float(f(x).data)
-        flat[i] = orig
-        numeric = (fp - fm) / (2.0 * h)
-        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-        err = abs(analytic[i] - numeric) / denom
-        if not np.isfinite(err):  # max() would drop a NaN
-            return float("nan")
-        worst = max(worst, err)
-    return worst

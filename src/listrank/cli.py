@@ -1,4 +1,4 @@
-"""Operator surface: rerank, train, merge, eval, gradcheck, synth.
+"""Operator surface: rerank, train, merge, eval, synth.
 
 Flags are the only settings; a set ``LISTRANK_*`` environment variable is
 refused. Exit codes: 0 ok, else the ``exit_code`` of the ``listrank.errors``
@@ -15,13 +15,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import autodiff as ad
-from . import backbone as bb
-from .autodiff import Tape, Tensor, finite_diff_check
+from .autodiff import Tensor
 from .checkpoint import jsonl_bytes, parse_json, write_atomic
-from .embedding import init_projector, project
 from .errors import ListrankError
 from .evaluation import (
     SyntheticCorpus,
@@ -31,20 +26,10 @@ from .evaluation import (
     ndcg_at_k,
     write_corpus_files,
 )
-from .losses import TrainingBatch, all_losses
 from .model import RerankModel
 from .prompt import ORDERINGS, Vocabulary, check_limits
 from .reranker import read_requests, rerank, write_run
-from .trainer import (
-    StageConfig,
-    TrainingExample,
-    apply_lora,
-    create_adapters,
-    merge_models,
-    train_stage,
-)
-
-GRADCHECK_THRESHOLD = 1e-4
+from .trainer import StageConfig, TrainingExample, merge_models, train_stage
 
 
 def _print_config(name: str, args: argparse.Namespace):
@@ -139,100 +124,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _gradcheck_losses(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    n_queries, n_neg, dim = 2, 3, 6
-    width = 4 + n_neg
-    X = Tensor(rng.normal(size=(n_queries * width, dim)), requires_grad=True)
-    # each query's rows: query, dual query, positive, augmented, negatives
-    first = np.arange(n_queries) * width
-    rows = dict(query=first, dual_query=first + 1, positive=first + 2, augmented=first + 3,
-                negatives=first[:, None] + np.arange(4, width))
-    return finite_diff_check(lambda x: all_losses(TrainingBatch(x, 0.25, **rows))[0], X)
-
-
-def _gradcheck_projector(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    weights = init_projector(8, seed)
-    # O(1) weights keep gradients well above the finite-difference noise
-    # floor; the positive hidden bias keeps rectifier units away from their
-    # kink and the output away from zero norm
-    for name in ("projector.w1", "projector.w2"):
-        weights[name].data = rng.normal(0.0, 0.5, weights[name].shape)
-    weights["projector.b1"].data = 0.5 + rng.random(4)
-    weights["projector.b2"].data = rng.normal(0.0, 0.1, 4)
-    u = Tensor(rng.normal(size=(1, 8)))
-    v = Tensor(rng.normal(size=(1, 8)))
-    w1 = weights["projector.w1"]
-    w1.requires_grad = True
-
-    def f(_):
-        return ad.tsum(ad.cosine(project(u, weights), project(v, weights)))
-
-    return finite_diff_check(f, w1)
-
-
-def _gradcheck_backbone(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    cfg = bb.BackboneConfig(n_layers=2, d_hidden=32, n_q_heads=4, n_kv_heads=2,
-                            d_ffn=32, max_context=64, vocab_size=50)
-    weights = bb.init_weights(cfg, seed)
-    tokens = rng.integers(0, cfg.vocab_size, size=6).tolist()
-    target = weights["layers.0.attn.wq"]
-    target.requires_grad = True
-
-    def f(_):
-        return ad.tmean(bb.forward(tokens, cfg, weights))
-
-    coords = np.random.default_rng(seed + 1).choice(target.data.size, size=64, replace=False)
-    # h=1e-5: the forward is smooth, so a larger step trades negligible
-    # truncation error for a 10x smaller roundoff floor
-    return finite_diff_check(f, target, h=1e-5, coords=coords.tolist())
-
-
-def _gradcheck_lora(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    base = {"w": Tensor(rng.normal(size=(6, 5)))}
-    adapters = create_adapters(base, ["w"], rank=2, seed=seed)
-    a, b = adapters["w"]
-    b.data = rng.normal(size=b.data.shape)  # move off zero init for the check
-    a.requires_grad = True
-    b.requires_grad = True
-    x = Tensor(rng.normal(size=(3, 6)))
-
-    def f(_):
-        eff = apply_lora(base, adapters, alpha=4.0)
-        return ad.tmean(ad.matmul(x, eff["w"]))
-
-    err_a = finite_diff_check(f, a)
-    err_b = finite_diff_check(f, b)
-    # base weights must stay gradient-free in adapters-only mode
-    base["w"].grad = None
-    with Tape():
-        loss = f(None)
-        ad.backward(loss)
-    if base["w"].grad is not None:
-        raise ListrankError("base weight received gradient in adapters-only mode")
-    return max(err_a, err_b)
-
-
-_GRADCHECKS = {
-    "losses": _gradcheck_losses,
-    "projector": _gradcheck_projector,
-    "backbone": _gradcheck_backbone,
-    "lora": _gradcheck_lora,
-}
-
-
-def cmd_gradcheck(args) -> int:
-    worst = _GRADCHECKS[args.component](args.seed)
-    ok = worst < GRADCHECK_THRESHOLD
-    print(f"[gradcheck] component={args.component} seed={args.seed} "
-          f"worst_relative_error={worst:.3e} threshold={GRADCHECK_THRESHOLD:.0e} "
-          f"{'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 3
-
-
 def cmd_synth(args) -> int:
     corpus = generate_synthetic_corpus(args.n_queries, args.docs_per_query, seed=args.seed)
     write_corpus_files(corpus, args.out)
@@ -282,11 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("ndcg", "recall"), default="ndcg")
     p.add_argument("--k", type=int, default=10)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--component", choices=sorted(_GRADCHECKS), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic training corpus")
     p.add_argument("--n-queries", type=int, default=50)

@@ -11,7 +11,6 @@ from listrank import autodiff as ad
 from listrank.autodiff import Tensor
 from listrank.backbone import forward as backbone_forward
 from listrank.checkpoint import load_checkpoint, save_checkpoint
-from listrank.cli import _GRADCHECKS, GRADCHECK_THRESHOLD
 from listrank.evaluation import (
     lexical_overlap_scorer,
     ndcg_at_k,
@@ -29,6 +28,7 @@ from listrank.trainer import (
 )
 
 from conftest import stacked_batch, tiny_backbone_config
+from gradcheck import _GRADCHECKS, GRADCHECK_THRESHOLD
 
 GOLDEN_DIR = __import__("pathlib").Path(__file__).parent / "golden"
 

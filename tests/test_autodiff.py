@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from listrank import autodiff as ad
-from listrank.autodiff import Tape, Tensor, backward, finite_diff_check
+from listrank.autodiff import Tape, Tensor, backward
 from listrank.errors import DegenerateEmbeddingError, ListrankError
+
+from gradcheck import finite_diff_check
 
 square_scores = st.integers(1, 6).flatmap(
     lambda n: arrays(np.float64, (n, n), elements=st.floats(-50, 50))
@@ -358,7 +360,7 @@ class TestFiniteDiffCheck:
             return ad.tsum(ad.mul(t, t))
 
         assert finite_diff_check(f, x) < 1e-8
-        x.zero_grad()
+        x.grad = None
         with Tape():
             backward(f(x))  # fresh graph; grads are 2x
         np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from listrank import autodiff as ad
 from listrank import backbone as bb
-from listrank.autodiff import Tensor, finite_diff_check
+from listrank.autodiff import Tensor
 from listrank.errors import ListrankError
 
 from conftest import tiny_backbone_config
+from gradcheck import finite_diff_check
 
 
 @pytest.fixture(scope="module")

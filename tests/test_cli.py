@@ -10,7 +10,7 @@ import pytest
 
 from listrank.backbone import BackboneConfig
 from listrank.checkpoint import load_checkpoint, save_checkpoint
-from listrank.cli import GRADCHECK_THRESHOLD, build_parser, main
+from listrank.cli import build_parser, main
 from listrank.evaluation import load_run
 from listrank.model import RerankModel
 from listrank.prompt import Vocabulary
@@ -94,8 +94,7 @@ class TestParser:
         lines = script.replace("\\\n", " ").replace("$o", "desc").splitlines()
         commands = [shlex.split(line.split("|")[0])[1:] for line in lines
                     if line.strip().startswith("listrank ")]
-        assert {argv[0] for argv in commands} == {"synth", "train", "rerank", "eval", "merge",
-                                                  "gradcheck"}
+        assert {argv[0] for argv in commands} == {"synth", "train", "rerank", "eval", "merge"}
         for argv in commands:
             build_parser().parse_args(argv)
 
@@ -468,15 +467,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, extra", [
         ("synth", ["--seed", "-1"]),
         ("rerank", ["--ordering", "random", "--seed", "-1"]),
-        ("gradcheck", ["--seed", "-1"]),
-    ], ids=["synth", "rerank", "gradcheck"])
+    ], ids=["synth", "rerank"])
     def test_negative_seed(self, model_path, data_dir, tmp_path, capsys, command, extra):
         """numpy refuses a negative seed with a traceback, so the CLI refuses it first."""
         out = tmp_path / "out"
         args = {"synth": ["--out", out],
                 "rerank": ["--model", model_path, "--input", data_dir / "requests.jsonl",
-                           "--output", out],
-                "gradcheck": ["--component", "losses"]}[command]
+                           "--output", out]}[command]
         rc = main([command, *map(str, args), *extra])
         assert rc == 2
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
@@ -721,18 +718,6 @@ class TestNonFiniteWeights:
         assert rc == 4
         assert "error: step 1: cosine of a non-finite embedding" in capsys.readouterr().err
         assert not out_ckpt.exists()
-
-class TestGradcheck:
-    @pytest.mark.parametrize("component", ["losses", "projector", "backbone", "lora"])
-    def test_pass_line(self, component, capsys):
-        rc = main(["gradcheck", "--component", component, "--seed", "0"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert f"component={component}" in out
-        assert "PASS" in out
-
-    def test_threshold_constant(self):
-        assert GRADCHECK_THRESHOLD == 1e-4
 
 
 class TestSynthAndEval:

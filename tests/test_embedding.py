@@ -3,7 +3,7 @@ import pytest
 
 from listrank import autodiff as ad
 from listrank import backbone as bb
-from listrank.autodiff import Tensor, backward, finite_diff_check
+from listrank.autodiff import Tensor, backward
 from listrank.embedding import (
     extract,
     init_projector,
@@ -14,6 +14,7 @@ from listrank.errors import ListrankError
 from listrank.prompt import PromptLayout
 
 from conftest import tiny_backbone_config
+from gradcheck import finite_diff_check
 
 
 def _layout(doc_positions, query_position, dual=None):

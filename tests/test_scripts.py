@@ -108,13 +108,13 @@ def test_attention_timing():
 
 def _fake_benchmark(calls: list, fail_on: int | None = None):
     """Stands in for ``subprocess.run`` of ``perfbench/run.py``: it writes a
-    canned ``--out`` record whose p90 is 10 + 2 * seed ms, and exits 1 on
-    call number ``fail_on``."""
+    canned ``--out`` record whose p90 is 10 + 2 * seed ms, or with ``--trace 1``
+    whose forward is 1.5 + seed ms, and exits 1 on call number ``fail_on``."""
     def fake_run(cmd, cwd, stdout):
         flags = dict(zip(cmd[2::2], cmd[3::2]))
         calls.append((cwd, flags["--workload"], int(flags["--seed"]), int(flags["--trace"])))
         seed, trace = int(flags["--seed"]), int(flags["--trace"])
-        metrics = ({"backbone.forward_ms": {"value": 1.5, "unit": "ms"}} if trace else
+        metrics = ({"backbone.forward_ms": {"value": 1.5 + seed, "unit": "ms"}} if trace else
                    {"latency_p90_ms": {"value": 10.0 + 2 * seed, "unit": "ms"},
                     "peak_rss_mb": {"value": 50.0, "unit": "MB"}})
         record = {"workload": flags["--workload"], "env": {"seed": seed, "nproc": 2},
@@ -133,9 +133,9 @@ def test_bench_record_aggregates_the_runs(tmp_path, monkeypatch):
     assert script.main(["7", "--runs", "5", "--checkout", str(tmp_path),
                         "--out", str(out)]) == 0
     workloads = [w["name"] for w in script.SPEC["workloads"]]
-    # each workload: seeds 0..4 untraced, then one traced run, all from the checkout's root
+    # each workload: seeds 0..4 untraced, then seeds 0..4 traced, all from the checkout's root
     assert calls == [(tmp_path, w, seed, trace) for w in workloads
-                     for seed, trace in [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 1)]]
+                     for trace in (0, 1) for seed in range(5)]
     record = json.loads(out.read_text())
     assert (record["pr"], record["runs"], record["seconds"]) == (7, 5, script.SPEC["run_seconds"])
     assert record["env"] == {"nproc": 2}
@@ -147,7 +147,9 @@ def test_bench_record_aggregates_the_runs(tmp_path, monkeypatch):
             "values": [10.0, 12.0, 14.0, 16.0, 18.0]}
         assert summary["end_to_end"]["peak_rss_mb"]["median"] == 50.0
         assert summary["end_to_end"]["items_per_s"]["unit"] == "1/s"
-        assert summary["per_layer"] == {"backbone.forward_ms": {"value": 1.5, "unit": "ms"}}
+        assert summary["per_layer"] == {"backbone.forward_ms": {
+            "unit": "ms", "median": 3.5, "q1": 2.0, "q3": 5.0,
+            "values": [1.5, 2.5, 3.5, 4.5, 5.5]}}
 
 
 def test_bench_record_writes_nothing_when_a_run_fails(tmp_path, monkeypatch, capsys):
